@@ -14,7 +14,6 @@ from .arith import (
     build_factor_table,
     chi4,
     euler_phi,
-    factorize,
     g_function,
     is_sum_of_two_squares,
     mobius,

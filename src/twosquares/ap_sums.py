@@ -9,7 +9,6 @@ integers, so results are independent of any internal blocking.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,8 +160,8 @@ def gamma_singular_series(
     for p, _ in f1.pairs + f2.pairs:
         head *= 1 - chi4(p) / p
     ps = primes_up_to(tail_prime_bound)
-    excluded = 2 * q * d1 * d2
-    keep = np.array([excluded % int(p) != 0 for p in ps])
+    excluded = [2, *trial_factorize(q).primes(), *f1.primes(), *f2.primes()]
+    keep = ~np.isin(ps, excluded)
     tail = float(np.exp(np.sum(np.log1p(-1.0 / ps[keep].astype(np.float64) ** 2))))
     value = head * tail
     bound = abs(value) * 2.0 / tail_prime_bound
@@ -260,9 +259,7 @@ def run_experiment(
     if name not in _RUNNERS:
         raise ValidationError(f"unknown AP experiment {name!r}")
     emp_fn, pred_fn = _RUNNERS[name]
-    t0 = time.perf_counter()
     emp = emp_fn(query, r2arr)
     pred = pred_fn(query)
-    ms = (time.perf_counter() - t0) * 1000
     params = {k: getattr(query, k) for k in ("q", "a", "d", "d1", "d2", "h")}
-    return CorrelationReport(name, float(emp), pred, query.N, params, ms)
+    return CorrelationReport(name, float(emp), pred, query.N, params)

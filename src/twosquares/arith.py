@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,10 +85,6 @@ class FactorTable:
 
 def build_factor_table(limit: int) -> FactorTable:
     return FactorTable(limit)
-
-
-def factorize(table: FactorTable, n: int) -> Factorization:
-    return table.factorize(n)
 
 
 def trial_factorize(n: int) -> Factorization:
@@ -447,14 +443,39 @@ def convolution_transform(
 # ---------------------------------------------------------------------------
 
 
-def squarefree_divisors(f: Factorization, residue: int | None = None) -> list[tuple[int, int]]:
-    """All (d, mu(d)) for squarefree d | n, optionally keeping only primes
-    with p % 4 == residue.  d=1 is always included."""
-    ps = [p for p, _ in f.pairs if residue is None or p % 4 == residue]
-    out = [(1, 1)]
-    for p in ps:
-        out += [(d * p, -m) for d, m in out]
-    return out
+def squarefree_products(
+    primes: Sequence[int], bound: int
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Every squarefree product a <= bound of distinct primes from the
+    ascending sequence `primes`, as (a, mu(a), primes of a ascending).
+
+    a = 1 comes first, then DFS pre-order: each a is followed by its
+    extensions a*p by primes p above its own.  Iterative, and a branch
+    stops at the first prime that overshoots the bound, so primes that
+    can no longer fit are never read.
+    """
+    yield 1, 1, ()
+    stack = [(0, 1, 1, ())]  # (next prime index, a, mu(a), primes of a)
+    while stack:
+        j, a, mu, ps = stack.pop()
+        if j < len(primes) and a * primes[j] <= bound:
+            p = primes[j]
+            stack.append((j + 1, a, mu, ps))
+            child = (a * p, -mu, ps + (p,))
+            yield child
+            stack.append((j + 1, *child))
+
+
+def w_split(D0: int) -> tuple[int, int, int]:
+    """The W-trick modulus W = prod of the odd primes <= D0, split by
+    residue class mod 4 as W = W1 * W3; returns (W, W1, W3)."""
+    w1 = w3 = 1
+    for p in map(int, primes_up_to(D0)):
+        if p % 4 == 1:
+            w1 *= p
+        elif p % 4 == 3:
+            w3 *= p
+    return w1 * w3, w1, w3
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:

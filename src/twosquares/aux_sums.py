@@ -1,9 +1,10 @@
 """Direct evaluation of the auxiliary sums X, Y, Z(1), Z(2) over integers
 composed of primes 1 mod 4, against their predicted leading terms.
 
-The single sum X accumulates in DFS generation order (bit-reproducible).
-The pair sums Y, Z(1), Z(2) reduce every pair (a,b) to per-element data
-plus a gcd lookup and are evaluated in fixed-size numpy blocks, which is
+The elements a come from arith.squarefree_products in its fixed DFS
+pre-order.  The single sum X is one numpy sum over them.  The pair sums
+Y, Z(1), Z(2) reduce every pair (a,b) to per-element data plus a gcd
+lookup and are evaluated in fixed-size numpy blocks, which is
 deterministic for a given block size; a guard rejects element lists too
 large to pair up.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import landau_ramanujan_A
-from .arith import primes_up_to
+from .arith import primes_up_to, squarefree_products, w_split
 from .errors import ResourceGuardError, ValidationError
 
 _PAIR_GUARD = 60_000
@@ -37,15 +38,7 @@ class AuxParams:
     def __post_init__(self):
         if self.v < 2:
             raise ValidationError(f"AuxParams: v={self.v} must be >= 2")
-        w = w1 = w3 = 1
-        for p in map(int, primes_up_to(self.D0)):
-            if p == 2:
-                continue
-            w *= p
-            if p % 4 == 1:
-                w1 *= p
-            else:
-                w3 *= p
+        w, w1, w3 = w_split(self.D0)
         object.__setattr__(self, "W", w)
         object.__setattr__(self, "W1", w1)
         object.__setattr__(self, "W3", w3)
@@ -59,62 +52,20 @@ def _eligible_primes(params: AuxParams) -> list[int]:
 def enumerate_smooth(params: AuxParams) -> tuple[np.ndarray, np.ndarray]:
     """All squarefree a <= v with every prime factor 1 mod 4 and (a, W) = 1,
     in DFS pre-order over ascending primes.  Returns (values, mobius)."""
-    ps = _eligible_primes(params)
-    vals = [1]
-    mus = [1]
-    v = params.v
-
-    def rec(start: int, prod: int, mu: int) -> None:
-        for j in range(start, len(ps)):
-            nxt = prod * ps[j]
-            if nxt > v:
-                break
-            vals.append(nxt)
-            mus.append(-mu)
-            rec(j + 1, nxt, -mu)
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(10000)
-    try:
-        rec(0, 1, 1)
-    finally:
-        sys.setrecursionlimit(old)
+    vals, mus, _ = zip(*squarefree_products(_eligible_primes(params), params.v))
     return np.array(vals, dtype=np.int64), np.array(mus, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
-# X: single sum, generation-order accumulation
+# X: single sum
 # ---------------------------------------------------------------------------
 
 
 def x_direct(params: AuxParams) -> float:
     """X = sum mu(a)/a * log(v/a) over the enumerated a."""
-    ps = _eligible_primes(params)
-    v = params.v
-    logv = math.log(v)
-    total = logv  # a = 1
-
-    def rec(start: int, prod: int, mu: int) -> float:
-        s = 0.0
-        for j in range(start, len(ps)):
-            nxt = prod * ps[j]
-            if nxt > v:
-                break
-            s += (-mu) / nxt * (logv - math.log(nxt))
-            s += rec(j + 1, nxt, -mu)
-        return s
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(10000)
-    try:
-        total += rec(0, 1, 1)
-    finally:
-        sys.setrecursionlimit(old)
-    return total
+    vals, mus = enumerate_smooth(params)
+    L = math.log(params.v) - np.log(vals.astype(np.float64))
+    return float(np.sum(mus / vals * L))
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def second_moment_lhs(
     neg = 0
     neg_examples: list[int] = []
     lhs_a = 0.0
-    for n in _window_iter(params, v0):
+    for n in _window_iter(params, v0, 2 * params.N):
         cands = [_divisor_candidates(n + h, slot_vals[i]) for i, h in enumerate(tup.h)]
         w = 0.0
         for dt in iproduct(*cands):
@@ -281,8 +281,7 @@ def witness_search(
     """Scan n in [N, n_limit), n = v0 (W), n = 1 (4); record every n for
     which each bin holds at least one h with n + h a sum of two squares.
 
-    Uses the exact indicator, never rho.  Results sorted by n (the scan is
-    already ordered; kept explicit for the parallel-partition contract)."""
+    Uses the exact indicator, never rho.  Results come in increasing n."""
     if partition.k != tup.k:
         raise ValidationError("witness_search: partition arity != tuple size")
     if n_limit + max(tup.h) > factor_table.limit + 1:
@@ -290,11 +289,8 @@ def witness_search(
     if params.N + min(tup.h) < 0:
         raise ValidationError("witness_search: window start + min shift is negative")
     v0 = find_v0(params, tup)
-    sol_iter = [
-        n for n in range(params.N, n_limit) if n % 4 == 1 and n % params.W == v0 % params.W
-    ]
     out: list[WitnessRecord] = []
-    for n in sol_iter:
+    for n in _window_iter(params, v0, n_limit):
         accepted: list[int] = []
         certs = []
         ok = True
@@ -318,7 +314,6 @@ def witness_search(
             certs.append(hit)
         if ok:
             out.append(WitnessRecord(n, tuple(accepted), tuple(certs)))
-    out.sort(key=lambda r: r.n)
     return out
 
 

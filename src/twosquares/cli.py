@@ -1,10 +1,10 @@
 """Command-line front end: one subcommand per experiment family.
 
 Reports are JSON objects {experiment, config, results, diagnostics,
-runtime_ms, timestamp} with numbers at 12 significant digits; the
-timestamp is the only line that differs between identical runs.  Exit
-codes: 0 success, 2 validation error, 3 resource guard, 4 internal
-assertion.
+timestamp} with numbers at 12 significant digits.  The timestamp line
+also carries the wall runtime of the command and is the only line that
+differs between identical runs.  Exit codes: 0 success, 2 validation
+error, 3 resource guard, 4 internal assertion.
 """
 
 from __future__ import annotations
@@ -35,23 +35,12 @@ def _round_floats(obj):
     return obj
 
 
-def _strip_runtimes(obj):
+def _emit(report: dict, out_path: str | None, runtime_ms: float | None = None) -> None:
     """Wall-clock noise lives only on the timestamp line of a report."""
-    if isinstance(obj, dict):
-        return {k: _strip_runtimes(v) for k, v in obj.items() if k != "runtime_ms"}
-    if isinstance(obj, (list, tuple)):
-        return [_strip_runtimes(v) for v in obj]
-    return obj
-
-
-def _emit(report: dict, out_path: str | None) -> None:
-    report = dict(report)
-    runtime = report.pop("runtime_ms", None)
-    report = _strip_runtimes(report)
     stamp = datetime.now(timezone.utc).isoformat()
-    report["timestamp"] = (
-        f"{stamp} runtime_ms={runtime:.3f}" if runtime is not None else stamp
-    )
+    if runtime_ms is not None:
+        stamp += f" runtime_ms={runtime_ms:.3f}"
+    report = {**report, "timestamp": stamp}
     text = json.dumps(_round_floats(report), indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w") as fh:
@@ -69,11 +58,14 @@ def _floats(text: str) -> list[float]:
 
 
 def _bin_sizes(text: str) -> tuple[int, ...]:
-    """Parse "1:1,2:2" (position:size pairs) or plain "1,2" into sizes."""
-    parts = text.split(",")
+    """Parse "1:1,2:2" (position:size pairs, positions 1..M in order) or
+    plain "1,2" into sizes."""
     sizes = []
-    for p in parts:
-        sizes.append(int(p.split(":")[-1]))
+    for i, part in enumerate(text.split(","), start=1):
+        pos, colon, size = part.rpartition(":")
+        if colon and pos != str(i):
+            raise ValidationError(f"--bins: entry {part!r} must have position {i}")
+        sizes.append(int(size))
     return tuple(sizes)
 
 
@@ -105,8 +97,6 @@ _DEFAULTS = {
     "k": 2,
     "beta": 1.0,
     "prime_bound": 10**6,
-    "threads": 1,
-    "seed": 0,
 }
 
 
@@ -116,7 +106,7 @@ _DEFAULTS = {
 
 
 def cmd_build_table(args) -> dict:
-    cfg = _resolve(args, ["N", "threads", "seed"])
+    cfg = _resolve(args, ["N"])
     table = build_factor_table(int(cfg["N"]))
     import numpy as np
 
@@ -131,7 +121,7 @@ def cmd_build_table(args) -> dict:
 
 
 def cmd_ap_sums(args) -> dict:
-    cfg = _resolve(args, ["sum", "N", "q", "a", "d", "d1", "d2", "h", "trend", "csv", "threads", "seed"])
+    cfg = _resolve(args, ["sum", "N", "q", "a", "d", "d1", "d2", "h", "trend", "csv"])
     name = {"r": "ap_r", "rr": "ap_rr", "r2": "ap_r2"}.get(cfg["sum"])
     if name is None:
         raise ValidationError(f"ap-sums: unknown --sum {cfg['sum']!r}")
@@ -164,7 +154,7 @@ def cmd_ap_sums(args) -> dict:
 
 
 def cmd_aux_sums(args) -> dict:
-    cfg = _resolve(args, ["v", "D0", "which", "prime_bound", "threads", "seed"])
+    cfg = _resolve(args, ["v", "D0", "which", "prime_bound"])
     which = (cfg["which"] or "x").split(",")
     params = aux_sums.AuxParams(v=int(cfg["v"]), D0=int(cfg["D0"]))
     pb = int(cfg["prime_bound"])
@@ -179,7 +169,6 @@ def cmd_aux_sums(args) -> dict:
         if w not in table:
             raise ValidationError(f"aux-sums: unknown sum {w!r}")
         direct_fn, pred_fn = table[w]
-        t0 = time.perf_counter()
         direct = direct_fn(params)
         pred = pred_fn(params, pb)
         results.append(
@@ -188,7 +177,6 @@ def cmd_aux_sums(args) -> dict:
                 "direct": direct,
                 "predicted": pred,
                 "rel_error": abs(direct - pred) / abs(pred) if pred else math.inf,
-                "runtime_ms": (time.perf_counter() - t0) * 1000,
             }
         )
     return {
@@ -200,7 +188,7 @@ def cmd_aux_sums(args) -> dict:
 
 
 def cmd_functionals(args) -> dict:
-    cfg = _resolve(args, ["k", "beta", "threads", "seed"])
+    cfg = _resolve(args, ["k", "beta"])
     spec = sieve.single_bin_spec(int(cfg["k"]), float(cfg["beta"]))
     results = []
     for kind, m, l in (("L", None, None), ("L_m", 0, None), ("L_ml", 0, 1)):
@@ -238,7 +226,7 @@ def _sieve_setup(cfg):
 
 def cmd_sieve_run(args) -> dict:
     cfg = _resolve(
-        args, ["N", "theta1", "theta2", "D0", "tuple", "beta", "which", "m", "l", "threads", "seed"]
+        args, ["N", "theta1", "theta2", "D0", "tuple", "beta", "which", "m", "l"]
     )
     cfg["tuple"] = cfg["tuple"] or "0,4"
     params, tup = _sieve_setup(cfg)
@@ -253,7 +241,6 @@ def cmd_sieve_run(args) -> dict:
     results = []
     diagnostics = list(params.warnings)
     for w in which:
-        t0 = time.perf_counter()
         direct = sieve.s_direct(w, params, tup, table, factor_table=ft, m=m, l=l)
         pred = sieve.s_predicted(w, params, tup, spec, m=m, l=l)
         results.append(
@@ -263,7 +250,6 @@ def cmd_sieve_run(args) -> dict:
                 "predicted": pred,
                 "ratio": direct.value / pred if pred else math.inf,
                 "n_terms": direct.n_terms,
-                "runtime_ms": (time.perf_counter() - t0) * 1000,
             }
         )
         if direct.rho_negative_count:
@@ -279,7 +265,7 @@ def cmd_sieve_run(args) -> dict:
 
 
 def cmd_tech_sum(args) -> dict:
-    cfg = _resolve(args, ["N", "theta1", "theta2", "D0", "f_rule", "G_rule", "prime_bound", "threads", "seed"])
+    cfg = _resolve(args, ["N", "theta1", "theta2", "D0", "f_rule", "G_rule", "prime_bound"])
     params = sieve.SieveParams(
         N=int(cfg["N"]), theta1=float(cfg["theta1"]), theta2=float(cfg["theta2"]),
         D0=int(cfg["D0"]), strict=False,
@@ -300,7 +286,7 @@ def cmd_tech_sum(args) -> dict:
 
 
 def cmd_c_gamma(args) -> dict:
-    cfg = _resolve(args, ["N", "theta1", "theta2", "D0", "prime_bound", "threads", "seed"])
+    cfg = _resolve(args, ["N", "theta1", "theta2", "D0", "prime_bound"])
     params = sieve.SieveParams(
         N=int(cfg["N"]), theta1=float(cfg["theta1"]), theta2=float(cfg["theta2"]),
         D0=int(cfg["D0"]), strict=False,
@@ -323,7 +309,7 @@ def cmd_c_gamma(args) -> dict:
 
 def cmd_certificate(args) -> dict:
     cfg = _resolve(
-        args, ["N", "theta1", "theta2", "D0", "tuple", "bins", "mu", "t", "threads", "seed"]
+        args, ["N", "theta1", "theta2", "D0", "tuple", "bins", "mu", "t"]
     )
     cfg["tuple"] = cfg["tuple"] or "0,4,16"
     cfg["bins"] = cfg["bins"] or "1:1,2:2"
@@ -366,7 +352,7 @@ def cmd_certificate(args) -> dict:
 
 def cmd_witness_search(args) -> dict:
     cfg = _resolve(
-        args, ["N", "limit", "theta1", "theta2", "D0", "tuple", "bins", "csv", "threads", "seed"]
+        args, ["N", "limit", "theta1", "theta2", "D0", "tuple", "bins", "csv"]
     )
     cfg["tuple"] = cfg["tuple"] or "0,4,16"
     cfg["bins"] = cfg["bins"] or "1:1,2:2"
@@ -398,7 +384,7 @@ def cmd_witness_search(args) -> dict:
 
 
 def cmd_pigeonhole(args) -> dict:
-    cfg = _resolve(args, ["rows", "threads", "seed"])
+    cfg = _resolve(args, ["rows"])
     if not cfg["rows"]:
         raise ValidationError("pigeonhole: --rows required, e.g. '5;5,7;5,7,9'")
     rows = [tuple(_ints(r)) for r in cfg["rows"].split(";") if r]
@@ -419,7 +405,7 @@ def cmd_pigeonhole(args) -> dict:
 
 def cmd_quantum(args) -> dict:
     cfg = _resolve(
-        args, ["what", "n", "dim", "rule", "M", "a_list", "k", "tau", "epsilon", "radius", "csv", "threads", "seed"]
+        args, ["what", "n", "dim", "rule", "M", "a_list", "k", "tau", "epsilon", "csv"]
     )
     what = cfg["what"] or "shell"
     results = []
@@ -500,7 +486,7 @@ def cmd_quantum(args) -> dict:
 
 
 def cmd_constants(args) -> dict:
-    cfg = _resolve(args, ["prime_bound", "threads", "seed"])
+    cfg = _resolve(args, ["prime_bound"])
     pb = int(cfg["prime_bound"])
     out = {"A": landau_ramanujan_A(pb)}
     out.update(special_constants())
@@ -531,8 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file; flags override it")
         sp.add_argument("--output", help="write the JSON report here instead of stdout")
-        sp.add_argument("--threads", type=int)
-        sp.add_argument("--seed", type=int)
         for flag, typ in flags:
             sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=typ)
         sp.set_defaults(func=fn)
@@ -575,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(
         "quantum",
         cmd_quantum,
-        [("what", str), ("n", num), ("dim", int), ("rule", str), ("M", num), ("a_list", str), ("k", int), ("tau", str), ("epsilon", float), ("radius", float), ("csv", str)],
+        [("what", str), ("n", num), ("dim", int), ("rule", str), ("M", num), ("a_list", str), ("k", int), ("tau", str), ("epsilon", float), ("csv", str)],
     )
     add("constants", cmd_constants, [("prime_bound", num)])
     return p
@@ -601,8 +585,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InternalError, AssertionError) as exc:
         _emit({"experiment": args.command, "error": {"type": "internal", "message": str(exc)}}, getattr(args, "output", None))
         return 4
-    report["runtime_ms"] = (time.perf_counter() - t0) * 1000
-    _emit(report, getattr(args, "output", None))
+    _emit(report, getattr(args, "output", None), (time.perf_counter() - t0) * 1000)
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import Factorization, r2
+from .arith import Factorization, r2, squarefree_products
 from .errors import ValidationError
 
 
@@ -56,25 +56,19 @@ def t_weight(params: RhoParams, f: Factorization) -> float:
     """sum over squarefree a | n, a <= v, p|a => p = 1 mod 4, of
     mu(a)/g2(a) * (1 - log a / log v).   Natural logarithms.
 
-    Equals 1 whenever n has no prime factor 1 mod 4 below v.
+    Equals 1 whenever n has no prime factor p = 1 mod 4 with p <= v.
     """
     v = params.v
-    logv = math.log(v)
     ps = [p for p, _ in f.pairs if p % 4 == 1 and p <= v]
-    total = 1.0  # a = 1 term
-    # DFS over subsets of the 1-mod-4 primes with product <= v,
-    # carrying mu(a) and g2(a) = prod (2 - 1/p) multiplicatively
-    stack = [(0, 1, 1, 1.0)]
-    while stack:
-        i, prod, mu, gval = stack.pop()
-        for j in range(i, len(ps)):
-            p = ps[j]
-            a = prod * p
-            if a > v:
-                continue
-            ga = gval * (2.0 - 1.0 / p)
-            total += (-mu / ga) * (1.0 - math.log(a) / logv)
-            stack.append((j + 1, a, -mu, ga))
+    if not ps:
+        return 1.0
+    logv = math.log(v)
+    total = 0.0
+    for a, mu, primes in squarefree_products(ps, v):
+        g2a = 1.0
+        for p in primes:
+            g2a *= 2.0 - 1.0 / p
+        total += mu / g2a * (1.0 - math.log(a) / logv)
     return total
 
 

@@ -15,7 +15,6 @@ class CorrelationReport:
     predicted_main: float
     N: int
     params: dict
-    runtime_ms: float = 0.0
     rel_error: float = field(init=False)
 
     def __post_init__(self):
@@ -33,5 +32,4 @@ class CorrelationReport:
             "rel_error": self.rel_error,
             "N": self.N,
             "params": self.params,
-            "runtime_ms": self.runtime_ms,
         }

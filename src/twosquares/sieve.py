@@ -22,8 +22,12 @@ from .arith import (
     FactorTable,
     count_in_class,
     crt,
+    euler_phi,
+    mobius,
     primes_up_to,
+    squarefree_products,
     trial_factorize,
+    w_split,
 )
 from .constants import ConstantEstimate, landau_ramanujan_A
 from .errors import ResourceGuardError, ValidationError
@@ -33,19 +37,6 @@ from .report import CorrelationReport
 # ---------------------------------------------------------------------------
 # parameters and admissible tuples
 # ---------------------------------------------------------------------------
-
-
-def _w_split(D0: int) -> tuple[int, int, int]:
-    w = w1 = w3 = 1
-    for p in map(int, primes_up_to(D0)):
-        if p == 2:
-            continue
-        w *= p
-        if p % 4 == 1:
-            w1 *= p
-        else:
-            w3 *= p
-    return w, w1, w3
 
 
 @dataclass(frozen=True)
@@ -92,7 +83,7 @@ class SieveParams:
             raise ValidationError(f"SieveParams: derived v={v} < 2")
         if r < 1:
             raise ValidationError(f"SieveParams: derived R={r} < 1")
-        w, w1, w3 = _w_split(self.D0)
+        w, w1, w3 = w_split(self.D0)
         for name, val in (("v", v), ("R", r), ("W", w)):
             object.__setattr__(self, name, val)
         object.__setattr__(self, "W1", w1)
@@ -258,18 +249,7 @@ def enumerate_support(R: int, W: int = 1) -> list[int]:
     if R < 1:
         raise ValidationError(f"enumerate_support: R={R} < 1")
     ps = [int(p) for p in primes_up_to(R) if p % 4 == 3 and W % int(p) != 0]
-    out = [1]
-
-    def rec(start: int, prod: int) -> None:
-        for j in range(start, len(ps)):
-            nxt = prod * ps[j]
-            if nxt > R:
-                break
-            out.append(nxt)
-            rec(j + 1, nxt)
-
-    rec(0, 1)
-    return sorted(out)
+    return sorted(a for a, _, _ in squarefree_products(ps, R))
 
 
 @dataclass
@@ -313,24 +293,11 @@ class WeightTable:
         return rows
 
 
-def _phi_squarefree(n: int) -> int:
-    out = 1
-    for p, _ in trial_factorize(n).pairs:
-        out *= p - 1
-    return out
-
-
-def _mu_squarefree(n: int) -> int:
-    return -1 if len(trial_factorize(n).pairs) % 2 else 1
-
-
 def _squarefree_divisor_tuples(r: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-    divs = []
-    for ri in r:
-        ds = [1]
-        for p, _ in trial_factorize(ri).pairs:
-            ds += [d * p for d in ds]
-        divs.append(sorted(ds))
+    divs = [
+        sorted(d for d, _, _ in squarefree_products(trial_factorize(ri).primes(), ri))
+        for ri in r
+    ]
     return iproduct(*divs)
 
 
@@ -367,8 +334,6 @@ def lambda_from_F(params: SieveParams, spec: TestFunctionSpec) -> WeightTable:
     values, so everything downstream is exact rational arithmetic.
     """
     k = spec.k
-    if k != spec.k or k < 1:
-        raise ValidationError("lambda_from_F: bad spec")
     support = enumerate_support(params.R, params.W)
     logR = math.log(params.R) if params.R > 1 else 1.0
     caps = spec.caps()
@@ -384,7 +349,7 @@ def lambda_from_F(params: SieveParams, spec: TestFunctionSpec) -> WeightTable:
             cost_estimate=f"k={k}, |support|={len(support)}",
         )
 
-    phi = {s: _phi_squarefree(s) for s in support}
+    phi = {s: euler_phi(trial_factorize(s)) for s in support}
     y_entries: dict[tuple[int, ...], Fraction] = {}
     lam_tilde: dict[tuple[int, ...], Fraction] = {}
     for r in _support_tuples(support, k, params.R, caps_vals):
@@ -404,7 +369,7 @@ def lambda_from_F(params: SieveParams, spec: TestFunctionSpec) -> WeightTable:
     for d, val in lam_tilde.items():
         pref = Fraction(1)
         for di in d:
-            pref *= _mu_squarefree(di) * di
+            pref *= mobius(trial_factorize(di)) * di
         lam = pref * val
         if lam != 0:
             entries[d] = lam
@@ -425,7 +390,8 @@ def y_from_lambda(table: WeightTable) -> dict[tuple[int, ...], Fraction]:
     for r, val in acc.items():
         pref = Fraction(1)
         for ri in r:
-            pref *= _mu_squarefree(ri) * _phi_squarefree(ri)
+            fr = trial_factorize(ri)
+            pref *= mobius(fr) * euler_phi(fr)
         val = pref * val
         if val != 0:
             out[r] = val
@@ -687,14 +653,14 @@ class SieveSumResult:
     rho_negative_examples: tuple[int, ...]
 
 
-def _window_iter(params: SieveParams, v0: int):
-    """n in [N, 2N) with n = v0 (mod W) and n = 1 (mod 4)."""
+def _window_iter(params: SieveParams, v0: int, end: int):
+    """n in [N, end) with n = v0 (mod W) and n = 1 (mod 4)."""
     sol = crt([v0, 1], [params.W, 4])
     if sol is None:
         raise ValidationError("_window_iter: v0 incompatible with 1 mod 4")
     r, mmod = sol
     start = params.N + (r - params.N) % mmod
-    return range(start, 2 * params.N, mmod)
+    return range(start, end, mmod)
 
 
 def _divisor_candidates(n_shift: int, values: list[int]) -> list[int]:
@@ -753,7 +719,7 @@ def s_direct(
     neg_count = 0
     neg_examples: list[int] = []
     n_terms = 0
-    for n in _window_iter(params, v0):
+    for n in _window_iter(params, v0, 2 * params.N):
         cands = [_divisor_candidates(n + h, slot_vals[i]) for i, h in enumerate(tup.h)]
         if exact:
             t_int = 0
@@ -815,7 +781,6 @@ def s1_pair_expansion(
         for e in keys:
             moduli = [W, 4]
             residues = [v0, 1]
-            ok = True
             for i, h in enumerate(tup.h):
                 lcm_i = d[i] * e[i] // math.gcd(d[i], e[i])
                 moduli.append(lcm_i)

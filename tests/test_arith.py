@@ -12,7 +12,6 @@ from twosquares.arith import (
     count_in_class,
     crt,
     euler_phi,
-    factorize,
     g1,
     g2,
     g3,
@@ -29,6 +28,7 @@ from twosquares.arith import (
     rd_bruteforce,
     rd_square_identity,
     sigma,
+    squarefree_products,
     tau_k,
     trial_factorize,
 )
@@ -82,19 +82,19 @@ def test_factor_table_rejects():
 
 def test_factorize_examples():
     t = build_factor_table(10**4)
-    assert factorize(t, 1).pairs == ()
-    assert factorize(t, 12).pairs == ((2, 2), (3, 1))
-    assert factorize(t, 9999).pairs == oracle_trial_division(9999)
+    assert t.factorize(1).pairs == ()
+    assert t.factorize(12).pairs == ((2, 2), (3, 1))
+    assert t.factorize(9999).pairs == oracle_trial_division(9999)
     with pytest.raises(ValidationError):
-        factorize(t, 10**4 + 1)
+        t.factorize(10**4 + 1)
     with pytest.raises(ValidationError):
-        factorize(t, 0)
+        t.factorize(0)
 
 
 def test_factorize_matches_trial_division():
     t = build_factor_table(5000)
     for n in range(1, 5001):
-        assert factorize(t, n).pairs == oracle_trial_division(n)
+        assert t.factorize(n).pairs == oracle_trial_division(n)
 
 
 # -- multiplicative functions against naive divisor loops --------------------
@@ -119,13 +119,13 @@ def test_tau_k_counts_ordered_factorizations():
     t = build_factor_table(200)
     for n in (1, 4, 12, 30, 64, 90):
         for k in (2, 3, 4):
-            assert tau_k(factorize(t, n), k) == count(n, k)
+            assert tau_k(t.factorize(n), k) == count(n, k)
 
 
 def test_functions_agree_with_divisor_loop_oracles():
     t = build_factor_table(10**4)
     for n in range(1, 10**4 + 1):
-        f = factorize(t, n)
+        f = t.factorize(n)
         divs = None
         # sigma via divisor loop
         s = 0
@@ -144,7 +144,7 @@ def test_functions_agree_with_divisor_loop_oracles():
     # phi via coprime count (vectorised; the naive definition)
     for n in range(1, 10**4 + 1, 7):
         phi = int(np.count_nonzero(np.gcd(np.arange(1, n + 1), n) == 1))
-        assert euler_phi(factorize(t, n)) == phi
+        assert euler_phi(t.factorize(n)) == phi
 
 
 # -- chi4 / r2 / two squares --------------------------------------------------
@@ -168,7 +168,7 @@ def test_r2_equals_lattice_count():
     t = build_factor_table(10**4)
     arr = r2_lattice_range(10**4)
     for n in range(1, 10**4 + 1):
-        assert r2(factorize(t, n)) == arr[n]
+        assert r2(t.factorize(n)) == arr[n]
 
 
 def test_lattice_range_is_bruteforce():
@@ -180,7 +180,7 @@ def test_lattice_range_is_bruteforce():
 def test_two_squares_iff_r2_positive():
     t = build_factor_table(10**4)
     for n in range(1, 10**4 + 1):
-        f = factorize(t, n)
+        f = t.factorize(n)
         assert is_sum_of_two_squares(f) == (r2(f) > 0)
     assert is_sum_of_two_squares(trial_factorize(9))
     assert not is_sum_of_two_squares(trial_factorize(21))
@@ -308,6 +308,40 @@ def test_convolution_examples():
         convolution_transform("f_star", lambda p: Fraction(0), f(3))
     with pytest.raises(ValidationError):
         convolution_transform("nope", recip, f(3))
+
+
+# -- squarefree products of a prime set ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "primes, bound",
+    [
+        ([], 50),
+        ([2], 1),
+        ([3, 7, 11, 19, 23], 1000),
+        ([5, 13, 17, 29, 37, 41], 10**5),
+        ([2, 3, 5, 7, 11, 13], 3000),
+        ([p for p in range(5, 400, 4) if oracle_trial_division(p) == ((p, 1),)], 5000),
+    ],
+)
+def test_squarefree_products_vs_trial_division(primes, bound):
+    """Values, mu, prime tuples and order against brute force: DFS pre-order
+    over ascending primes is the lexicographic order of the prime tuples."""
+    allowed = set(primes)
+    expected = []
+    for a in range(1, bound + 1):
+        pairs = oracle_trial_division(a)
+        if all(e == 1 and p in allowed for p, e in pairs):
+            ps = tuple(p for p, _ in pairs)
+            expected.append((a, (-1) ** len(ps), ps))
+    expected.sort(key=lambda row: row[2])
+    assert list(squarefree_products(primes, bound)) == expected
+
+
+def test_squarefree_products_stops_at_the_bound():
+    # None * int raises, so reading the entry past 23 would fail the test
+    got = [a for a, _, _ in squarefree_products([3, 5, 7, 11, 23, None], 20)]
+    assert got == [1, 3, 15, 5, 7, 11]
 
 
 # -- CRT helpers -----------------------------------------------------------------

@@ -156,3 +156,12 @@ def test_build_table_dispatch(capsys):
     code, out = run(capsys, ["build-table", "--N", "1e4"])
     assert code == 0
     assert json.loads(out)["results"][0]["primes_below_limit"] == 1229
+
+
+def test_bin_sizes_positions(capsys):
+    assert cli._bin_sizes("1:1,2:2") == (1, 2)
+    assert cli._bin_sizes("1,2") == (1, 2)
+    for bad in ("1:1,3:2", "2:5,1:1", "0:1"):
+        code, out = run(capsys, ["witness-search", "--N", "1e4", "--bins", bad])
+        assert code == 2, bad
+        assert json.loads(out)["error"]["message"].startswith("--bins"), bad

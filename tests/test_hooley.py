@@ -46,6 +46,28 @@ def test_t_weight_respects_v_cutoff():
     assert t_weight(params, trial_factorize(5)) != 1.0
 
 
+@pytest.mark.parametrize(
+    "N, theta1",
+    [(4, 0.5), (10**40, 0.025), (100**20, 1 / 20), (10**6, 0.5), (5000**2, 0.5)],
+    ids=["v2", "v10", "v100", "v1000", "v5000"],
+)
+def test_t_weight_vs_divisor_sum(N, theta1, ftab):
+    """t(n) against the defining sum over every a | n, a <= v, for n <= 5000."""
+    params = RhoParams(N=N, theta1=theta1, strict=False)
+    v = params.v
+    eligible = []  # (a, mu(a), g2(a)) for squarefree a <= v built from primes 1 mod 4
+    for a in range(1, v + 1):
+        pairs = trial_factorize(a).pairs
+        if all(e == 1 and p % 4 == 1 for p, e in pairs):
+            eligible.append((a, (-1) ** len(pairs), math.prod(2 - 1 / p for p, _ in pairs)))
+    for n in range(1, 5001):
+        expected = sum(
+            mu / g * (1 - math.log(a) / math.log(v)) for a, mu, g in eligible if n % a == 0
+        )
+        got = t_weight(params, ftab.factorize(n))
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12), n
+
+
 def test_rho_examples(p_v100):
     assert rho(p_v100, trial_factorize(3)) == 0.0
     assert rho(p_v100, trial_factorize(1)) == 4.0
