@@ -49,12 +49,24 @@ def _emit(report: dict, out_path: str | None, runtime_ms: float | None = None) -
         print(text)
 
 
-def _ints(text: str) -> list[int]:
-    return [int(float(x)) for x in text.split(",") if x != ""]
+def _numbers(text: str, flag: str, parse) -> list:
+    out = []
+    for x in text.split(","):
+        if x == "":
+            continue
+        try:
+            out.append(parse(x))
+        except (ValueError, OverflowError):
+            raise ValidationError(f"{flag}: entry {x!r} is not a number") from None
+    return out
 
 
-def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x != ""]
+def _ints(text: str, flag: str) -> list[int]:
+    return _numbers(text, flag, lambda x: int(float(x)))
+
+
+def _floats(text: str, flag: str) -> list[float]:
+    return _numbers(text, flag, float)
 
 
 def _bin_sizes(text: str) -> tuple[int, ...]:
@@ -65,7 +77,10 @@ def _bin_sizes(text: str) -> tuple[int, ...]:
         pos, colon, size = part.rpartition(":")
         if colon and pos != str(i):
             raise ValidationError(f"--bins: entry {part!r} must have position {i}")
-        sizes.append(int(size))
+        try:
+            sizes.append(int(size))
+        except ValueError:
+            raise ValidationError(f"--bins: entry {part!r} has no integer size") from None
     return tuple(sizes)
 
 
@@ -125,7 +140,7 @@ def cmd_ap_sums(args) -> dict:
     name = {"r": "ap_r", "rr": "ap_rr", "r2": "ap_r2"}.get(cfg["sum"])
     if name is None:
         raise ValidationError(f"ap-sums: unknown --sum {cfg['sum']!r}")
-    ns = _ints(cfg["trend"]) if cfg["trend"] else [int(cfg["N"])]
+    ns = _ints(cfg["trend"], "--trend") if cfg["trend"] else [int(cfg["N"])]
     results = []
     for n in ns:
         q = ap_sums.APQuery(
@@ -220,7 +235,7 @@ def _sieve_setup(cfg):
         D0=int(cfg["D0"]),
         strict=False,
     )
-    tup = sieve.AdmissibleTuple(tuple(_ints(cfg["tuple"])))
+    tup = sieve.AdmissibleTuple(tuple(_ints(cfg["tuple"], "--tuple")))
     return params, tup
 
 
@@ -316,7 +331,7 @@ def cmd_certificate(args) -> dict:
     params, tup = _sieve_setup(cfg)
     sizes = _bin_sizes(cfg["bins"])
     if cfg["mu"] and cfg["t"]:
-        mu, t = tuple(_floats(cfg["mu"])), tuple(_floats(cfg["t"]))
+        mu, t = tuple(_floats(cfg["mu"], "--mu")), tuple(_floats(cfg["t"], "--t"))
         warn = []
     else:
         # the defaults come from regime-legal exponents; desk-scale thetas
@@ -387,7 +402,7 @@ def cmd_pigeonhole(args) -> dict:
     cfg = _resolve(args, ["rows"])
     if not cfg["rows"]:
         raise ValidationError("pigeonhole: --rows required, e.g. '5;5,7;5,7,9'")
-    rows = [tuple(_ints(r)) for r in cfg["rows"].split(";") if r]
+    rows = [tuple(_ints(r, "--rows")) for r in cfg["rows"].split(";") if r]
     res = bins.pigeonhole_extract(rows)
     return {
         "experiment": "pigeonhole",
@@ -421,7 +436,7 @@ def cmd_quantum(args) -> dict:
         )
     else:
         rule = cfg["rule"] or "main"
-        a = tuple(_ints(cfg["a_list"] or "2,19,46,67,74,86,109,122"))
+        a = tuple(_ints(cfg["a_list"] or "2,19,46,67,74,86,109,122", "--a-list"))
         M = int(cfg["M"] or 32045)
         k = int(cfg["k"] or 2)
         d = int(cfg["dim"] or {"main": 3, "ql_i": 4}.get(rule, 5))
@@ -444,18 +459,12 @@ def cmd_quantum(args) -> dict:
             )
         elif what == "btable":
             table = quantum.all_btau(fam)
+            keys = (",".join(map(str, tau)) for tau in table.taus.tolist())
             results.append(
-                {
-                    "rule": rule,
-                    "k": k,
-                    "b_tau": {
-                        ",".join(map(str, tau)): coef.value
-                        for tau, coef in sorted(table.items())
-                    },
-                }
+                {"rule": rule, "k": k, "b_tau": dict(zip(keys, table.values.tolist()))}
             )
         elif what == "btau":
-            tau = tuple(_ints(cfg["tau"] or "0,0,0"))
+            tau = tuple(_ints(cfg["tau"] or "0,0,0", "--tau"))
             coef = quantum.b_tau(fam, tau)
             results.append(
                 {
@@ -465,7 +474,7 @@ def cmd_quantum(args) -> dict:
                 }
             )
         elif what == "limits":
-            tau = tuple(_ints(cfg["tau"] or "0,0,0"))
+            tau = tuple(_ints(cfg["tau"] or "0,0,0", "--tau"))
             lim = quantum.ctau_limit(
                 rule, quantum.constant_M_inputs(M, a, k, d), tau, k
             )

@@ -6,14 +6,27 @@ sum |a_xi|^2 = 1 is checked exactly at build time.  b_tau(k) sums
 a_xi a_eta over difference pairs xi - eta = tau; when every contributing
 pair shares a j-class the value is an exact rational (like square roots
 multiply out), otherwise it falls back to floats.
+
+b_tau(family, tau) is the scalar oracle for one tau.  all_btau(family)
+computes every non-zero b_tau at once with a numpy pair-class kernel and
+returns a columnar BTauTable (tau rows, values, a mixed-class mask, the
+same-class pair counts); a lookup builds one FourierCoefficient, its exact
+part summed in Fractions on demand.  A byte guard rejects a family up
+front when the kernel's estimated peak memory exceeds BTAU_BYTE_BUDGET.
+Each family builds its table once (CoefficientFamily.btau_table), and the
+partial Fourier-mass sums share it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Sequence
+
+import numpy as np
 
 from .arith import rd_bruteforce
 from .errors import InternalError, ResourceGuardError, ValidationError
@@ -29,9 +42,6 @@ class SphereShell:
     n: int
     d: int
     points: tuple[tuple[int, ...], ...]
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=4096)
@@ -113,6 +123,11 @@ class CoefficientFamily:
 
     def amplitude_sq_total(self) -> Fraction:
         return sum((a2 for _, a2 in self.support.values()), Fraction(0))
+
+    @cached_property
+    def btau_table(self) -> "BTauTable":
+        """all_btau(self), built once and shared by the partial sums."""
+        return all_btau(self)
 
 
 @dataclass(frozen=True)
@@ -227,27 +242,220 @@ def b_tau(family: CoefficientFamily, tau: Sequence[int]) -> FourierCoefficient:
     return FourierCoefficient(tau, value, rat if rational_ok else None)
 
 
-def all_btau(family: CoefficientFamily) -> dict[tuple[int, ...], FourierCoefficient]:
-    """Every non-zero b_tau, keyed by tau, via one pass over support pairs."""
-    pts = list(family.support)
-    if len(pts) ** 2 > 4e7:
+# ---------------------------------------------------------------------------
+# the b_tau table: a pair-class kernel
+# ---------------------------------------------------------------------------
+
+_BLOCK_PAIRS = 1 << 21  # difference rows the kernel takes per block
+BTAU_BYTE_BUDGET = 1 << 31  # peak bytes all_btau may plan for
+_WORD = 1 << 63  # packed keys are int64
+
+
+class BTauTable(Mapping):
+    """Every non-zero b_tau of one family, held in columns.
+
+    taus        int64 (n_tau, d), rows in lexicographic order
+    values      float64 b_tau, aligned with taus
+    mixed       True where a cross-class pair contributes; exact is None there
+    same_row, same_class, same_count
+                the same-class counts: entry e adds same_count[e] pairs of
+                class classes[same_class[e]] to tau row same_row[e]
+    classes     the distinct (j, amp^2) support values
+
+    A lookup builds the tau's FourierCoefficient on demand; its exact part
+    is summed in Fractions, so no exact numerator passes through int64.
+    """
+
+    def __init__(self, taus, values, mixed, same_row, same_class, same_count, classes):
+        for arr in (taus, values, mixed, same_row, same_class, same_count):
+            arr.flags.writeable = False
+        self.taus, self.values, self.mixed = taus, values, mixed
+        self.same_row, self.same_class, self.same_count = same_row, same_class, same_count
+        self.classes = classes
+
+    def __len__(self) -> int:
+        return len(self.taus)
+
+    def __iter__(self):
+        return map(tuple, self.taus.tolist())
+
+    def __getitem__(self, tau: Sequence[int]) -> FourierCoefficient:
+        tau = tuple(tau)
+        row = self._row(tau)
+        exact = None
+        if not self.mixed[row]:
+            lo, hi = np.searchsorted(self.same_row, (row, row + 1))
+            pairs = zip(self.same_class[lo:hi].tolist(), self.same_count[lo:hi].tolist())
+            exact = sum((self.classes[c][1] * n for c, n in pairs), Fraction(0))
+        return FourierCoefficient(tau, float(self.values[row]), exact)
+
+    def _row(self, tau: tuple[int, ...]) -> int:
+        """Binary search column by column through the sorted rows."""
+        if len(tau) != self.taus.shape[1]:
+            raise KeyError(tau)
+        lo, hi = 0, len(self.taus)
+        for col, t in enumerate(tau):
+            column = self.taus[lo:hi, col]
+            lo, hi = lo + int(np.searchsorted(column, t)), lo + int(np.searchsorted(column, t, "right"))
+            if lo == hi:
+                raise KeyError(tau)
+        return lo
+
+
+def _pack(radices: list[int]) -> list[list[tuple[int, int, int]]]:
+    """Split mixed-radix digits, most significant first, into int64 words:
+    per word a list of (digit, multiplier, radix), each word's range < 2^63."""
+    words: list[list[tuple[int, int]]] = [[]]
+    room = _WORD
+    for digit, radix in enumerate(radices):
+        if radix >= _WORD:
+            raise ResourceGuardError(
+                "all_btau: a coordinate range does not fit int64",
+                cost_estimate=f"digit radix {radix}",
+            )
+        if radix > room:
+            words.append([])
+            room = _WORD
+        room //= radix
+        words[-1].append((digit, radix))
+    return [
+        [(digit, math.prod(r for _, r in word[pos + 1 :]), radix) for pos, (digit, radix) in enumerate(word)]
+        for word in words
+    ]
+
+
+def _kernel_bytes(n: int, d: int, n_words: int) -> int:
+    """Peak bytes of the pair kernel on n support points: one block of
+    difference keys with its sort, plus the distinct-key arrays (at most
+    one entry per pair) with their merge copies and decoded columns."""
+    block = min(n * n, max(n, _BLOCK_PAIRS))
+    return 8 * (block * (2 * n_words + 2) + n * n * (3 * n_words + 2 * d + 8))
+
+
+def _distinct(keys: list[np.ndarray], counts: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Sort (keys, counts) rows by key and sum the counts of equal keys."""
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    keys = [k[order] for k in keys]
+    counts = counts[order]
+    new = np.zeros(len(counts), dtype=bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    start = np.flatnonzero(new)
+    return [k[start] for k in keys], np.add.reduceat(counts, start)
+
+
+def _same_floats(row, cls, count, classes, n_points: int, n_tau: int) -> np.ndarray:
+    """float(sum_c n_cc amp^2_c) per tau row, correctly rounded.
+
+    Over one common denominator L the numerators are integers; while they
+    and L stay below 2^53 they are exact in float64 and one division
+    rounds correctly, else the sums run in Python ints."""
+    L = math.lcm(*(a2.denominator for _, a2 in classes))
+    m = [a2.numerator * (L // a2.denominator) for _, a2 in classes]
+    if L < 2**53 and max(map(abs, m), default=0) * n_points < 2**53:  # a point pairs once per tau
+        weights = count * np.array(m, dtype=np.float64)[cls]
+        return np.bincount(row, weights=weights, minlength=n_tau) / L
+    num = [0] * n_tau
+    for r, c, n in zip(row.tolist(), cls.tolist(), count.tolist()):
+        num[r] += n * m[c]
+    return np.array([x / L for x in num], dtype=np.float64)
+
+
+def all_btau(family: CoefficientFamily) -> BTauTable:
+    """Every non-zero b_tau of the family, by a pair-class kernel.
+
+    b_tau depends on the family only through n_cc'(tau), the number of
+    support pairs xi - eta = tau with xi in class c and eta in class c'
+    (a class is one (j, amp^2) value).  Each pair is one int64 key per
+    word, the mixed-radix digits (tau_1..tau_d, c, c'), whose ranges are
+    checked in exact integers before packing.  Rows are taken in blocks,
+    each block is reduced to distinct keys with counts and merged, so
+    memory follows the distinct keys, not n^2 d.  A guard rejects the
+    family up front when the kernel's peak bytes exceed BTAU_BYTE_BUDGET.
+    """
+    n, d = len(family.support), family.d
+    vals = [(j, a2.numerator, a2.denominator) for j, a2 in family.support.values()]
+    index = {val: c for c, val in enumerate(sorted(set(vals)))}
+    classes = tuple((j, Fraction(num, den)) for j, num, den in index)
+    try:
+        pts = np.array(list(family.support), dtype=np.int64).reshape(n, d)
+    except OverflowError:
         raise ResourceGuardError(
-            "all_btau: support too large",
-            cost_estimate=f"{len(pts) ** 2:.1e} pairs",
+            "all_btau: support coordinates do not fit int64", cost_estimate="unbounded"
+        ) from None
+    cls = np.array([index[val] for val in vals], dtype=np.int64)
+    lo = pts.min(0).tolist() if n else [0] * d
+    span = [h - l for h, l in zip(pts.max(0).tolist(), lo)] if n else [0] * d
+    words = _pack([2 * s + 1 for s in span] + [max(len(classes), 1)] * 2)
+    need = _kernel_bytes(n, d, len(words))
+    if need > BTAU_BYTE_BUDGET:
+        raise ResourceGuardError(
+            "all_btau: pair kernel over the byte budget",
+            cost_estimate=f"{need:.2e} bytes peak for {n} support points "
+            f"(budget {BTAU_BYTE_BUDGET:.2e} bytes)",
         )
-    acc: dict[tuple[int, ...], tuple[Fraction, float, bool]] = {}
-    for xi, (j, a2) in family.support.items():
-        for eta, (j2, b2) in family.support.items():
-            tau = tuple(x - y for x, y in zip(xi, eta))
-            rat, flo, ok = acc.get(tau, (Fraction(0), 0.0, True))
-            if j == j2:
-                acc[tau] = (rat + a2, flo, ok)
+
+    # key(xi, eta) = u[xi] + v[eta] per word: each digit is linear in the pair
+    halves = []
+    for word in words:
+        u = np.zeros(n, dtype=np.int64)
+        v = np.zeros(n, dtype=np.int64)
+        for digit, mult, _ in word:
+            if digit < d:
+                off = pts[:, digit] - lo[digit]
+                u += (off + span[digit]) * mult
+                v -= off * mult
+            elif digit == d:
+                u += cls * mult
             else:
-                acc[tau] = (rat, flo + math.sqrt(float(a2) * float(b2)), False)
-    return {
-        tau: FourierCoefficient(tau, float(rat) + flo, rat if ok else None)
-        for tau, (rat, flo, ok) in acc.items()
-    }
+                v += cls * mult
+        halves.append((u, v))
+    keys, counts = [np.empty(0, dtype=np.int64) for _ in words], np.empty(0, dtype=np.int64)
+    rows = max(1, _BLOCK_PAIRS // max(n, 1))
+    for start in range(0, n, rows):
+        block = [(u[start : start + rows, None] + v[None, :]).ravel() for u, v in halves]
+        bkeys, bcounts = _distinct(block, np.ones(len(block[0]), dtype=np.int64))
+        if counts.size:
+            bkeys, bcounts = _distinct(
+                [np.concatenate(pair) for pair in zip(keys, bkeys)],
+                np.concatenate((counts, bcounts)),
+            )
+        keys, counts = bkeys, bcounts
+
+    def decode(i: int) -> np.ndarray:
+        """Digit i of every distinct key, one column at a time."""
+        for word, key in zip(words, keys):
+            for digit, mult, radix in word:
+                if digit == i:
+                    return key // mult % radix
+
+    # tau rows start where any tau digit changes
+    new = np.zeros(len(counts), dtype=bool)
+    new[:1] = True
+    for c in range(d):
+        col = decode(c)
+        new[1:] |= col[1:] != col[:-1]
+    row = np.cumsum(new) - 1
+    n_tau = int(row[-1]) + 1 if n else 0
+    taus = np.empty((n_tau, d), dtype=np.int64)
+    for c in range(d):
+        taus[:, c] = decode(c)[new] - span[c]
+    cx, cy = decode(d), decode(d + 1)
+
+    j_rank = {j: r for r, j in enumerate(sorted({j for j, _ in classes}))}
+    j_of = np.array([j_rank[j] for j, _ in classes], dtype=np.int64)
+    same = j_of[cx] == j_of[cy]
+    cross = ~same
+    amp = np.array([float(a2) for _, a2 in classes], dtype=np.float64)
+    # a_xi a_eta = sqrt(amp^2 amp'^2) once per pair, as the scalar b_tau takes it
+    cross_sum = np.bincount(
+        row[cross], weights=counts[cross] * np.sqrt(amp[cx[cross]] * amp[cy[cross]]), minlength=n_tau
+    )
+    mixed = np.bincount(row[cross], minlength=n_tau) > 0
+    same_row, same_class, same_count = row[same], cx[same], counts[same]
+    values = _same_floats(same_row, same_class, same_count, classes, n, n_tau) + cross_sum
+    return BTauTable(taus, values, mixed, same_row, same_class, same_count, classes)
 
 
 @dataclass(frozen=True)
@@ -288,24 +496,23 @@ def ctau_limit(
 # ---------------------------------------------------------------------------
 
 
+def _tau_norms(table: BTauTable) -> np.ndarray:
+    return np.sqrt((table.taus**2).sum(1))
+
+
 def lp_partial_sum(family: CoefficientFamily, epsilon: float, radius: float) -> float:
     """sum of |b_tau|^(2 - epsilon) over |tau| <= radius, tau = 0 included."""
     if not 0 <= epsilon < 2:
         raise ValidationError("lp_partial_sum: epsilon in [0, 2)")
-    total = 0.0
-    for tau, coef in all_btau(family).items():
-        if math.sqrt(sum(t * t for t in tau)) <= radius + 1e-12:
-            total += abs(coef.value) ** (2 - epsilon)
-    return total
+    table = family.btau_table
+    inside = _tau_norms(table) <= radius + 1e-12
+    return float((np.abs(table.values[inside]) ** (2 - epsilon)).sum())
 
 
 def sigma_rho(family: CoefficientFamily, radius: float) -> float:
     """sum of |b_tau| over |tau| strictly below the radius."""
-    total = 0.0
-    for tau, coef in all_btau(family).items():
-        if math.sqrt(sum(t * t for t in tau)) < radius - 1e-12:
-            total += abs(coef.value)
-    return total
+    table = family.btau_table
+    return float(np.abs(table.values[_tau_norms(table) < radius - 1e-12]).sum())
 
 
 def mass_lower_bound(family: CoefficientFamily, i: int, epsilon: float) -> dict[str, float]:

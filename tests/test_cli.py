@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from twosquares import cli
+from twosquares import cli, quantum
 
 
 def run(capsys, argv):
@@ -165,3 +166,31 @@ def test_bin_sizes_positions(capsys):
         code, out = run(capsys, ["witness-search", "--N", "1e4", "--bins", bad])
         assert code == 2, bad
         assert json.loads(out)["error"]["message"].startswith("--bins"), bad
+
+
+@pytest.mark.parametrize(
+    "argv,flag,entry",
+    [
+        (["witness-search", "--N", "1e4", "--bins", "1:x"], "--bins", "1:x"),
+        (["witness-search", "--N", "1e4", "--tuple", "0,a"], "--tuple", "a"),
+        (["quantum", "--what", "btau", "--tau", "0,x,0"], "--tau", "x"),
+    ],
+)
+def test_non_numeric_list_entry_is_a_validation_error(capsys, argv, flag, entry):
+    code, out = run(capsys, argv)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "validation"
+    assert err["message"].startswith(flag) and repr(entry) in err["message"]
+
+
+def test_btable_guard_exit_code(capsys, monkeypatch):
+    # a hand-built family of 10^5 points: ~10^10 pairs, far over the byte budget
+    n = 10**5
+    support = {(x, 0, 0): (1, Fraction(1, n)) for x in range(n)}
+    big = quantum.CoefficientFamily("main", 1, 3, 0, support)
+    monkeypatch.setattr(quantum, "build_family", lambda rule, inputs: big)
+    code, out = run(capsys, ["quantum", "--what", "btable"])
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["type"] == "resource_guard" and "bytes" in err["cost_estimate"]

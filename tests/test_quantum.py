@@ -1,8 +1,13 @@
 import math
+import random
+import tracemalloc
+from collections.abc import Mapping
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from twosquares import quantum
 from twosquares.arith import rd_bruteforce
 from twosquares.errors import ResourceGuardError, ValidationError
 from twosquares.quantum import (
@@ -167,6 +172,115 @@ def test_btau_symmetry_and_bound():
             assert minus in table
             assert table[minus].value == pytest.approx(coef.value, abs=1e-12)
             assert abs(coef.value) <= 1 + 1e-12
+
+
+# -- the b_tau table against the scalar oracle -----------------------------------
+
+ORACLE_FAMILIES = {
+    "main-k4": lambda: build_family("main", FamilyInputs(k=4, M=M, a=LEGS)),
+    "ql_i-k3": lambda: build_family("ql_i", FamilyInputs(k=3, M=M, a=LEGS, d=4)),
+    "ql_ii-d5-k2": lambda: build_family("ql_ii", FamilyInputs(k=2, M=M, a=LEGS, d=5)),
+    "ql_ii-d5-k2-embedded-d6": lambda: embed(
+        build_family("ql_ii", FamilyInputs(k=2, M=M, a=LEGS, d=5)), 1
+    ),
+}
+
+
+def _assert_table_matches_oracle(fam, table):
+    diffs = {tuple(x - y for x, y in zip(xi, eta)) for xi in fam.support for eta in fam.support}
+    assert len(table) == len(diffs)
+    assert set(table) == diffs
+    for tau in table:
+        got, want = table[tau], b_tau(fam, tau)
+        assert (got.exact is None) == (want.exact is None), tau
+        assert got.exact == want.exact, tau
+        assert math.isclose(got.value, want.value, rel_tol=1e-12, abs_tol=0), tau
+    # tau outside the table: the scalar oracle finds no pair
+    rng = random.Random(0)
+    lo = table.taus.min(0).tolist()
+    hi = table.taus.max(0).tolist()
+    absent = 0
+    while absent < 100:
+        tau = tuple(rng.randint(a, b + 1) for a, b in zip(lo, hi))
+        if tau not in table:
+            assert b_tau(fam, tau).value == 0.0, tau
+            absent += 1
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_btau_table_matches_scalar_oracle(name):
+    fam = ORACLE_FAMILIES[name]()
+    _assert_table_matches_oracle(fam, all_btau(fam))
+
+
+def test_btau_table_wide_coordinates_and_large_denominators():
+    # coordinate spans of 2*10^6 need two int64 key words; the amplitude
+    # denominators put the common denominator above 2^53; class j = 2 holds
+    # two amplitudes, and same-j pairs take the amplitude of xi, as b_tau does
+    assert len(quantum._pack([4 * 10**6 + 1] * 3 + [4, 4])) == 2
+    p, q = 2**61 - 1, 2**31 - 1
+    support = {
+        (0, 0, 0): (1, Fraction(1, p)),
+        (10**6, 3, -(10**6)): (1, Fraction(1, p)),
+        (-(10**6), 10**6, 7): (2, Fraction(2, q)),
+        (5, -(10**6), 10**6): (2, Fraction(3, q)),
+        (10**6 - 5, 10**6, 7): (3, Fraction(1, 7)),
+    }
+    fam = CoefficientFamily("main", 3, 3, 0, support)
+    table = all_btau(fam)
+    _assert_table_matches_oracle(fam, table)
+    for tau in table:  # the float exact part is correctly rounded
+        if table[tau].exact is not None:
+            assert table[tau].value == float(b_tau(fam, tau).exact)
+
+
+def test_btau_table_blocks_merge_to_one_table(monkeypatch):
+    fam = build_family("ql_i", FamilyInputs(k=3, M=M, a=LEGS, d=4))
+    whole = all_btau(fam)
+    monkeypatch.setattr(quantum, "_BLOCK_PAIRS", 5)  # one row of 12 points per block
+    blocked = all_btau(fam)
+    for field in ("taus", "values", "mixed", "same_row", "same_class", "same_count"):
+        assert np.array_equal(getattr(whole, field), getattr(blocked, field)), field
+
+
+def test_btau_table_is_a_read_only_mapping():
+    fam = build_family("main", FamilyInputs(k=2, M=M, a=LEGS))
+    table = all_btau(fam)
+    assert isinstance(table, Mapping)
+    assert list(table) == sorted(table)
+    assert table[(0, 0, 0)].exact == 1
+    assert (1, 1, 1) not in table and (0, 0) not in table
+    with pytest.raises(KeyError):
+        table[(1, 1, 1)]
+    with pytest.raises(ValueError):
+        table.values[0] = 2.0
+
+
+def test_one_table_per_family(monkeypatch):
+    calls = []
+    build = quantum.all_btau
+    monkeypatch.setattr(quantum, "all_btau", lambda fam: calls.append(fam) or build(fam))
+    fam = build_family("ql_i", FamilyInputs(k=3, M=M, a=LEGS, d=4))
+    for i in range(1, 4):
+        mass_lower_bound(fam, i, 0.5)
+    sigma_rho(fam, 100.0)
+    lp_partial_sum(fam, 1.0, 100.0)
+    assert len(calls) == 1
+
+
+def test_btau_byte_guard_fires_before_the_pair_arrays():
+    n = 10**5
+    support = {(x, 0, 0): (1, Fraction(1, n)) for x in range(n)}
+    fam = CoefficientFamily("main", 1, 3, 0, support)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError) as err:
+            all_btau(fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "bytes" in err.value.cost_estimate
+    assert peak < 64 * 2**20  # the 10^10 pair keys alone would take 80 GB
 
 
 def test_ctau_limit_and_error_bound():
