@@ -82,6 +82,23 @@ class FactorTable:
             pairs.append((p, e))
         return Factorization(tuple(pairs))
 
+    def r2_at(self, ns) -> np.ndarray:
+        """r_2(n) at every n of an integer array (1 <= n <= limit), as int64.
+        Each round divides the smallest prime power out of every value
+        still above 1 and applies that prime's factor in `r2`."""
+        m = np.array(ns, dtype=np.int64)
+        if m.size and (m.min() < 1 or m.max() > self.limit):
+            raise ValidationError(f"r2_at: values outside [1, {self.limit}]")
+        out = np.full(m.shape, 4, dtype=np.int64)
+        while (live := np.nonzero(m > 1)[0]).size:
+            p = self.spf[m[live]].astype(np.int64)
+            e = np.zeros_like(p)
+            while (divides := m[live] % p == 0).any():
+                m[live[divides]] //= p[divides]
+                e += divides
+            out[live] *= np.where(p % 4 == 1, e + 1, (p % 4 != 3) | (e % 2 == 0))
+        return out
+
 
 def build_factor_table(limit: int) -> FactorTable:
     return FactorTable(limit)
@@ -497,6 +514,30 @@ def crt(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int] | Non
             return None
         r, m = nxt
     return r, m
+
+
+def progression_slice(ns: range, residues: Sequence[int], moduli: Sequence[int]) -> slice | None:
+    """The positions in the arithmetic progression ns of its elements x with
+    x = residues[i] (mod moduli[i]) for every i, as a slice; None when the
+    congruences and the class of ns have no common solution."""
+    sol = crt([ns.start, *residues], [ns.step, *moduli])
+    if sol is None:
+        return None
+    r, m = sol
+    return slice((r - ns.start) % m // ns.step, None, m // ns.step)
+
+
+def floor_power(N: int, theta: float) -> int:
+    """floor(N^theta) in exact integers: theta is read as the fraction
+    p/q = Fraction(theta).limit_denominator(1000), and the float estimate
+    is corrected to the r with r^q <= N^p < (r+1)^q."""
+    p, q = Fraction(theta).limit_denominator(1000).as_integer_ratio()
+    r = int(N ** (p / q))
+    while r**q > N**p:
+        r -= 1
+    while (r + 1) ** q <= N**p:
+        r += 1
+    return r
 
 
 def count_in_class(lo: int, hi: int, residue: int, modulus: int) -> int:

@@ -76,34 +76,30 @@ def x_direct(params: AuxParams) -> float:
 def _pair_data(params: AuxParams):
     """Per-element arrays for the pair sums, plus value-indexed lookups for
     the gcd factors (every gcd of two list elements is itself in the list)."""
-    vals, mus = enumerate_smooth(params)
+    vals, mus, primes = zip(*squarefree_products(_eligible_primes(params), params.v))
     if len(vals) > _PAIR_GUARD:
         raise ResourceGuardError(
             f"aux pair sums: {len(vals)} elements exceed the {_PAIR_GUARD} guard",
             cost_estimate=f"~{len(vals) ** 2:.2e} gcd pairs",
         )
-    v = params.v
-    logv = math.log(v)
-    L = logv - np.log(vals.astype(np.float64))
+    vals, mus = np.array(vals, dtype=np.int64), np.array(mus, dtype=np.int64)
+    L = math.log(params.v) - np.log(vals.astype(np.float64))
 
-    # multiplicative/additive data per element, built prime by prime
-    g2v = np.ones(len(vals))
-    g4v = np.ones(len(vals))
-    g7v = np.ones(len(vals))
-    g6add = np.zeros(len(vals))
-    # factor each value over the eligible primes via vectorised divisibility
-    ps = np.array(_eligible_primes(params), dtype=np.int64)
-    for p in map(int, ps):
-        mask = vals % p == 0
-        if not mask.any():
-            continue
-        g2v[mask] *= 2 - 1 / p
-        g4v[mask] *= (4 * p * p - 3 * p + 1) / (p * (p + 1))
-        g7v[mask] *= p + 1
-        g6add[mask] += (p - 1) ** 2 * (2 * p + 1) / ((p + 1) * (4 * p * p - 3 * p + 1)) * math.log(p)
+    # multiplicative/additive data per element, over its primes in ascending order
+    rows = []
+    for ps in primes:
+        g2 = g4 = g7 = 1.0
+        g6 = 0.0
+        for p in ps:
+            g2 *= 2 - 1 / p
+            g4 *= (4 * p * p - 3 * p + 1) / (p * (p + 1))
+            g7 *= p + 1
+            g6 += (p - 1) ** 2 * (2 * p + 1) / ((p + 1) * (4 * p * p - 3 * p + 1)) * math.log(p)
+        rows.append((g2, g4, g7, g6))
+    g2v, g4v, g7v, g6add = np.array(rows).T
 
-    w_lookup = np.zeros(v + 1)
-    g6_lookup = np.zeros(v + 1)
+    w_lookup = np.zeros(params.v + 1)
+    g6_lookup = np.zeros(params.v + 1)
     w_lookup[vals] = vals / g4v
     g6_lookup[vals] = g6add
     return vals, mus, L, g2v, g4v, g7v, g6add, w_lookup, g6_lookup

@@ -8,23 +8,23 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+
+import numpy as np
 
 from .arith import FactorTable, is_sum_of_two_squares
 from .errors import ValidationError
-from .hooley import rho
+from .hooley import rho  # noqa: F401  (not called here; perfbench/tracer.py wraps bins.rho)
 from .sieve import (
     AdmissibleTuple,
     SieveParams,
     TestFunctionSpec,
     WeightTable,
-    _window_iter,
-    _divisor_candidates,
-    find_v0,
+    inner_weights,
     s_direct,
+    window,
+    window_rho,
 )
-from itertools import product as iproduct
 
 # ---------------------------------------------------------------------------
 # partitions and the certificate constants
@@ -159,39 +159,20 @@ def second_moment_lhs(
         raise ValidationError("second_moment_lhs: partition arity != tuple size")
     if not partition.mu or not partition.t:
         raise ValidationError("second_moment_lhs: partition needs mu and t filled")
-    rp = params.rho_params()
     if 2 * params.N + max(tup.h) > factor_table.limit:
         raise ValidationError("second_moment_lhs: FactorTable too small")
     mu, t = partition.mu, partition.t
     min_ratio = min(m * m / (tt * tt) for m, tt in zip(mu, t))
 
-    # evaluator A: direct scan
-    v0 = find_v0(params, tup)
-    slot_vals = table.slot_values()
-    lam = table.float_entries()
-    neg = 0
-    neg_examples: list[int] = []
-    lhs_a = 0.0
-    for n in _window_iter(params, v0, 2 * params.N):
-        cands = [_divisor_candidates(n + h, slot_vals[i]) for i, h in enumerate(tup.h)]
-        w = 0.0
-        for dt in iproduct(*cands):
-            w += lam.get(dt, 0.0)
-        w *= w
-        if w == 0.0:
-            continue
-        bracket = min_ratio
-        for i in range(partition.M):
-            s = 0.0
-            for j in partition.indices(i):
-                r = rho(rp, factor_table.factorize(n + tup.h[j]))
-                if r < 0:
-                    neg += 1
-                    if len(neg_examples) < 10:
-                        neg_examples.append(n + tup.h[j])
-                s += r
-            bracket -= ((s - mu[i]) / t[i]) ** 2
-        lhs_a += bracket * w
+    # evaluator A: the bracket at every window point
+    ns = window(params, tup, 2 * params.N)
+    w = inner_weights(tup, ns, table.float_entries(), np.float64)
+    rhos, neg_count, neg_examples = window_rho(params, ns, w, factor_table, tup.h)
+    bracket = np.full(len(ns), min_ratio)
+    for i in range(partition.M):
+        s = sum(rhos[j] for j in partition.indices(i))
+        bracket -= ((s - mu[i]) / t[i]) ** 2
+    lhs_a = float(np.sum(bracket * (w * w)))
 
     # evaluator B: assembled from S-sums
     s1 = s_direct("S1", params, tup, table).value
@@ -217,7 +198,7 @@ def second_moment_lhs(
 
     scale = max(abs(lhs_a), abs(lhs_b), 1e-30)
     return SecondMomentResult(
-        lhs_a, lhs_b, abs(lhs_a - lhs_b) / scale, comps, neg, tuple(neg_examples)
+        lhs_a, lhs_b, abs(lhs_a - lhs_b) / scale, comps, neg_count, neg_examples
     )
 
 
@@ -281,39 +262,29 @@ def witness_search(
     """Scan n in [N, n_limit), n = v0 (W), n = 1 (4); record every n for
     which each bin holds at least one h with n + h a sum of two squares.
 
-    Uses the exact indicator, never rho.  Results come in increasing n."""
+    Uses the exact indicator r_2(n + h) > 0, never rho, and factorises only
+    the accepted n + h.  Results come in increasing n."""
     if partition.k != tup.k:
         raise ValidationError("witness_search: partition arity != tuple size")
     if n_limit + max(tup.h) > factor_table.limit + 1:
         raise ValidationError("witness_search: FactorTable too small")
     if params.N + min(tup.h) < 0:
         raise ValidationError("witness_search: window start + min shift is negative")
-    v0 = find_v0(params, tup)
+    ns = window(params, tup, n_limit)
+    sos = np.stack(
+        [factor_table.r2_at(np.arange(ns.start + h, ns.stop + h, ns.step)) > 0 for h in tup.h]
+    )
+    blocks = [partition.indices(i) for i in range(partition.M)]
+    hits = np.nonzero(np.logical_and.reduce([sos[b].any(axis=0) for b in blocks]))[0]
+    # per bin, the position of its smallest shift h with n + h a sum of two squares
+    first = np.stack([b.start + sos[b][:, hits].argmax(axis=0) for b in blocks], axis=1)
     out: list[WitnessRecord] = []
-    for n in _window_iter(params, v0, n_limit):
-        accepted: list[int] = []
-        certs = []
-        ok = True
-        for i in range(partition.M):
-            hit = None
-            for j in partition.indices(i):
-                h = tup.h[j]
-                m = n + h
-                if m == 0:
-                    hit = (h, (), (0, 0))
-                    break
-                f = factor_table.factorize(m)
-                if is_sum_of_two_squares(f):
-                    xy = two_square_decomposition(m)
-                    hit = (h, f.pairs, xy)
-                    break
-            if hit is None:
-                ok = False
-                break
-            accepted.append(hit[0])
-            certs.append(hit)
-        if ok:
-            out.append(WitnessRecord(n, tuple(accepted), tuple(certs)))
+    for pos, js in zip(hits, first):
+        n, hs = ns[pos], tuple(tup.h[j] for j in js)
+        certs = tuple(
+            (h, factor_table.factorize(n + h).pairs, two_square_decomposition(n + h)) for h in hs
+        )
+        out.append(WitnessRecord(n, hs, certs))
     return out
 
 

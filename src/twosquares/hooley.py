@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
-from .arith import Factorization, r2, squarefree_products
+import numpy as np
+
+from .arith import Factorization, FactorTable, floor_power, primes_up_to, r2
+from .arith import progression_slice, squarefree_products
 from .errors import ValidationError
 
 
@@ -43,7 +47,7 @@ class RhoParams:
             if self.strict:
                 raise ValidationError(f"RhoParams: {msg}")
             warnings.append(msg)
-        v = int(math.floor(self.N**self.theta1))
+        v = floor_power(self.N, self.theta1)
         if v < 2:
             raise ValidationError(
                 f"RhoParams: derived v={v} < 2 (N={self.N}, theta1={self.theta1})"
@@ -52,23 +56,27 @@ class RhoParams:
         object.__setattr__(self, "warnings", tuple(warnings))
 
 
+def _t_terms(primes: Sequence[int], v: int) -> Iterator[tuple[int, float]]:
+    """(a, mu(a)/g2(a) * (1 - log a / log v)) for every squarefree a <= v
+    built from the ascending `primes`, in `squarefree_products` order."""
+    logv = math.log(v)
+    for a, mu, ps in squarefree_products(primes, v):
+        g2a = 1.0
+        for p in ps:
+            g2a *= 2.0 - 1.0 / p
+        yield a, mu / g2a * (1.0 - math.log(a) / logv)
+
+
 def t_weight(params: RhoParams, f: Factorization) -> float:
     """sum over squarefree a | n, a <= v, p|a => p = 1 mod 4, of
     mu(a)/g2(a) * (1 - log a / log v).   Natural logarithms.
 
     Equals 1 whenever n has no prime factor p = 1 mod 4 with p <= v.
     """
-    v = params.v
-    ps = [p for p, _ in f.pairs if p % 4 == 1 and p <= v]
-    if not ps:
-        return 1.0
-    logv = math.log(v)
+    ps = [p for p, _ in f.pairs if p % 4 == 1 and p <= params.v]
     total = 0.0
-    for a, mu, primes in squarefree_products(ps, v):
-        g2a = 1.0
-        for p in primes:
-            g2a *= 2.0 - 1.0 / p
-        total += mu / g2a * (1.0 - math.log(a) / logv)
+    for _, term in _t_terms(ps, params.v):
+        total += term
     return total
 
 
@@ -78,3 +86,17 @@ def rho(params: RhoParams, f: Factorization) -> float:
     if r == 0:
         return 0.0
     return t_weight(params, f) * r
+
+
+def rho_on(params: RhoParams, progression: range, factor_table: FactorTable) -> np.ndarray:
+    """rho(m) at every m of an arithmetic progression, as float64: each
+    term of t goes onto the multiples of its a, in the order t_weight adds
+    them at one m, and r_2 comes from the factor table."""
+    t = np.zeros(len(progression))
+    ps = [int(p) for p in primes_up_to(params.v) if p % 4 == 1]
+    for a, term in _t_terms(ps, params.v):
+        hits = progression_slice(progression, [0], [a])
+        if hits is not None:
+            t[hits] += term
+    ms = np.arange(progression.start, progression.stop, progression.step)
+    return t * factor_table.r2_at(ms)

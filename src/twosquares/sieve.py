@@ -23,15 +23,17 @@ from .arith import (
     count_in_class,
     crt,
     euler_phi,
+    floor_power,
     mobius,
     primes_up_to,
+    progression_slice,
     squarefree_products,
     trial_factorize,
     w_split,
 )
 from .constants import ConstantEstimate, landau_ramanujan_A
 from .errors import ResourceGuardError, ValidationError
-from .hooley import RhoParams, rho
+from .hooley import RhoParams, rho, rho_on  # noqa: F401  (rho: perfbench/tracer.py wraps sieve.rho)
 from .report import CorrelationReport
 
 # ---------------------------------------------------------------------------
@@ -77,8 +79,8 @@ class SieveParams:
             if self.strict:
                 raise ValidationError(f"SieveParams: {msg}")
             warnings.append(msg)
-        v = int(self.N**self.theta1)
-        r = int(self.N ** (self.theta2 / 2))
+        v = floor_power(self.N, self.theta1)
+        r = math.isqrt(floor_power(self.N, self.theta2))
         if v < 2:
             raise ValidationError(f"SieveParams: derived v={v} < 2")
         if r < 1:
@@ -151,8 +153,6 @@ def find_v0(params: SieveParams, tup: AdmissibleTuple) -> int:
     """Least v0 >= 0 with (v0 + h_i, W) = 1 for every shift; exists by
     admissibility (D0 large enough) plus CRT."""
     W = params.W
-    if W == 1:
-        return 0
     for v0 in range(W):
         if all(math.gcd(v0 + h, W) == 1 for h in tup.h):
             return v0
@@ -276,13 +276,6 @@ class WeightTable:
         for v in self.entries.values():
             den = den * v.denominator // math.gcd(den, v.denominator)
         return den
-
-    def slot_values(self) -> list[list[int]]:
-        cols = [set() for _ in range(self.k)]
-        for d in self.entries:
-            for i, di in enumerate(d):
-                cols[i].add(di)
-        return [sorted(c) for c in cols]
 
     def export_rows(self) -> list[str]:
         """Text rows "d1,...,dk,num,den" for external inspection."""
@@ -653,18 +646,37 @@ class SieveSumResult:
     rho_negative_examples: tuple[int, ...]
 
 
-def _window_iter(params: SieveParams, v0: int, end: int):
-    """n in [N, end) with n = v0 (mod W) and n = 1 (mod 4)."""
-    sol = crt([v0, 1], [params.W, 4])
-    if sol is None:
-        raise ValidationError("_window_iter: v0 incompatible with 1 mod 4")
-    r, mmod = sol
-    start = params.N + (r - params.N) % mmod
-    return range(start, end, mmod)
+def window(params: SieveParams, tup: AdmissibleTuple, end: int) -> range:
+    """n in [N, end) with n = v0 (mod W) and n = 1 (mod 4) (W is odd)."""
+    r, mod = crt([find_v0(params, tup), 1], [params.W, 4])
+    return range(params.N + (r - params.N) % mod, end, mod)
 
 
-def _divisor_candidates(n_shift: int, values: list[int]) -> list[int]:
-    return [v for v in values if n_shift % v == 0]
+def inner_weights(tup: AdmissibleTuple, ns: range, values: dict, dtype) -> np.ndarray:
+    """sum of values[d] over the d with d_i | n + h_i for every i, at each n
+    of the window ns.  Each d goes onto the one sub-progression that its
+    congruences cut out of ns, in lexicographic order of d.  dtype float64
+    takes float weights; dtype object takes Python ints and stays exact."""
+    w = np.zeros(len(ns), dtype=dtype)
+    neg_h = [-h for h in tup.h]
+    for d in sorted(values):
+        hits = progression_slice(ns, neg_h, d)
+        if hits is not None:
+            w[hits] += values[d]
+    return w
+
+
+def window_rho(
+    params: SieveParams, ns: range, w: np.ndarray, factor_table: FactorTable, hs: Sequence[int]
+) -> tuple[list[np.ndarray], int, tuple[int, ...]]:
+    """rho(n + h) on the window ns for each shift h in hs, with the rho < 0
+    cases: their count, once per (n, h) with w(n) != 0, and the first ten
+    n + h in (n, h) order."""
+    rp = params.rho_params()
+    rhos = [rho_on(rp, range(ns.start + h, ns.stop + h, ns.step), factor_table) for h in hs]
+    rows, cols = np.nonzero((np.stack(rhos, axis=1) < 0) & (w != 0)[:, None])
+    examples = tuple(ns[r] + hs[c] for r, c in zip(rows[:10].tolist(), cols[:10].tolist()))
+    return rhos, len(rows), examples
 
 
 def s_direct(
@@ -691,74 +703,31 @@ def s_direct(
         raise ValidationError("s_direct: S3 needs m != l")
     if which != "S1" and exact:
         raise ValidationError("s_direct: exact mode is defined for S1 only")
-    k = tup.k
-    if table.k != k:
+    if table.k != tup.k:
         raise ValidationError("s_direct: table arity != tuple size")
-    needs_rho = which != "S1"
-    rp = params.rho_params() if needs_rho else None
-    hmax = max(tup.h)
-    if needs_rho:
+    if which != "S1":
         if factor_table is None:
             raise ValidationError(f"s_direct: {which} needs a FactorTable")
-        if 2 * params.N + hmax > factor_table.limit:
+        if 2 * params.N + max(tup.h) > factor_table.limit:
             raise ResourceGuardError(
                 "s_direct: FactorTable too small for the window",
-                cost_estimate=f"need limit >= {2 * params.N + hmax}",
+                cost_estimate=f"need limit >= {2 * params.N + max(tup.h)}",
             )
-    v0 = find_v0(params, tup)
-    slot_vals = table.slot_values()
 
+    ns = window(params, tup, 2 * params.N)
     if exact:
         den = table.common_denominator()
-        scaled = {d: int(v * den) for d, v in table.entries.items()}
-        total_int = 0
-    else:
-        lam = table.float_entries()
-        total = 0.0
-
-    neg_count = 0
-    neg_examples: list[int] = []
-    n_terms = 0
-    for n in _window_iter(params, v0, 2 * params.N):
-        cands = [_divisor_candidates(n + h, slot_vals[i]) for i, h in enumerate(tup.h)]
-        if exact:
-            t_int = 0
-            for dt in iproduct(*cands):
-                t_int += scaled.get(dt, 0)
-            total_int += t_int * t_int
-            n_terms += 1
-            continue
-        t = 0.0
-        for dt in iproduct(*cands):
-            t += lam.get(dt, 0.0)
-        if t == 0.0:
-            n_terms += 1
-            continue
-        w = t * t
-        if needs_rho:
-            rh_m = rho(rp, factor_table.factorize(n + tup.h[m]))
-            if rh_m < 0:
-                neg_count += 1
-                if len(neg_examples) < 10:
-                    neg_examples.append(n + tup.h[m])
-            if which == "S2":
-                w *= rh_m
-            elif which == "S4":
-                w *= rh_m * rh_m
-            else:
-                rh_l = rho(rp, factor_table.factorize(n + tup.h[l]))
-                if rh_l < 0:
-                    neg_count += 1
-                    if len(neg_examples) < 10:
-                        neg_examples.append(n + tup.h[l])
-                w *= rh_m * rh_l
-        total += w
-        n_terms += 1
-
-    if exact:
-        frac = Fraction(total_int, den * den)
-        return SieveSumResult(float(frac), frac, n_terms, 0, ())
-    return SieveSumResult(total, None, n_terms, neg_count, tuple(neg_examples))
+        w = inner_weights(tup, ns, {d: int(v * den) for d, v in table.entries.items()}, object)
+        frac = Fraction(int((w * w).sum()), den * den)
+        return SieveSumResult(float(frac), frac, len(ns), 0, ())
+    w = inner_weights(tup, ns, table.float_entries(), np.float64)
+    terms, neg_count, neg_examples = w * w, 0, ()
+    if which != "S1":
+        hs = [tup.h[m], tup.h[l]] if which == "S3" else [tup.h[m]]
+        rhos, neg_count, neg_examples = window_rho(params, ns, w, factor_table, hs)
+        # S2: rho_m; S3: rho_m rho_l; S4: rho_m^2
+        terms *= rhos[0] if which == "S2" else rhos[0] * rhos[-1]
+    return SieveSumResult(float(terms.sum()), None, len(ns), neg_count, neg_examples)
 
 
 def s1_pair_expansion(

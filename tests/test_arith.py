@@ -12,6 +12,7 @@ from twosquares.arith import (
     count_in_class,
     crt,
     euler_phi,
+    floor_power,
     g1,
     g2,
     g3,
@@ -22,6 +23,7 @@ from twosquares.arith import (
     g_function,
     is_sum_of_two_squares,
     mobius,
+    progression_slice,
     r2,
     r2_lattice_range,
     ramanujan_sum,
@@ -169,6 +171,18 @@ def test_r2_equals_lattice_count():
     arr = r2_lattice_range(10**4)
     for n in range(1, 10**4 + 1):
         assert r2(t.factorize(n)) == arr[n]
+
+
+def test_r2_at_equals_lattice_range():
+    t = build_factor_table(10**6)
+    got = t.r2_at(np.arange(1, 10**6 + 1))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, r2_lattice_range(10**6)[1:])
+    assert t.r2_at([]).size == 0
+    with pytest.raises(ValidationError):
+        t.r2_at([0, 5])
+    with pytest.raises(ValidationError):
+        t.r2_at([10**6 + 1])
 
 
 def test_lattice_range_is_bruteforce():
@@ -345,6 +359,33 @@ def test_squarefree_products_stops_at_the_bound():
 
 
 # -- CRT helpers -----------------------------------------------------------------
+
+
+def test_progression_slice_vs_filter():
+    for ns in (range(1, 500), range(13, 5000, 420), range(7, 3000, 12), range(9, 9, 4)):
+        for residues, moduli in (([0], [5]), ([3], [7]), ([0, 2], [3, 5]), ([1], [2]), ([0], [1])):
+            want = [i for i, x in enumerate(ns) if all((x - r) % m == 0 for r, m in zip(residues, moduli))]
+            hits = progression_slice(ns, residues, moduli)
+            got = [] if hits is None else list(range(len(ns)))[hits]
+            assert got == want, (ns, residues, moduli)
+    assert progression_slice(range(1, 100, 4), [0], [2]) is None  # odd class, even target
+
+
+@pytest.mark.parametrize(
+    "N, theta, want",
+    [(10**6, 1 / 3, 100), (3**12, 1 / 6, 9), (2**30, 0.3, 512), (2**30, 0.6, 2**18)],
+)
+def test_floor_power_at_exact_powers(N, theta, want):
+    assert floor_power(N, theta) == want
+
+
+def test_floor_power_is_the_integer_floor():
+    for N in (4, 10, 99, 100, 1000, 12345, 10**6, 2**20, 3**10):
+        for theta in (0.1, 0.2, 0.25, 1 / 3, 0.35, 0.5, 0.6, 2 / 3, 0.8, 1.0, 1.2, 1.6):
+            th = Fraction(theta).limit_denominator(1000)
+            p, q = th.numerator, th.denominator
+            r = floor_power(N, theta)
+            assert r**q <= N**p < (r + 1) ** q, (N, theta)
 
 
 def test_crt_and_counting():

@@ -98,6 +98,11 @@ def test_rho_sign_violations_exist_and_are_recorded_not_clamped(p_v100):
     assert rho(p_v100, f) == pytest.approx(tw * r2(f))
 
 
+def test_params_floor_at_exact_powers():
+    assert RhoParams(N=10**6, theta1=1 / 3, strict=False).v == 100
+    assert RhoParams(N=3**12, theta1=1 / 6, strict=False).v == 9
+
+
 def test_params_validation():
     with pytest.raises(ValidationError):
         RhoParams(N=10, theta1=0.9)  # strict mode: outside regime

@@ -49,6 +49,13 @@ def test_params_invariants():
     assert not q.warnings and q.v == 2
 
 
+def test_params_floors_at_exact_powers():
+    # float powers land one short here: int(N**theta) gives 99, 8 and 511
+    assert relaxed(10**6, 1 / 3, 0.5, 1).v == 100
+    assert relaxed(3**12, 1 / 6, 0.5, 1).v == 9
+    assert relaxed(2**30, 0.1, 0.6, 1).R == 512
+
+
 def test_check_admissible_examples():
     c = check_admissible([0, 4, 8])
     assert not c.admissible and c.covering_prime == 3

@@ -1,0 +1,188 @@
+"""The window arrays (inner weights, rho on a progression, the rho < 0
+bookkeeping) against per-n oracles written here, and the window where
+rho < 0 fires pinned."""
+
+import math
+from itertools import product
+
+import numpy as np
+import pytest
+
+from twosquares.arith import FactorTable
+from twosquares.bins import BinPartition, second_moment_lhs
+from twosquares.hooley import rho, rho_on
+from twosquares.sieve import (
+    AdmissibleTuple,
+    SieveParams,
+    find_v0,
+    inner_weights,
+    lambda_from_F,
+    s_direct,
+    single_bin_spec,
+    window,
+    window_rho,
+)
+
+
+def relaxed(N, t1, t2, D0):
+    return SieveParams(N=N, theta1=t1, theta2=t2, D0=D0, strict=False)
+
+
+def window_oracle(params, tup, end):
+    """n in [N, end), n = 1 (mod 4), n = v0 (mod W), by filtering every integer."""
+    v0 = find_v0(params, tup)
+    return [n for n in range(params.N, end) if n % 4 == 1 and (n - v0) % params.W == 0]
+
+
+def inner_weight_oracle(tup, values, n):
+    """sum of values[d] over the divisor tuples d of (n + h_i), found by
+    trying every slot value of the table against each n + h_i."""
+    slots = [sorted({d[i] for d in values}) for i in range(tup.k)]
+    cands = [[s for s in slots[i] if (n + h) % s == 0] for i, h in enumerate(tup.h)]
+    total = 0
+    for d in product(*cands):
+        total += values.get(d, 0)
+    return total
+
+
+@pytest.fixture(scope="module")
+def ftab_2e6():
+    return FactorTable(2 * 10**6 + 4)
+
+
+# -- the window and the inner weights -------------------------------------------
+
+
+WEIGHT_CASES = [
+    ((10**4, 0.1, 1.2, 1), (0, 4)),
+    ((10**4, 0.1, 1.2, 10), (0, 4)),
+    ((10**4, 0.12, 1.0, 1), (0, 4, 16)),
+    ((2 * 10**4, 0.3, 1.0, 1), (-10000, -100)),
+]
+
+
+@pytest.mark.parametrize("pp, shifts", WEIGHT_CASES)
+def test_window_matches_filter(pp, shifts):
+    p = relaxed(*pp)
+    tup = AdmissibleTuple(shifts)
+    assert list(window(p, tup, 2 * p.N)) == window_oracle(p, tup, 2 * p.N)
+    assert list(window(p, tup, p.N + 1000)) == window_oracle(p, tup, p.N + 1000)
+
+
+@pytest.mark.parametrize("pp, shifts", WEIGHT_CASES)
+def test_inner_weights_vs_divisor_scan(pp, shifts):
+    p = relaxed(*pp)
+    tup = AdmissibleTuple(shifts)
+    wt = lambda_from_F(p, single_bin_spec(tup.k, 1.0))
+    ns = window(p, tup, 2 * p.N)
+    floats = wt.float_entries()
+    w = inner_weights(tup, ns, floats, np.float64)
+    scale = max(abs(x) for x in floats.values())
+    den = wt.common_denominator()
+    scaled = {d: int(v * den) for d, v in wt.entries.items()}
+    exact = inner_weights(tup, ns, scaled, object)
+    assert len(w) == len(exact) == len(ns)
+    for n, got, got_exact in zip(ns, w.tolist(), exact.tolist()):
+        assert got_exact == inner_weight_oracle(tup, scaled, n), n
+        want = inner_weight_oracle(tup, floats, n)
+        assert abs(got - want) <= 1e-12 * max(abs(want), scale), n
+
+
+# -- rho on a progression ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "pp, shifts",
+    [
+        ((10**5, 0.3, 1.0, 10), (0, 4, 16)),  # v = 31, window step 420
+        ((10**4, 0.5, 1.0, 1), (0, 4)),  # v = 100
+        ((10**6, 0.35, 0.4, 1), (0, 4)),  # v = 125, rho < 0 fires
+    ],
+    ids=["D0=10-v31", "v100", "negative-window"],
+)
+def test_rho_on_vs_scalar_rho(pp, shifts, ftab_2e6):
+    p = relaxed(*pp)
+    tup = AdmissibleTuple(shifts)
+    rp = p.rho_params()
+    ns = window(p, tup, 2 * p.N)
+    for h in tup.h:
+        prog = range(ns.start + h, ns.stop + h, ns.step)
+        got = rho_on(rp, prog, ftab_2e6)
+        assert len(got) == len(prog)
+        for m, g in zip(prog, got.tolist()):
+            want = rho(rp, ftab_2e6.factorize(m))
+            if want == 0.0:
+                assert g == 0.0, m
+            else:
+                assert g == pytest.approx(want, rel=1e-12), m
+
+
+def test_rho_on_steps_and_empty(ftab):
+    rp = relaxed(10**4, 0.5, 1.0, 1).rho_params()
+    for prog in (range(1, 3000), range(5, 20000, 35), range(13, 30000, 210)):
+        got = rho_on(rp, prog, ftab)
+        want = [rho(rp, ftab.factorize(m)) for m in prog]
+        assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert len(rho_on(rp, range(100, 100, 4), ftab)) == 0
+
+
+# -- evaluator A of the certificate against a scalar evaluation ---------------------
+
+
+@pytest.mark.parametrize("D0", [1, 10])
+def test_evaluator_a_vs_scalar_rho(ftab, D0):
+    p = relaxed(10**4, 0.12, 1.0, D0)
+    tup = AdmissibleTuple((0, 4, 16))
+    part = BinPartition(sizes=(1, 2), mu=(1.5, 2.5), t=(1.0, 2.0))
+    wt = lambda_from_F(p, part.spec())
+    rp = p.rho_params()
+    lam = wt.float_entries()
+    min_ratio = min(m * m / (t * t) for m, t in zip(part.mu, part.t))
+    terms = []
+    for n in window_oracle(p, tup, 2 * p.N):
+        w = inner_weight_oracle(tup, lam, n)
+        bracket = min_ratio
+        for i in range(part.M):
+            s = sum(rho(rp, ftab.factorize(n + tup.h[j])) for j in part.indices(i))
+            bracket -= ((s - part.mu[i]) / part.t[i]) ** 2
+        terms.append(bracket * w * w)
+    want = math.fsum(terms)
+    res = second_moment_lhs(p, tup, part, wt, ftab)
+    assert res.lhs_direct == pytest.approx(want, rel=1e-12)
+    assert res.lhs_assembled == pytest.approx(want, rel=1e-12)
+
+
+# -- the window where rho < 0 fires --------------------------------------------------
+
+
+NEG = (1185665, 1313845, 1676285, 1698385)  # 1185665 = 5 * 13 * 17 * 29 * 37
+
+
+def test_negative_rho_window_pinned(ftab_2e6):
+    p = relaxed(10**6, 0.35, 0.4, 1)
+    assert (p.v, p.R) == (125, 15)
+    tup = AdmissibleTuple((0, 4))
+    wt = lambda_from_F(p, single_bin_spec(2, 1.0))
+    s2 = s_direct("S2", p, tup, wt, ftab_2e6)
+    assert (s2.n_terms, s2.rho_negative_count, s2.rho_negative_examples) == (250000, 4, NEG)
+    # S3 checks rho at both shifts, so each n + h is met as n + 0 and as (n - 4) + 4
+    s3 = s_direct("S3", p, tup, wt, ftab_2e6, m=0, l=1)
+    assert s3.rho_negative_count == 8
+    assert s3.rho_negative_examples == tuple(x for x in NEG for _ in range(2))
+    part = BinPartition(sizes=(2,), mu=(1.5,), t=(1.2,))
+    res = second_moment_lhs(p, tup, part, lambda_from_F(p, part.spec()), ftab_2e6)
+    assert res.rho_negative_count == 8
+    assert res.rho_negative_examples == s3.rho_negative_examples
+    assert res.rel_difference < 1e-12
+
+
+def test_negative_rho_needs_nonzero_weight(ftab_2e6):
+    p = relaxed(10**6, 0.35, 0.4, 1)
+    ns = window(p, AdmissibleTuple((0, 4)), 2 * p.N)
+    w = np.ones(len(ns))
+    _, count, examples = window_rho(p, ns, w, ftab_2e6, [0, 4])
+    assert (count, examples) == (8, tuple(x for x in NEG for _ in range(2)))
+    # with w(1185665) = 0 the pair (1185665, 0) drops; (1185661, 4) stays
+    w[ns.index(NEG[0])] = 0.0
+    _, count, examples = window_rho(p, ns, w, ftab_2e6, [0, 4])
+    assert (count, examples) == (7, (NEG[0], NEG[1], NEG[1], NEG[2], NEG[2], NEG[3], NEG[3]))
