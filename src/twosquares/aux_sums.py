@@ -2,26 +2,26 @@
 composed of primes 1 mod 4, against their predicted leading terms.
 
 The elements a come from arith.squarefree_products in its fixed DFS
-pre-order.  The single sum X is one numpy sum over them.  The pair sums
-Y, Z(1), Z(2) reduce every pair (a,b) to per-element data plus a gcd
-lookup and are evaluated in fixed-size numpy blocks, which is
-deterministic for a given block size; a guard rejects element lists too
-large to pair up.
+pre-order, after a byte guard estimated from v.  X is one numpy sum over
+them.  Each pair sum Y, Z(1), Z(2) weighs a pair (a,b) by h((a,b)); by
+Moebius inversion over the gcd it is a sum over single elements d of
+(h * mu)(d) times divisor sums, built once per v from the 2^omega(a)
+divisors of each a, so the work is linear in the elements, not quadratic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .constants import landau_ramanujan_A
 from .arith import primes_up_to, squarefree_products, w_split
-from .errors import ResourceGuardError, ValidationError
+from .errors import ValidationError, check_bytes
 
-_PAIR_GUARD = 60_000
-_BLOCK = 1024
+_BYTES_PER_ELEMENT = 500  # tracemalloc peak per element: 374 for the pair sums, 261 for X (v = 10^6)
 
 
 @dataclass(frozen=True)
@@ -44,21 +44,21 @@ class AuxParams:
         object.__setattr__(self, "W3", w3)
 
 
-def _eligible_primes(params: AuxParams) -> list[int]:
+def _smooth_rows(params: AuxParams) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
+    """enumerate_smooth with the primes of each a, after a byte guard: there
+    are at most 0.35 v / sqrt(log v) elements (0.307 at v = 10^7)."""
+    n_est = 0.35 * params.v / math.sqrt(math.log(params.v)) + 16
+    check_bytes("aux sums", n_est * _BYTES_PER_ELEMENT, f"~{n_est:.2e} elements at v = {params.v}")
     ps = primes_up_to(params.v)
-    return [int(p) for p in ps[ps % 4 == 1] if params.W % int(p) != 0]
+    eligible = [int(p) for p in ps[ps % 4 == 1] if params.W % int(p) != 0]
+    vals, mus, primes = zip(*squarefree_products(eligible, params.v))
+    return np.array(vals, dtype=np.int64), np.array(mus, dtype=np.int64), primes
 
 
 def enumerate_smooth(params: AuxParams) -> tuple[np.ndarray, np.ndarray]:
     """All squarefree a <= v with every prime factor 1 mod 4 and (a, W) = 1,
     in DFS pre-order over ascending primes.  Returns (values, mobius)."""
-    vals, mus, _ = zip(*squarefree_products(_eligible_primes(params), params.v))
-    return np.array(vals, dtype=np.int64), np.array(mus, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# X: single sum
-# ---------------------------------------------------------------------------
+    return _smooth_rows(params)[:2]
 
 
 def x_direct(params: AuxParams) -> float:
@@ -68,86 +68,62 @@ def x_direct(params: AuxParams) -> float:
     return float(np.sum(mus / vals * L))
 
 
-# ---------------------------------------------------------------------------
-# pair sums: per-element data + gcd lookups, blocked
-# ---------------------------------------------------------------------------
-
-
-def _pair_data(params: AuxParams):
-    """Per-element arrays for the pair sums, plus value-indexed lookups for
-    the gcd factors (every gcd of two list elements is itself in the list)."""
-    vals, mus, primes = zip(*squarefree_products(_eligible_primes(params), params.v))
-    if len(vals) > _PAIR_GUARD:
-        raise ResourceGuardError(
-            f"aux pair sums: {len(vals)} elements exceed the {_PAIR_GUARD} guard",
-            cost_estimate=f"~{len(vals) ** 2:.2e} gcd pairs",
-        )
-    vals, mus = np.array(vals, dtype=np.int64), np.array(mus, dtype=np.int64)
+@lru_cache(maxsize=1)
+def _divisor_sums(params: AuxParams) -> tuple[np.ndarray, ...]:
+    """Per-element data of the pair sums, indexed by the element d:
+    mu, S_y, S_z, S_{z g6}, phi_w = w * mu and psi = (w g6) * mu, where
+    S_f(d) = sum_{d | a} f(a) and h * mu (d) = mu(d) sum_{e | d} mu(e) h(e).
+    Each pair sum is sum_{a,b} f(a)f(b) h((a,b)) = sum_d (h * mu)(d) S_f(d)^2,
+    because every divisor of an element is an element.  The divisors of an
+    element are the products of subsets of its primes, one per mask m < 2^omega.
+    """
+    vals, mus, primes = _smooth_rows(params)
+    n, k = len(vals), max(map(len, primes))
+    P = np.array([ps + (1,) * (k - len(ps)) for ps in primes], dtype=np.int64).reshape(n, k)
+    p = P.astype(np.float64)  # the padding p = 1 is neutral in every factor but g7's
+    g2 = np.prod(2 - 1 / p, axis=1)
+    g4 = np.prod((4 * p * p - 3 * p + 1) / (p * (p + 1)), axis=1)
+    g7 = np.prod(np.where(P > 1, p + 1, 1.0), axis=1)
+    g6 = np.sum((p - 1) ** 2 * (2 * p + 1) / ((p + 1) * (4 * p * p - 3 * p + 1)) * np.log(p), axis=1)
     L = math.log(params.v) - np.log(vals.astype(np.float64))
 
-    # multiplicative/additive data per element, over its primes in ascending order
-    rows = []
-    for ps in primes:
-        g2 = g4 = g7 = 1.0
-        g6 = 0.0
-        for p in ps:
-            g2 *= 2 - 1 / p
-            g4 *= (4 * p * p - 3 * p + 1) / (p * (p + 1))
-            g7 *= p + 1
-            g6 += (p - 1) ** 2 * (2 * p + 1) / ((p + 1) * (4 * p * p - 3 * p + 1)) * math.log(p)
-        rows.append((g2, g4, g7, g6))
-    g2v, g4v, g7v, g6add = np.array(rows).T
+    # the (element, divisor) incidence, 2^omega rows per element
+    n_div = 1 << (P > 1).sum(axis=1)
+    elem = [np.nonzero(n_div > m)[0] for m in range(1 << k)]
+    div = [np.prod(P[np.ix_(e, [j for j in range(k) if m >> j & 1])], axis=1) for m, e in enumerate(elem)]
+    order = np.argsort(vals)
+    elem, div = np.concatenate(elem), order[np.searchsorted(vals[order], np.concatenate(div))]
 
-    w_lookup = np.zeros(params.v + 1)
-    g6_lookup = np.zeros(params.v + 1)
-    w_lookup[vals] = vals / g4v
-    g6_lookup[vals] = g6add
-    return vals, mus, L, g2v, g4v, g7v, g6add, w_lookup, g6_lookup
+    def S(f):
+        return np.bincount(div, weights=f[elem], minlength=n)
+
+    def times_mu(h):
+        return mus * np.bincount(elem, weights=(mus * h)[div], minlength=n)
+
+    # Z: g4([a,b])/[a,b] = g4(a)g4(b)/(ab) w((a,b)) with w = a/g4(a)
+    z, w = mus * g4 * L / (g2 * vals), vals / g4
+    return mus, S(mus / g7 * L), S(z), S(z * g6), times_mu(w), times_mu(w * g6)
 
 
 def y_direct(params: AuxParams) -> float:
-    """Y = sum over coprime pairs (a,b) of mu(a)mu(b)/(g7(a)g7(b)) L(a)L(b)."""
-    vals, mus, L, _, _, g7v, _, _, _ = _pair_data(params)
-    u = mus / g7v * L
-    total = 0.0
-    for i0 in range(0, len(vals), _BLOCK):
-        chunk = vals[i0 : i0 + _BLOCK]
-        g = np.gcd.outer(chunk, vals)
-        total += float(np.sum((u[i0 : i0 + _BLOCK, None] * u[None, :]) * (g == 1)))
-    return total
-
-
-def _z_core(params: AuxParams, with_g6: bool) -> float:
-    vals, mus, L, g2v, g4v, _, g6add, w_lookup, g6_lookup = _pair_data(params)
-    u = mus * g4v * L / (g2v * vals)
-    total = 0.0
-    for i0 in range(0, len(vals), _BLOCK):
-        chunk = vals[i0 : i0 + _BLOCK]
-        g = np.gcd.outer(chunk, vals)
-        w = w_lookup[g]
-        uu = u[i0 : i0 + _BLOCK, None] * u[None, :]
-        if with_g6:
-            s6 = g6add[i0 : i0 + _BLOCK, None] + g6add[None, :] - g6_lookup[g]
-            total += float(np.sum(uu * w * s6))
-        else:
-            total += float(np.sum(uu * w))
-    return total
+    """Y = sum over coprime pairs (a,b) of mu(a)mu(b)/(g7(a)g7(b)) L(a)L(b)
+    = sum_d mu(d) S_y(d)^2."""
+    mu, s_y, *_ = _divisor_sums(params)
+    return float(np.sum(mu * s_y**2))
 
 
 def z1_direct(params: AuxParams) -> float:
-    """Z(1) = sum mu(a)mu(b) g4([a,b]) / (g2(a)g2(b)[a,b]) L(a)L(b), using
-    [a,b] = ab/(a,b) and multiplicativity to reduce to gcd lookups."""
-    return _z_core(params, with_g6=False)
+    """Z(1) = sum mu(a)mu(b) g4([a,b]) / (g2(a)g2(b)[a,b]) L(a)L(b)
+    = sum_d phi_w(d) S_z(d)^2."""
+    _, _, s_z, _, phi_w, _ = _divisor_sums(params)
+    return float(np.sum(phi_w * s_z**2))
 
 
 def z2_direct(params: AuxParams) -> float:
-    """Z(2): the Z(1) summand times sum_{p | [a,b]} g6(p)."""
-    return _z_core(params, with_g6=True)
-
-
-# ---------------------------------------------------------------------------
-# predicted leading terms
-# ---------------------------------------------------------------------------
+    """Z(2): the Z(1) summand times g6([a,b]) = g6(a) + g6(b) - g6((a,b));
+    it is sum_d 2 phi_w(d) S_z(d) S_{z g6}(d) - psi(d) S_z(d)^2."""
+    _, _, s_z, s_zg6, phi_w, psi = _divisor_sums(params)
+    return float(np.sum(2 * phi_w * s_z * s_zg6 - psi * s_z**2))
 
 
 def _g1_W1(params: AuxParams) -> float:

@@ -248,8 +248,8 @@ def cmd_sieve_run(args) -> dict:
     spec = sieve.single_bin_spec(tup.k, float(cfg["beta"]))
     table = sieve.lambda_from_F(params, spec)
     which = (cfg["which"] or "S1").split(",")
-    m = int(cfg["m"] or 0)
-    l = int(cfg["l"] or (1 if tup.k > 1 else 0))
+    m = 0 if cfg["m"] is None else int(cfg["m"])
+    l = (1 if tup.k > 1 else 0) if cfg["l"] is None else int(cfg["l"])
     ft = None
     if any(w != "S1" for w in which):
         ft = build_factor_table(2 * params.N + max(abs(min(tup.h)), max(tup.h)) + 1)
@@ -372,7 +372,7 @@ def cmd_witness_search(args) -> dict:
     cfg["tuple"] = cfg["tuple"] or "0,4,16"
     cfg["bins"] = cfg["bins"] or "1:1,2:2"
     params, tup = _sieve_setup(cfg)
-    n_limit = int(float(cfg["limit"] or 2 * params.N))
+    n_limit = 2 * params.N if cfg["limit"] is None else int(float(cfg["limit"]))
     part = bins.BinPartition(sizes=_bin_sizes(cfg["bins"]))
     ft = build_factor_table(n_limit + max(abs(min(tup.h)), max(tup.h)) + 1)
     records = bins.witness_search(params, tup, part, n_limit, ft)

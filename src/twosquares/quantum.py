@@ -12,7 +12,7 @@ computes every non-zero b_tau at once with a numpy pair-class kernel and
 returns a columnar BTauTable (tau rows, values, a mixed-class mask, the
 same-class pair counts); a lookup builds one FourierCoefficient, its exact
 part summed in Fractions on demand.  A byte guard rejects a family up
-front when the kernel's estimated peak memory exceeds BTAU_BYTE_BUDGET.
+front when the kernel's estimated peak memory exceeds errors.BYTE_BUDGET.
 Each family builds its table once (CoefficientFamily.btau_table), and the
 partial Fourier-mass sums share it.
 """
@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import rd_bruteforce
-from .errors import InternalError, ResourceGuardError, ValidationError
+from .errors import InternalError, ResourceGuardError, ValidationError, check_bytes
 from .bins import two_square_decomposition
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,6 @@ def b_tau(family: CoefficientFamily, tau: Sequence[int]) -> FourierCoefficient:
 # ---------------------------------------------------------------------------
 
 _BLOCK_PAIRS = 1 << 21  # difference rows the kernel takes per block
-BTAU_BYTE_BUDGET = 1 << 31  # peak bytes all_btau may plan for
 _WORD = 1 << 63  # packed keys are int64
 
 
@@ -372,7 +371,7 @@ def all_btau(family: CoefficientFamily) -> BTauTable:
     checked in exact integers before packing.  Rows are taken in blocks,
     each block is reduced to distinct keys with counts and merged, so
     memory follows the distinct keys, not n^2 d.  A guard rejects the
-    family up front when the kernel's peak bytes exceed BTAU_BYTE_BUDGET.
+    family up front when the kernel's peak bytes exceed errors.BYTE_BUDGET.
     """
     n, d = len(family.support), family.d
     vals = [(j, a2.numerator, a2.denominator) for j, a2 in family.support.values()]
@@ -388,13 +387,7 @@ def all_btau(family: CoefficientFamily) -> BTauTable:
     lo = pts.min(0).tolist() if n else [0] * d
     span = [h - l for h, l in zip(pts.max(0).tolist(), lo)] if n else [0] * d
     words = _pack([2 * s + 1 for s in span] + [max(len(classes), 1)] * 2)
-    need = _kernel_bytes(n, d, len(words))
-    if need > BTAU_BYTE_BUDGET:
-        raise ResourceGuardError(
-            "all_btau: pair kernel over the byte budget",
-            cost_estimate=f"{need:.2e} bytes peak for {n} support points "
-            f"(budget {BTAU_BYTE_BUDGET:.2e} bytes)",
-        )
+    check_bytes("all_btau: pair kernel", _kernel_bytes(n, d, len(words)), f"{n} support points")
 
     # key(xi, eta) = u[xi] + v[eta] per word: each digit is linear in the pair
     halves = []

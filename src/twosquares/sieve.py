@@ -32,7 +32,7 @@ from .arith import (
     w_split,
 )
 from .constants import ConstantEstimate, landau_ramanujan_A
-from .errors import ResourceGuardError, ValidationError
+from .errors import ResourceGuardError, ValidationError, check_bytes
 from .hooley import RhoParams, rho, rho_on  # noqa: F401  (rho: perfbench/tracer.py wraps sieve.rho)
 from .report import CorrelationReport
 
@@ -646,10 +646,20 @@ class SieveSumResult:
     rho_negative_examples: tuple[int, ...]
 
 
+# bytes per window point, plus per shift, that the largest scan holds at its
+# peak: witness_search with most n hits measures 246, 399, 437 and 546 under
+# tracemalloc for k = 1, 2, 3, 5 shifts; S1-S4 and the certificate stay < 180
+_WINDOW_BYTES, _SHIFT_BYTES = 400, 40
+
+
 def window(params: SieveParams, tup: AdmissibleTuple, end: int) -> range:
-    """n in [N, end) with n = v0 (mod W) and n = 1 (mod 4) (W is odd)."""
+    """n in [N, end) with n = v0 (mod W) and n = 1 (mod 4) (W is odd), after
+    a byte guard on the arrays that the scans over it build."""
     r, mod = crt([find_v0(params, tup), 1], [params.W, 4])
-    return range(params.N + (r - params.N) % mod, end, mod)
+    ns = range(params.N + (r - params.N) % mod, end, mod)
+    need = len(ns) * (_WINDOW_BYTES + tup.k * _SHIFT_BYTES)
+    check_bytes("window scan", need, f"{len(ns)} points x {tup.k} shifts")
+    return ns
 
 
 def inner_weights(tup: AdmissibleTuple, ns: range, values: dict, dtype) -> np.ndarray:

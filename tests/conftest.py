@@ -1,7 +1,14 @@
+from datetime import timedelta
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from twosquares.arith import FactorTable, build_factor_table, r2_lattice_range
+
+# property tests draw the same examples on every run and keep no database
+settings.register_profile("tier1", derandomize=True, database=None, deadline=timedelta(seconds=2))
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,12 @@
 import math
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from twosquares.arith import g2, g4, g6, g7, mobius, trial_factorize
+from twosquares.arith import g2, g4, g6, g7, mobius, primes_up_to, squarefree_products, trial_factorize
 from twosquares.aux_sums import (
     AuxParams,
     enumerate_smooth,
@@ -74,6 +78,50 @@ def brute_z(v, W=1, with_g6=False):
     return tot
 
 
+# blocked-gcd oracle: every element pair through np.gcd.outer, O(n^2)
+
+
+def blocked_pair_sums(params, block=1024):
+    """(Y, Z(1), Z(2)) from per-element data and value-indexed gcd lookups,
+    evaluated over every element pair in numpy blocks."""
+    ps = primes_up_to(params.v)
+    eligible = [int(p) for p in ps[ps % 4 == 1] if params.W % int(p) != 0]
+    vals, mus, primes = zip(*squarefree_products(eligible, params.v))
+    vals, mus = np.array(vals, dtype=np.int64), np.array(mus, dtype=np.int64)
+    L = math.log(params.v) - np.log(vals.astype(np.float64))
+    rows = []
+    for ps in primes:
+        g2v = g4v = g7v = 1.0
+        g6v = 0.0
+        for p in ps:
+            g2v *= 2 - 1 / p
+            g4v *= (4 * p * p - 3 * p + 1) / (p * (p + 1))
+            g7v *= p + 1
+            g6v += (p - 1) ** 2 * (2 * p + 1) / ((p + 1) * (4 * p * p - 3 * p + 1)) * math.log(p)
+        rows.append((g2v, g4v, g7v, g6v))
+    g2v, g4v, g7v, g6add = np.array(rows).T
+    w_lookup = np.zeros(params.v + 1)
+    g6_lookup = np.zeros(params.v + 1)
+    w_lookup[vals] = vals / g4v
+    g6_lookup[vals] = g6add
+
+    uy = mus / g7v * L
+    uz = mus * g4v * L / (g2v * vals)
+    y = z1 = z2 = 0.0
+    for i0 in range(0, len(vals), block):
+        sl = slice(i0, i0 + block)
+        g = np.gcd.outer(vals[sl], vals)
+        y += float(np.sum((uy[sl, None] * uy[None, :]) * (g == 1)))
+        zz = uz[sl, None] * uz[None, :] * w_lookup[g]
+        z1 += float(np.sum(zz))
+        z2 += float(np.sum(zz * (g6add[sl, None] + g6add[None, :] - g6_lookup[g])))
+    return y, z1, z2
+
+
+def kernel_pair_sums(params):
+    return y_direct(params), z1_direct(params), z2_direct(params)
+
+
 def test_params_split():
     p = AuxParams(v=100, D0=10)
     assert (p.W, p.W1, p.W3) == (105, 5, 21)
@@ -121,6 +169,45 @@ def test_pair_sums_with_W():
     assert z1_direct(p) == pytest.approx(brute_z(v, 105), rel=1e-12)
 
 
+@pytest.mark.parametrize("v, D0", [(10**3, 1), (10**4, 1), (3 * 10**4, 1), (10**4, 10)])
+def test_pair_sums_against_blocked_gcd(v, D0):
+    p = AuxParams(v=v, D0=D0)
+    assert kernel_pair_sums(p) == pytest.approx(blocked_pair_sums(p), rel=1e-12)
+
+
+@given(v=st.integers(min_value=2, max_value=3000), D0=st.sampled_from([1, 5, 10, 13]))
+def test_pair_sums_property(v, D0):
+    p = AuxParams(v=v, D0=D0)
+    assert kernel_pair_sums(p) == pytest.approx(blocked_pair_sums(p), rel=1e-12, abs=1e-12)
+
+
+def test_z_erratum_ratios():
+    """Direct / displayed ratios of Z(1), Z(2), Y.  The Z(1) ratio rises
+    towards the factor 4 prod_{p = 1 (4)} 2p^2(2p^2-2p+1)/((p^2-1)(2p-1)^2)
+    that the series derivation has and the displayed constant lacks."""
+    pinned = {
+        10**3: (3.5982, 1.9739, 0.8882),
+        10**4: (3.7941, 2.4740, 0.9342),
+        10**5: (3.9048, 2.8016, 0.9605),
+    }
+    ps = primes_up_to(10**6)
+    p1 = ps[ps % 4 == 1].astype(float)
+    local = 2 * p1**2 * (2 * p1**2 - 2 * p1 + 1) / ((p1**2 - 1) * (2 * p1 - 1) ** 2)
+    factor = 4 * math.exp(math.fsum(np.log(local)))
+    assert factor == pytest.approx(4.29253, abs=5e-6)
+    z1_ratios = []
+    for v, expected in pinned.items():
+        p = AuxParams(v=v)
+        ratios = (
+            z1_direct(p) / z1_predicted(p),
+            z2_direct(p) / z2_predicted(p),
+            y_direct(p) / y_predicted(p),
+        )
+        assert ratios == pytest.approx(expected, abs=5e-4), v
+        z1_ratios.append(ratios[0])
+    assert z1_ratios[0] < z1_ratios[1] < z1_ratios[2] < factor
+
+
 def test_predicted_forms():
     p = AuxParams(v=10**4)
     A_over = x_predicted(p)
@@ -146,5 +233,16 @@ def test_z2_negative_for_v_grid():
 
 
 def test_pair_guard():
-    with pytest.raises(ResourceGuardError):
-        y_direct(AuxParams(v=10**7))
+    # the byte guard rejects v = 10^9 from v alone, before any enumeration
+    for direct in (x_direct, y_direct):
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(ResourceGuardError) as exc:
+                direct(AuxParams(v=10**9))
+            elapsed = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "bytes" in exc.value.cost_estimate
+        assert elapsed < 1.0 and peak < 1 << 20, direct.__name__

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from twosquares import cli, quantum
+from twosquares import bins, cli, errors, quantum
+from twosquares.arith import FactorTable
 
 
 def run(capsys, argv):
@@ -194,3 +195,36 @@ def test_btable_guard_exit_code(capsys, monkeypatch):
     assert code == 3
     err = json.loads(out)["error"]
     assert err["type"] == "resource_guard" and "bytes" in err["cost_estimate"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness-search", "--N", "1e4", "--limit", "2e4"],
+        ["certificate", "--N", "1e4", "--mu", "1.5,2.5", "--t", "1,2"],
+    ],
+    ids=["witness-search", "certificate"],
+)
+def test_window_guard_exit_code(capsys, monkeypatch, argv):
+    # 2,500 points x 3 shifts need ~9e5 bytes; no window array may be built
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 10**5)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("window array built past the guard")
+
+    monkeypatch.setattr(bins, "inner_weights", unreachable)
+    monkeypatch.setattr(FactorTable, "r2_at", unreachable)
+    code, out = run(capsys, argv)
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["type"] == "resource_guard" and err["message"].startswith("window scan")
+    assert "2500 points x 3 shifts" in err["cost_estimate"]
+
+
+def test_sieve_run_explicit_zero_index(capsys):
+    base = ["sieve-run", "--N", "1e4", "--theta1", "0.1", "--theta2", "1", "--tuple", "0,4", "--which", "S3"]
+    code, out = run(capsys, base + ["--m", "1", "--l", "0"])
+    assert code == 0
+    code, swapped = run(capsys, base + ["--m", "0", "--l", "1"])
+    assert code == 0
+    assert json.loads(out)["results"][0]["direct"] == json.loads(swapped)["results"][0]["direct"]
