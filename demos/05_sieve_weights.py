@@ -13,7 +13,6 @@ import math
 from twosquares import (
     AdmissibleTuple,
     SieveParams,
-    build_factor_table,
     enumerate_support,
     functional_value,
     lambda_from_F,
@@ -46,10 +45,9 @@ print("\nS1..S4 direct vs predicted across N (k=2, D0=10, theta2=1.6):")
 for N in (10**5, 10**6):
     p = SieveParams(N=N, theta1=0.1, theta2=1.6, D0=10, strict=False)
     wt = lambda_from_F(p, spec)
-    ft = build_factor_table(2 * N + 8)
     print(f"  N = 10^{int(math.log10(N))} (R = {p.R}, B = {b_constant(p).value:.3f}):")
     for which in ("S1", "S2", "S3", "S4"):
-        d = s_direct(which, p, tup, wt, factor_table=ft, m=0, l=1)
+        d = s_direct(which, p, tup, wt, m=0, l=1)
         pr = s_predicted(which, p, tup, spec, m=0, l=1)
         print(f"    {which}: {d.value:>14.4f} vs {pr:>14.4f}   ratio {d.value / pr:.3f}")
 print("  (S4 inherits the factor-2 gap of the r^2 progression main term)")

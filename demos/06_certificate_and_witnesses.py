@@ -1,11 +1,11 @@
 """The second-moment certificate and the witness pipeline.
 
-The certificate's left-hand side is computed two independent ways: a
-direct scan of the window, and an assembly from the S-sums -- the two
-agree to machine precision because the expansion is an algebraic
-identity.  Witness search then finds actual n whose translates hit every
-bin (verified by exact factorisation certificates), and the pigeonhole
-extraction turns per-M witness rows into one nested sequence.
+The certificate's left-hand side is computed pointwise over the window
+and assembled from the S-sums.  Both read the same inner weights and the
+same rho arrays, so their agreement to machine precision checks the
+expansion algebra.  Witness search then finds actual n whose translates
+hit every bin (verified by exact factorisation certificates), and the
+pigeonhole extraction turns per-M witness rows into one nested sequence.
 """
 
 from twosquares import (
@@ -32,13 +32,13 @@ params = SieveParams(N=10**4, theta1=0.12, theta2=1.0, D0=10, strict=False)
 tup = AdmissibleTuple((0, 4, 16))
 part = BinPartition(sizes=(1, 2), mu=(1.5, 2.5), t=(1.0, 2.0))
 table = lambda_from_F(params, part.spec())
-ftab = build_factor_table(2 * 10**4 + 32)
-res = second_moment_lhs(params, tup, part, table, ftab)
+res = second_moment_lhs(params, tup, part, table)
 print("\nsecond-moment LHS, two evaluators:")
 print(f"  direct   {res.lhs_direct:.6f}")
 print(f"  assembled {res.lhs_assembled:.6f}")
 print(f"  relative difference {res.rel_difference:.2e}; rho<0 encountered: {res.rho_negative_count}")
 
+ftab = build_factor_table(2 * 10**4 + 32)
 records = witness_search(params, tup, BinPartition(sizes=(1, 2)), 2 * 10**4, ftab)
 print(f"\nwitnesses for bins {{0}},{{4,16}} in [10^4, 2*10^4): {len(records)}")
 w = records[0]

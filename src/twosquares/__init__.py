@@ -19,6 +19,7 @@ from .arith import (
     mobius,
     r2,
     r2_lattice_range,
+    r2_on,
     ramanujan_sum,
     rd_bruteforce,
     rd_square_identity,

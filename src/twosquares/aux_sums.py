@@ -44,15 +44,21 @@ class AuxParams:
         object.__setattr__(self, "W3", w3)
 
 
+@lru_cache(maxsize=1)
 def _smooth_rows(params: AuxParams) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
     """enumerate_smooth with the primes of each a, after a byte guard: there
-    are at most 0.35 v / sqrt(log v) elements (0.307 at v = 10^7)."""
+    are at most 0.35 v / sqrt(log v) elements (0.307 at v = 10^7).  Cached,
+    so that X and the pair sums of one v enumerate once; the arrays are
+    read-only, because every caller gets the same ones."""
     n_est = 0.35 * params.v / math.sqrt(math.log(params.v)) + 16
     check_bytes("aux sums", n_est * _BYTES_PER_ELEMENT, f"~{n_est:.2e} elements at v = {params.v}")
     ps = primes_up_to(params.v)
     eligible = [int(p) for p in ps[ps % 4 == 1] if params.W % int(p) != 0]
     vals, mus, primes = zip(*squarefree_products(eligible, params.v))
-    return np.array(vals, dtype=np.int64), np.array(mus, dtype=np.int64), primes
+    vals, mus = np.array(vals, dtype=np.int64), np.array(mus, dtype=np.int64)
+    vals.setflags(write=False)
+    mus.setflags(write=False)
+    return vals, mus, primes
 
 
 def enumerate_smooth(params: AuxParams) -> tuple[np.ndarray, np.ndarray]:

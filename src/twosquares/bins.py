@@ -1,7 +1,7 @@
 """Second-moment certificate machinery: bin partitions, the certificate
-left-hand side evaluated two independent ways, witness search with exact
-two-squares certificates, and the pigeonhole extraction of nested hit
-sequences from per-M witness rows.
+left-hand side evaluated pointwise and as its expansion in S1-S4 over the
+same window arrays, witness search with exact two-squares certificates, and
+the pigeonhole extraction of nested hit sequences from per-M witness rows.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FactorTable, is_sum_of_two_squares
+from .arith import FactorTable, is_sum_of_two_squares, r2_on
 from .errors import ValidationError
 from .hooley import rho  # noqa: F401  (not called here; perfbench/tracer.py wraps bins.rho)
 from .sieve import (
@@ -21,7 +21,7 @@ from .sieve import (
     TestFunctionSpec,
     WeightTable,
     inner_weights,
-    s_direct,
+    s_direct,  # noqa: F401  (not called here; perfbench/tracer.py wraps bins.s_direct)
     window,
     window_rho,
 )
@@ -126,7 +126,7 @@ def jakobson_tuple(i_max: int) -> AdmissibleTuple:
 
 
 # ---------------------------------------------------------------------------
-# the second-moment left-hand side, two ways
+# the second-moment left-hand side, pointwise and expanded
 # ---------------------------------------------------------------------------
 
 
@@ -145,54 +145,48 @@ def second_moment_lhs(
     tup: AdmissibleTuple,
     partition: BinPartition,
     table: WeightTable,
-    factor_table: FactorTable,
 ) -> SecondMomentResult:
     """Evaluate sum_n [min_j mu_j^2/t_j^2 - sum_i ((sum_{h in B_i} rho(n+h)
-    - mu_i)/t_i)^2] w(n) directly (evaluator A) and by assembling
+    - mu_i)/t_i)^2] w(n) pointwise (evaluator A) and by assembling
     min(mu^2/t^2) S1 - sum_i t_i^-2 [sum_{h != h'} S3 + sum_h S4
-    - 2 mu_i sum_h S2 + mu_i^2 S1] from the direct S-sums (evaluator B).
+    - 2 mu_i sum_h S2 + mu_i^2 S1] from the S-sums (evaluator B).
 
-    Their agreement certifies the expansion identity; it is pure algebra,
-    so the two floats should match to ~1e-12 relative.
+    Both read the same w and the same rho array per shift, and B reduces
+    them exactly as s_direct does, so its components equal s_direct's bit
+    for bit.  Their agreement checks the expansion algebra; the two floats
+    should match to ~1e-12 relative.
     """
     if partition.k != tup.k:
         raise ValidationError("second_moment_lhs: partition arity != tuple size")
     if not partition.mu or not partition.t:
         raise ValidationError("second_moment_lhs: partition needs mu and t filled")
-    if 2 * params.N + max(tup.h) > factor_table.limit:
-        raise ValidationError("second_moment_lhs: FactorTable too small")
     mu, t = partition.mu, partition.t
     min_ratio = min(m * m / (tt * tt) for m, tt in zip(mu, t))
 
-    # evaluator A: the bracket at every window point
     ns = window(params, tup, 2 * params.N)
     w = inner_weights(tup, ns, table.float_entries(), np.float64)
-    rhos, neg_count, neg_examples = window_rho(params, ns, w, factor_table, tup.h)
+    rhos, neg_count, neg_examples = window_rho(params, ns, w, tup.h)
+    ww = w * w
+
+    # evaluator A: the bracket at every window point
     bracket = np.full(len(ns), min_ratio)
     for i in range(partition.M):
         s = sum(rhos[j] for j in partition.indices(i))
         bracket -= ((s - mu[i]) / t[i]) ** 2
-    lhs_a = float(np.sum(bracket * (w * w)))
+    lhs_a = float(np.sum(bracket * ww))
 
-    # evaluator B: assembled from S-sums
-    s1 = s_direct("S1", params, tup, table).value
+    # evaluator B: S1 = sum ww, S2 = sum ww rho_a, S3 = sum ww (rho_a rho_b),
+    # S4 = sum ww (rho_a rho_a)
+    s1 = float(ww.sum())
     comps: dict = {"S1": s1}
     lhs_b = min_ratio * s1
     for i in range(partition.M):
-        idx = list(partition.indices(i))
-        s3_sum = 0.0
-        for a in idx:
-            for b in idx:
-                if a != b:
-                    s3_sum += s_direct(
-                        "S3", params, tup, table, factor_table, m=a, l=b
-                    ).value
-        s4_sum = sum(
-            s_direct("S4", params, tup, table, factor_table, m=a).value for a in idx
+        idx = partition.indices(i)
+        s3_sum = sum(
+            (float((ww * (rhos[a] * rhos[b])).sum()) for a in idx for b in idx if a != b), 0.0
         )
-        s2_sum = sum(
-            s_direct("S2", params, tup, table, factor_table, m=a).value for a in idx
-        )
+        s4_sum = sum(float((ww * (rhos[a] * rhos[a])).sum()) for a in idx)
+        s2_sum = sum(float((ww * rhos[a]).sum()) for a in idx)
         comps[f"bin{i}"] = {"S3": s3_sum, "S4": s4_sum, "S2": s2_sum}
         lhs_b -= (s3_sum + s4_sum - 2 * mu[i] * s2_sum + mu[i] ** 2 * s1) / t[i] ** 2
 
@@ -262,18 +256,15 @@ def witness_search(
     """Scan n in [N, n_limit), n = v0 (W), n = 1 (4); record every n for
     which each bin holds at least one h with n + h a sum of two squares.
 
-    Uses the exact indicator r_2(n + h) > 0, never rho, and factorises only
-    the accepted n + h.  Results come in increasing n."""
+    Uses the exact indicator r_2(n + h) > 0 from r2_on, never rho; the
+    factor table only factorises the accepted n + h.  Results come in
+    increasing n."""
     if partition.k != tup.k:
         raise ValidationError("witness_search: partition arity != tuple size")
     if n_limit + max(tup.h) > factor_table.limit + 1:
         raise ValidationError("witness_search: FactorTable too small")
-    if params.N + min(tup.h) < 0:
-        raise ValidationError("witness_search: window start + min shift is negative")
     ns = window(params, tup, n_limit)
-    sos = np.stack(
-        [factor_table.r2_at(np.arange(ns.start + h, ns.stop + h, ns.step)) > 0 for h in tup.h]
-    )
+    sos = np.stack([r2_on(range(ns.start + h, ns.stop + h, ns.step)) > 0 for h in tup.h])
     blocks = [partition.indices(i) for i in range(partition.M)]
     hits = np.nonzero(np.logical_and.reduce([sos[b].any(axis=0) for b in blocks]))[0]
     # per bin, the position of its smallest shift h with n + h a sum of two squares

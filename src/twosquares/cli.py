@@ -250,13 +250,10 @@ def cmd_sieve_run(args) -> dict:
     which = (cfg["which"] or "S1").split(",")
     m = 0 if cfg["m"] is None else int(cfg["m"])
     l = (1 if tup.k > 1 else 0) if cfg["l"] is None else int(cfg["l"])
-    ft = None
-    if any(w != "S1" for w in which):
-        ft = build_factor_table(2 * params.N + max(abs(min(tup.h)), max(tup.h)) + 1)
     results = []
     diagnostics = list(params.warnings)
     for w in which:
-        direct = sieve.s_direct(w, params, tup, table, factor_table=ft, m=m, l=l)
+        direct = sieve.s_direct(w, params, tup, table, m=m, l=l)
         pred = sieve.s_predicted(w, params, tup, spec, m=m, l=l)
         results.append(
             {
@@ -340,8 +337,7 @@ def cmd_certificate(args) -> dict:
         warn = [f"mu/t defaulted from exponents 1/40, 1/40: mu={mu}, t={t}"] + warn
     part = bins.BinPartition(sizes=sizes, mu=mu, t=t)
     table = sieve.lambda_from_F(params, part.spec())
-    ft = build_factor_table(2 * params.N + max(abs(min(tup.h)), max(tup.h)) + 1)
-    res = bins.second_moment_lhs(params, tup, part, table, ft)
+    res = bins.second_moment_lhs(params, tup, part, table)
     return {
         "experiment": "certificate",
         "config": cfg,
@@ -374,6 +370,7 @@ def cmd_witness_search(args) -> dict:
     params, tup = _sieve_setup(cfg)
     n_limit = 2 * params.N if cfg["limit"] is None else int(float(cfg["limit"]))
     part = bins.BinPartition(sizes=_bin_sizes(cfg["bins"]))
+    sieve.window(params, tup, n_limit)  # the byte guard, before the factor table is built
     ft = build_factor_table(n_limit + max(abs(min(tup.h)), max(tup.h)) + 1)
     records = bins.witness_search(params, tup, part, n_limit, ft)
     verified = all(bins.verify_witness(r, ft) for r in records)

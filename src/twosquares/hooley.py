@@ -15,8 +15,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import Factorization, FactorTable, floor_power, primes_up_to, r2
-from .arith import progression_slice, squarefree_products
+from .arith import Factorization, floor_power, primes_up_to, progression_slice, r2, r2_on
+from .arith import squarefree_products
 from .errors import ValidationError
 
 
@@ -88,15 +88,14 @@ def rho(params: RhoParams, f: Factorization) -> float:
     return t_weight(params, f) * r
 
 
-def rho_on(params: RhoParams, progression: range, factor_table: FactorTable) -> np.ndarray:
+def rho_on(params: RhoParams, progression: range) -> np.ndarray:
     """rho(m) at every m of an arithmetic progression, as float64: each
     term of t goes onto the multiples of its a, in the order t_weight adds
-    them at one m, and r_2 comes from the factor table."""
+    them at one m, times r_2 from `r2_on` over the same progression."""
     t = np.zeros(len(progression))
     ps = [int(p) for p in primes_up_to(params.v) if p % 4 == 1]
     for a, term in _t_terms(ps, params.v):
         hits = progression_slice(progression, [0], [a])
         if hits is not None:
             t[hits] += term
-    ms = np.arange(progression.start, progression.stop, progression.step)
-    return t * factor_table.r2_at(ms)
+    return t * r2_on(progression)

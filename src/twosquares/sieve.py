@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .arith import (
-    FactorTable,
     count_in_class,
     crt,
     euler_phi,
@@ -647,8 +646,9 @@ class SieveSumResult:
 
 
 # bytes per window point, plus per shift, that the largest scan holds at its
-# peak: witness_search with most n hits measures 246, 399, 437 and 546 under
-# tracemalloc for k = 1, 2, 3, 5 shifts; S1-S4 and the certificate stay < 180
+# peak: witness_search with most n hits measures 253, 413, 478 and 547 under
+# tracemalloc for k = 1, 2, 3, 5 shifts (N = 10^5); S1-S4 and the certificate
+# stay < 80
 _WINDOW_BYTES, _SHIFT_BYTES = 400, 40
 
 
@@ -677,13 +677,13 @@ def inner_weights(tup: AdmissibleTuple, ns: range, values: dict, dtype) -> np.nd
 
 
 def window_rho(
-    params: SieveParams, ns: range, w: np.ndarray, factor_table: FactorTable, hs: Sequence[int]
+    params: SieveParams, ns: range, w: np.ndarray, hs: Sequence[int]
 ) -> tuple[list[np.ndarray], int, tuple[int, ...]]:
     """rho(n + h) on the window ns for each shift h in hs, with the rho < 0
     cases: their count, once per (n, h) with w(n) != 0, and the first ten
     n + h in (n, h) order."""
     rp = params.rho_params()
-    rhos = [rho_on(rp, range(ns.start + h, ns.stop + h, ns.step), factor_table) for h in hs]
+    rhos = [rho_on(rp, range(ns.start + h, ns.stop + h, ns.step)) for h in hs]
     rows, cols = np.nonzero((np.stack(rhos, axis=1) < 0) & (w != 0)[:, None])
     examples = tuple(ns[r] + hs[c] for r, c in zip(rows[:10].tolist(), cols[:10].tolist()))
     return rhos, len(rows), examples
@@ -694,7 +694,6 @@ def s_direct(
     params: SieveParams,
     tup: AdmissibleTuple,
     table: WeightTable,
-    factor_table: FactorTable | None = None,
     m: int = 0,
     l: int = 1,
     exact: bool = False,
@@ -715,14 +714,6 @@ def s_direct(
         raise ValidationError("s_direct: exact mode is defined for S1 only")
     if table.k != tup.k:
         raise ValidationError("s_direct: table arity != tuple size")
-    if which != "S1":
-        if factor_table is None:
-            raise ValidationError(f"s_direct: {which} needs a FactorTable")
-        if 2 * params.N + max(tup.h) > factor_table.limit:
-            raise ResourceGuardError(
-                "s_direct: FactorTable too small for the window",
-                cost_estimate=f"need limit >= {2 * params.N + max(tup.h)}",
-            )
 
     ns = window(params, tup, 2 * params.N)
     if exact:
@@ -734,7 +725,7 @@ def s_direct(
     terms, neg_count, neg_examples = w * w, 0, ()
     if which != "S1":
         hs = [tup.h[m], tup.h[l]] if which == "S3" else [tup.h[m]]
-        rhos, neg_count, neg_examples = window_rho(params, ns, w, factor_table, hs)
+        rhos, neg_count, neg_examples = window_rho(params, ns, w, hs)
         # S2: rho_m; S3: rho_m rho_l; S4: rho_m^2
         terms *= rhos[0] if which == "S2" else rhos[0] * rhos[-1]
     return SieveSumResult(float(terms.sum()), None, len(ns), neg_count, neg_examples)

@@ -303,7 +303,7 @@ def test_criterion_08_aux_sums():
 # -- 9 ------------------------------------------------------------------------
 
 
-def test_criterion_09_second_moment_identity(ftab):
+def test_criterion_09_second_moment_identity():
     worst = 0.0
     configs = [
         ((0, 4), (2,), 10**4, 1, 0.12),
@@ -317,7 +317,7 @@ def test_criterion_09_second_moment_identity(ftab):
         tup = AdmissibleTuple(shifts)
         part = BinPartition(sizes=sizes, mu=(1.5,) * len(sizes), t=(1.2,) * len(sizes))
         wt = lambda_from_F(p, part.spec())
-        res = second_moment_lhs(p, tup, part, wt, ftab)
+        res = second_moment_lhs(p, tup, part, wt)
         worst = max(worst, res.rel_difference)
     ok = worst < 1e-6
     report(9, "second-moment expansion identity", ok, f"worst rel diff {worst:.2e} < 1e-6")
@@ -480,7 +480,7 @@ def main() -> int:
         (test_criterion_06_ap_rr_sums, (r2_1e7,)),
         (test_criterion_07_ap_r2_sums, (r2_1e7,)),
         (test_criterion_08_aux_sums, ()),
-        (test_criterion_09_second_moment_identity, (ftab,)),
+        (test_criterion_09_second_moment_identity, ()),
         (test_criterion_10_witness_pipeline, (ftab,)),
         (test_criterion_11_quantum_limits, ()),
         (test_criterion_12_constants, ()),

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+from twosquares import errors
 
 from twosquares.arith import (
     Factorization,
@@ -26,6 +30,7 @@ from twosquares.arith import (
     progression_slice,
     r2,
     r2_lattice_range,
+    r2_on,
     ramanujan_sum,
     rd_bruteforce,
     rd_square_identity,
@@ -80,6 +85,20 @@ def test_factor_table_large_prime():
 def test_factor_table_rejects():
     with pytest.raises(ValidationError):
         build_factor_table(1)
+
+
+def test_factor_table_byte_guard(monkeypatch):
+    # about 6 bytes per entry: limit 10^7 needs 6e7 bytes, 10^5 fits in 10^6
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError) as exc:
+            build_factor_table(10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "bytes" in exc.value.cost_estimate and peak < 1 << 16
+    assert build_factor_table(10**5).spf[99991] == 99991
 
 
 def test_factorize_examples():
@@ -173,16 +192,35 @@ def test_r2_equals_lattice_count():
         assert r2(t.factorize(n)) == arr[n]
 
 
-def test_r2_at_equals_lattice_range():
-    t = build_factor_table(10**6)
-    got = t.r2_at(np.arange(1, 10**6 + 1))
+def test_r2_on_equals_lattice_range():
+    got = r2_on(range(1, 10**6 + 1))
     assert got.dtype == np.int64
     assert np.array_equal(got, r2_lattice_range(10**6)[1:])
-    assert t.r2_at([]).size == 0
+    assert r2_on(range(5, 5, 4)).size == 0
     with pytest.raises(ValidationError):
-        t.r2_at([0, 5])
+        r2_on(range(0, 5))
     with pytest.raises(ValidationError):
-        t.r2_at([10**6 + 1])
+        r2_on(range(9, 1, -4))
+
+
+PRIME_POWERS = [p**e for p in (2, 3, 5, 7, 11, 13) for e in range(1, 9) if p**e <= 10**5]
+STARTS = st.one_of(
+    st.integers(min_value=1, max_value=10**6),
+    st.builds(lambda k, q: k * q, st.integers(min_value=1, max_value=60), st.sampled_from(PRIME_POWERS)),
+)
+STEPS = st.one_of(st.sampled_from([1, 4, 9, 12, 25, 420]), st.integers(min_value=1, max_value=10**4))
+
+
+@given(start=STARTS, step=STEPS, count=st.integers(min_value=0, max_value=60))
+def test_r2_on_property(start, step, count):
+    prog = range(start, start + count * step, step)
+    assert r2_on(prog).tolist() == [r2(trial_factorize(m)) for m in prog]
+
+
+@given(start=st.integers(min_value=-10**6, max_value=0), step=STEPS, count=st.integers(min_value=1, max_value=60))
+def test_r2_on_rejects_terms_below_one(start, step, count):
+    with pytest.raises(ValidationError):
+        r2_on(range(start, start + count * step, step))
 
 
 def test_lattice_range_is_bruteforce():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from twosquares import aux_sums, cli
 from twosquares.arith import g2, g4, g6, g7, mobius, primes_up_to, squarefree_products, trial_factorize
 from twosquares.aux_sums import (
     AuxParams,
@@ -138,6 +139,21 @@ def test_enumeration_matches_definition():
             assert mu == mobius(trial_factorize(a))
         # structural coprimality when W > 1
         assert all(math.gcd(int(a), p.W) == 1 for a in vals)
+
+
+def test_one_enumeration_per_v(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(primes, bound):
+        calls.append(bound)
+        return squarefree_products(primes, bound)
+
+    monkeypatch.setattr(aux_sums, "squarefree_products", counted)
+    aux_sums._smooth_rows.cache_clear()
+    aux_sums._divisor_sums.cache_clear()
+    argv = ["aux-sums", "--v", "3001", "--which", "x,y,z1,z2", "--output", str(tmp_path / "aux.json")]
+    assert cli.main(argv) == 0
+    assert calls == [3001]
 
 
 def test_trivial_small_v():

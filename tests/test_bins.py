@@ -93,45 +93,45 @@ def test_jakobson_tuple():
 @pytest.mark.parametrize(
     "shifts,sizes", [((0, 4), (2,)), ((0, 4, 16), (1, 2)), ((0, 4, 16), (3,))]
 )
-def test_second_moment_evaluators_agree(ftab, D0, shifts, sizes):
+def test_second_moment_evaluators_agree(D0, shifts, sizes):
     p = relaxed(10**4, 0.12, 1.0, D0)
     tup = AdmissibleTuple(shifts)
     part = BinPartition(sizes=sizes, mu=(1.5,) * len(sizes), t=(1.2,) * len(sizes))
     wt = lambda_from_F(p, part.spec())
-    res = second_moment_lhs(p, tup, part, wt, ftab)
+    res = second_moment_lhs(p, tup, part, wt)
     assert res.rel_difference < 1e-6
 
 
-def test_second_moment_n1e5(ftab):
+def test_second_moment_n1e5():
     p = relaxed(10**5, 0.07, 1.0, 10)
     tup = AdmissibleTuple((0, 4, 16))
     part = BinPartition(sizes=(1, 2), mu=(1.5, 2.5), t=(1.0, 2.0))
     wt = lambda_from_F(p, part.spec())
-    res = second_moment_lhs(p, tup, part, wt, ftab)
+    res = second_moment_lhs(p, tup, part, wt)
     assert res.rel_difference < 1e-6
 
 
-def test_second_moment_sign_structure(ftab):
+def test_second_moment_sign_structure():
     p = relaxed(10**4, 0.12, 1.0, 10)
     tup = AdmissibleTuple((0, 4, 16))
     # M = 2 with a huge second-bin mu: its squared deviation dominates
     part = BinPartition(sizes=(1, 2), mu=(1.5, 500.0), t=(1.0, 1.0))
     wt = lambda_from_F(p, part.spec())
-    assert second_moment_lhs(p, tup, part, wt, ftab).lhs_direct < 0
+    assert second_moment_lhs(p, tup, part, wt).lhs_direct < 0
     # M = 1 with huge mu is forced nonnegative (bracket = S(2mu - S)/t^2)
     tup2 = AdmissibleTuple((0, 4))
     part1 = BinPartition(sizes=(2,), mu=(500.0,), t=(1.0,))
     wt2 = lambda_from_F(p, part1.spec())
-    assert second_moment_lhs(p, tup2, part1, wt2, ftab).lhs_direct >= 0
+    assert second_moment_lhs(p, tup2, part1, wt2).lhs_direct >= 0
 
 
-def test_second_moment_requires_mu_t(ftab):
+def test_second_moment_requires_mu_t():
     p = relaxed(10**4, 0.12, 1.0, 10)
     tup = AdmissibleTuple((0, 4))
     part = BinPartition(sizes=(2,))
     wt = lambda_from_F(p, part.spec())
     with pytest.raises(ValidationError):
-        second_moment_lhs(p, tup, part, wt, ftab)
+        second_moment_lhs(p, tup, part, wt)
 
 
 # -- witness search ----------------------------------------------------------------

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twosquares import bins, cli, errors, quantum
-from twosquares.arith import FactorTable
+from twosquares import bins, cli, errors, hooley, quantum
 
 
 def run(capsys, argv):
@@ -213,12 +212,32 @@ def test_window_guard_exit_code(capsys, monkeypatch, argv):
         raise AssertionError("window array built past the guard")
 
     monkeypatch.setattr(bins, "inner_weights", unreachable)
-    monkeypatch.setattr(FactorTable, "r2_at", unreachable)
+    monkeypatch.setattr(bins, "r2_on", unreachable)
+    monkeypatch.setattr(hooley, "r2_on", unreachable)
+    monkeypatch.setattr(cli, "build_factor_table", unreachable)
     code, out = run(capsys, argv)
     assert code == 3
     err = json.loads(out)["error"]
     assert err["type"] == "resource_guard" and err["message"].startswith("window scan")
     assert "2500 points x 3 shifts" in err["cost_estimate"]
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["sieve-run", "--N", "1e4", "--tuple=-20000,0", "--which", "S2"], 2),
+        (["certificate", "--N", "1e4", "--tuple=-20000,0,4", "--mu", "1.5,2.5", "--t", "1,2"], 2),
+        (["sieve-run", "--N", "1e4", "--tuple=-20000,0", "--which", "S1"], 0),
+    ],
+    ids=["sieve-run", "certificate", "sieve-run-S1"],
+)
+def test_window_below_one_exit_code(capsys, argv, want):
+    # n + h < 1 has no r_2, so the scans that read rho reject it as invalid
+    # input; S1 reads no rho and runs
+    code, out = run(capsys, argv)
+    assert code == want
+    if want:
+        assert json.loads(out)["error"]["type"] == "validation"
 
 
 def test_sieve_run_explicit_zero_index(capsys):

@@ -264,26 +264,24 @@ def test_s1_two_evaluators_bit_for_bit(D0):
     assert exact.exact * den * den == scaled  # same integers, bit for bit
 
 
-def test_s_direct_validation(ftab):
+def test_s_direct_validation():
     p = relaxed(10**4, 0.1, 1.0, 10)
     tup = AdmissibleTuple((0, 4))
     wt = lambda_from_F(p, single_bin_spec(2, 1.0))
     with pytest.raises(ValidationError):
         s_direct("S5", p, tup, wt)
     with pytest.raises(ValidationError):
-        s_direct("S3", p, tup, wt, ftab, m=1, l=1)
-    with pytest.raises(ValidationError):
-        s_direct("S2", p, tup, wt)  # no factor table
+        s_direct("S3", p, tup, wt, m=1, l=1)
     assert s_direct("S1", p, tup, wt).value >= 0
 
 
-def test_s3_zero_when_rho_support_empty(ftab):
+def test_s3_zero_when_rho_support_empty():
     # shifts forced to 3 mod 4 residues never happen since n = 1 mod 4 and
     # 4 | h; instead empty support comes from a window where no n passes
     p = relaxed(10**4, 0.1, 1.0, 10)
     tup = AdmissibleTuple((0, 4))
     wt = lambda_from_F(p, single_bin_spec(2, 1.0))
-    r = s_direct("S3", p, tup, wt, ftab, m=0, l=1)
+    r = s_direct("S3", p, tup, wt, m=0, l=1)
     assert r.value >= 0 or r.value < 0  # finite
     assert r.n_terms > 0
 

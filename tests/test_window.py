@@ -7,10 +7,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from twosquares.arith import FactorTable
+from twosquares import sieve
+from twosquares.arith import FactorTable, trial_factorize
 from twosquares.bins import BinPartition, second_moment_lhs
-from twosquares.hooley import rho, rho_on
+from twosquares.hooley import RhoParams, rho, rho_on
 from twosquares.sieve import (
     AdmissibleTuple,
     SieveParams,
@@ -107,7 +109,7 @@ def test_rho_on_vs_scalar_rho(pp, shifts, ftab_2e6):
     ns = window(p, tup, 2 * p.N)
     for h in tup.h:
         prog = range(ns.start + h, ns.stop + h, ns.step)
-        got = rho_on(rp, prog, ftab_2e6)
+        got = rho_on(rp, prog)
         assert len(got) == len(prog)
         for m, g in zip(prog, got.tolist()):
             want = rho(rp, ftab_2e6.factorize(m))
@@ -120,10 +122,22 @@ def test_rho_on_vs_scalar_rho(pp, shifts, ftab_2e6):
 def test_rho_on_steps_and_empty(ftab):
     rp = relaxed(10**4, 0.5, 1.0, 1).rho_params()
     for prog in (range(1, 3000), range(5, 20000, 35), range(13, 30000, 210)):
-        got = rho_on(rp, prog, ftab)
+        got = rho_on(rp, prog)
         want = [rho(rp, ftab.factorize(m)) for m in prog]
         assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert len(rho_on(rp, range(100, 100, 4), ftab)) == 0
+    assert len(rho_on(rp, range(100, 100, 4))) == 0
+
+
+@given(
+    theta1=st.sampled_from([0.2, 0.3, 1 / 3, 0.35, 0.4]),  # v = 15, 63, 100, 125, 251
+    start=st.integers(min_value=1, max_value=10**6),
+    step=st.one_of(st.sampled_from([1, 4, 12, 420]), st.integers(min_value=1, max_value=10**4)),
+    count=st.integers(min_value=0, max_value=40),
+)
+def test_rho_on_property(theta1, start, step, count):
+    rp = RhoParams(N=10**6, theta1=theta1, strict=False)
+    prog = range(start, start + count * step, step)
+    assert rho_on(rp, prog).tolist() == [rho(rp, trial_factorize(m)) for m in prog]
 
 
 # -- evaluator A of the certificate against a scalar evaluation ---------------------
@@ -147,9 +161,36 @@ def test_evaluator_a_vs_scalar_rho(ftab, D0):
             bracket -= ((s - part.mu[i]) / part.t[i]) ** 2
         terms.append(bracket * w * w)
     want = math.fsum(terms)
-    res = second_moment_lhs(p, tup, part, wt, ftab)
+    res = second_moment_lhs(p, tup, part, wt)
     assert res.lhs_direct == pytest.approx(want, rel=1e-12)
     assert res.lhs_assembled == pytest.approx(want, rel=1e-12)
+
+
+def test_evaluator_b_reads_one_rho_per_shift(monkeypatch):
+    p = relaxed(10**4, 0.12, 1.0, 10)
+    tup = AdmissibleTuple((0, 4, 16))
+    part = BinPartition(sizes=(1, 2), mu=(1.5, 2.5), t=(1.0, 2.0))
+    wt = lambda_from_F(p, part.spec())
+    progressions = []
+
+    def counted(rp, prog):
+        progressions.append(prog)
+        return rho_on(rp, prog)
+
+    monkeypatch.setattr(sieve, "rho_on", counted)
+    res = second_moment_lhs(p, tup, part, wt)
+    ns = window(p, tup, 2 * p.N)
+    assert progressions == [range(ns.start + h, ns.stop + h, ns.step) for h in tup.h]
+    # the components are s_direct's reductions of the same arrays, bit for bit
+    assert res.components["S1"] == s_direct("S1", p, tup, wt).value
+    for i in range(part.M):
+        idx = part.indices(i)
+        want = {
+            "S3": sum(s_direct("S3", p, tup, wt, m=a, l=b).value for a in idx for b in idx if a != b),
+            "S4": sum(s_direct("S4", p, tup, wt, m=a).value for a in idx),
+            "S2": sum(s_direct("S2", p, tup, wt, m=a).value for a in idx),
+        }
+        assert res.components[f"bin{i}"] == want
 
 
 # -- the window where rho < 0 fires --------------------------------------------------
@@ -158,31 +199,31 @@ def test_evaluator_a_vs_scalar_rho(ftab, D0):
 NEG = (1185665, 1313845, 1676285, 1698385)  # 1185665 = 5 * 13 * 17 * 29 * 37
 
 
-def test_negative_rho_window_pinned(ftab_2e6):
+def test_negative_rho_window_pinned():
     p = relaxed(10**6, 0.35, 0.4, 1)
     assert (p.v, p.R) == (125, 15)
     tup = AdmissibleTuple((0, 4))
     wt = lambda_from_F(p, single_bin_spec(2, 1.0))
-    s2 = s_direct("S2", p, tup, wt, ftab_2e6)
+    s2 = s_direct("S2", p, tup, wt)
     assert (s2.n_terms, s2.rho_negative_count, s2.rho_negative_examples) == (250000, 4, NEG)
     # S3 checks rho at both shifts, so each n + h is met as n + 0 and as (n - 4) + 4
-    s3 = s_direct("S3", p, tup, wt, ftab_2e6, m=0, l=1)
+    s3 = s_direct("S3", p, tup, wt, m=0, l=1)
     assert s3.rho_negative_count == 8
     assert s3.rho_negative_examples == tuple(x for x in NEG for _ in range(2))
     part = BinPartition(sizes=(2,), mu=(1.5,), t=(1.2,))
-    res = second_moment_lhs(p, tup, part, lambda_from_F(p, part.spec()), ftab_2e6)
+    res = second_moment_lhs(p, tup, part, lambda_from_F(p, part.spec()))
     assert res.rho_negative_count == 8
     assert res.rho_negative_examples == s3.rho_negative_examples
     assert res.rel_difference < 1e-12
 
 
-def test_negative_rho_needs_nonzero_weight(ftab_2e6):
+def test_negative_rho_needs_nonzero_weight():
     p = relaxed(10**6, 0.35, 0.4, 1)
     ns = window(p, AdmissibleTuple((0, 4)), 2 * p.N)
     w = np.ones(len(ns))
-    _, count, examples = window_rho(p, ns, w, ftab_2e6, [0, 4])
+    _, count, examples = window_rho(p, ns, w, [0, 4])
     assert (count, examples) == (8, tuple(x for x in NEG for _ in range(2)))
     # with w(1185665) = 0 the pair (1185665, 0) drops; (1185661, 4) stays
     w[ns.index(NEG[0])] = 0.0
-    _, count, examples = window_rho(p, ns, w, ftab_2e6, [0, 4])
+    _, count, examples = window_rho(p, ns, w, [0, 4])
     assert (count, examples) == (7, (NEG[0], NEG[1], NEG[1], NEG[2], NEG[2], NEG[3], NEG[3]))
