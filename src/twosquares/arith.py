@@ -187,6 +187,54 @@ def is_sum_of_two_squares(f: Factorization) -> bool:
     return all(e % 2 == 0 for p, e in f.pairs if p % 4 == 3)
 
 
+# Below 2^52 the float64 sqrt floors to the integer square root exactly: v is
+# exact, sqrt is correctly rounded, and v < (k + 1)^2 keeps sqrt(v) more than
+# half an ulp below k + 1.  Just above, at (2^26 + 1)^2 - 1, it floors one too high.
+TWO_SQUARES_LIMIT = 1 << 52
+
+
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """floor(sqrt(v)) for int64 0 <= v < TWO_SQUARES_LIMIT."""
+    return np.sqrt(v).astype(np.int64)
+
+
+# rows per block of two_squares: its per-step temporaries stay at 64 KiB, which
+# malloc reuses.  Unblocked, or at 2^14 rows, a witness search's 37,232
+# certificates left 1-2 MB more resident after the call.
+_TWO_SQUARES_BLOCK = 1 << 13
+
+
+def two_squares(ms) -> np.ndarray:
+    """For every m in ms the lexicographically least (x, y) with x >= y >= 0
+    and x^2 + y^2 = m, as int64[n, 2]; (-1, -1) where m is not a sum of two
+    squares.  Every row starts at x = ceil(sqrt(m/2)), and the rows still
+    open step x forward together until m - x^2 is a square or x^2 > m, so a
+    non-sum costs about 0.3 sqrt(m) steps.  Needs 0 <= m < 2^52."""
+    try:
+        ms = np.asarray(ms, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        ms = None
+    if ms is None or (ms.size and (ms.min() < 0 or ms.max() >= TWO_SQUARES_LIMIT)):
+        raise ValidationError("two_squares: every m must satisfy 0 <= m < 2^52")
+    out = np.full((len(ms), 2), -1, dtype=np.int64)
+    for lo in range(0, len(ms), _TWO_SQUARES_BLOCK):
+        m = ms[lo : lo + _TWO_SQUARES_BLOCK]
+        x = _isqrt(m // 2)
+        x += 2 * x * x < m
+        rows = np.flatnonzero(x * x <= m)
+        m, x = m[rows], x[rows]
+        rows += lo
+        while rows.size:
+            y2 = m - x * x
+            y = _isqrt(y2)
+            hit = y * y == y2
+            out[rows[hit]] = np.stack([x[hit], y[hit]], axis=1)
+            x += 1
+            go = ~hit & (x * x <= m)
+            rows, m, x = rows[go], m[go], x[go]
+    return out
+
+
 def rd_bruteforce(
     n: int, d: int, *, max_dim: int = 6, max_n: int = 10**6
 ) -> int:

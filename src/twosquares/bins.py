@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FactorTable, is_sum_of_two_squares, r2_on
+from .arith import FactorTable, is_sum_of_two_squares, r2_on, two_squares
 from .errors import ValidationError
 from .hooley import rho  # noqa: F401  (not called here; perfbench/tracer.py wraps bins.rho)
 from .sieve import (
@@ -130,6 +130,11 @@ def jakobson_tuple(i_max: int) -> AdmissibleTuple:
 # ---------------------------------------------------------------------------
 
 
+# tracemalloc peak per window point, for k = 1, 2, 3, 5 shifts at N = 10^5,
+# 10^6, 10^7: 48-56, 56-64, 64-72 and 93 bytes, charged 80 + 16k (>= 1.7x)
+CERTIFICATE_BYTES = (80, 16)
+
+
 @dataclass(frozen=True)
 class SecondMomentResult:
     lhs_direct: float
@@ -163,7 +168,7 @@ def second_moment_lhs(
     mu, t = partition.mu, partition.t
     min_ratio = min(m * m / (tt * tt) for m, tt in zip(mu, t))
 
-    ns = window(params, tup, 2 * params.N)
+    ns = window(params, tup, 2 * params.N, CERTIFICATE_BYTES)
     w = inner_weights(tup, ns, table.float_entries(), np.float64)
     rhos, neg_count, neg_examples = window_rho(params, ns, w, tup.h)
     ww = w * w
@@ -202,22 +207,22 @@ def second_moment_lhs(
 
 
 def two_square_decomposition(m: int) -> tuple[int, int] | None:
-    """Lexicographically least (x, y) with x >= y >= 0 and x^2 + y^2 = m."""
+    """Lexicographically least (x, y) with x >= y >= 0 and x^2 + y^2 = m,
+    from the two_squares kernel; None for m < 0 or when m is not a sum of
+    two squares, (0, 0) for m = 0; m >= 2^52 raises ValidationError."""
     if m < 0:
         return None
-    x = math.isqrt((m + 1) // 2)
-    if 2 * x * x < m:
-        x += 1
-    while x * x <= m:
-        y2 = m - x * x
-        y = math.isqrt(y2)
-        if y * y == y2:
-            return (x, y)
-        x += 1
-    return None
+    x, y = two_squares([m])[0].tolist()
+    return None if x < 0 else (x, y)
 
 
-@dataclass(frozen=True)
+# tracemalloc peak per window point, for k = 1, 2, 3, 5 shifts in one bin
+# (most hits) at N = 10^5, 10^6, 10^7: 246-269, 434, 509-520 and 596-609
+# bytes, nearly all of it the records, charged 680 + 24k (>= 1.31x)
+WITNESS_BYTES = (680, 24)
+
+
+@dataclass(frozen=True, slots=True)
 class WitnessRecord:
     """One n whose translates hit every bin, with exact certificates.
 
@@ -256,26 +261,30 @@ def witness_search(
     """Scan n in [N, n_limit), n = v0 (W), n = 1 (4); record every n for
     which each bin holds at least one h with n + h a sum of two squares.
 
-    Uses the exact indicator r_2(n + h) > 0 from r2_on, never rho; the
-    factor table only factorises the accepted n + h.  Results come in
+    Uses the exact indicator r_2(n + h) > 0 from r2_on, never rho.  Only
+    the accepted n + h are factorised, with the factor table, and one
+    two_squares call over all of them gives their (x, y).  Results come in
     increasing n."""
     if partition.k != tup.k:
         raise ValidationError("witness_search: partition arity != tuple size")
     if n_limit + max(tup.h) > factor_table.limit + 1:
         raise ValidationError("witness_search: FactorTable too small")
-    ns = window(params, tup, n_limit)
+    ns = window(params, tup, n_limit, WITNESS_BYTES)
     sos = np.stack([r2_on(range(ns.start + h, ns.stop + h, ns.step)) > 0 for h in tup.h])
     blocks = [partition.indices(i) for i in range(partition.M)]
     hits = np.nonzero(np.logical_and.reduce([sos[b].any(axis=0) for b in blocks]))[0]
     # per bin, the position of its smallest shift h with n + h a sum of two squares
     first = np.stack([b.start + sos[b][:, hits].argmax(axis=0) for b in blocks], axis=1)
+    n = ns.start + ns.step * hits
+    xy = iter(two_squares(n[:, None] + np.asarray(tup.h)[first]).ravel().tolist())
     out: list[WitnessRecord] = []
-    for pos, js in zip(hits, first):
-        n, hs = ns[pos], tuple(tup.h[j] for j in js)
+    for n_i, js in zip(n.tolist(), first):
+        hs = tuple(tup.h[j] for j in js)
+        # zip(xy, xy) reads the flat certificate list as consecutive (x, y)
         certs = tuple(
-            (h, factor_table.factorize(n + h).pairs, two_square_decomposition(n + h)) for h in hs
+            (h, factor_table.factorize(n_i + h).pairs, c) for h, c in zip(hs, zip(xy, xy))
         )
-        out.append(WitnessRecord(n, hs, certs))
+        out.append(WitnessRecord(n_i, hs, certs))
     return out
 
 

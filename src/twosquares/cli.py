@@ -370,7 +370,8 @@ def cmd_witness_search(args) -> dict:
     params, tup = _sieve_setup(cfg)
     n_limit = 2 * params.N if cfg["limit"] is None else int(float(cfg["limit"]))
     part = bins.BinPartition(sizes=_bin_sizes(cfg["bins"]))
-    sieve.window(params, tup, n_limit)  # the byte guard, before the factor table is built
+    # the byte guard, before the factor table is built
+    sieve.window(params, tup, n_limit, bins.WITNESS_BYTES)
     ft = build_factor_table(n_limit + max(abs(min(tup.h)), max(tup.h)) + 1)
     records = bins.witness_search(params, tup, part, n_limit, ft)
     verified = all(bins.verify_witness(r, ft) for r in records)

@@ -28,9 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import rd_bruteforce
+from .arith import rd_bruteforce, two_squares
 from .errors import InternalError, ResourceGuardError, ValidationError, check_bytes
-from .bins import two_square_decomposition
 
 # ---------------------------------------------------------------------------
 # shells
@@ -80,18 +79,18 @@ def enumerate_shell(n: int, d: int, *, max_dim: int = 6, max_n: int = 10**6) -> 
 
 def decompose_Mk(M: int, a_list: Sequence[int]) -> list[tuple[int, int]]:
     """Per j the lexicographically least (b, c), b >= c >= 0, with
-    M - a_j^2 = b^2 + c^2; raises naming the failing j if none exists."""
+    M - a_j^2 = b^2 + c^2, from one two_squares call over all j; raises
+    naming the failing j if none exists."""
+    rems = [M - a * a for a in a_list]
     out = []
-    for j, a in enumerate(a_list, start=1):
-        rem = M - a * a
+    for j, (rem, bc) in enumerate(zip(rems, two_squares([max(r, 0) for r in rems]).tolist()), 1):
         if rem < 0:
             raise ValidationError(f"decompose_Mk: M - a_{j}^2 = {rem} < 0")
-        bc = two_square_decomposition(rem)
-        if bc is None:
+        if bc[0] < 0:
             raise ValidationError(
                 f"decompose_Mk: M - a_{j}^2 = {rem} is not a sum of two squares"
             )
-        out.append(bc)
+        out.append(tuple(bc))
     return out
 
 

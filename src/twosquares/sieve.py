@@ -645,19 +645,13 @@ class SieveSumResult:
     rho_negative_examples: tuple[int, ...]
 
 
-# bytes per window point, plus per shift, that the largest scan holds at its
-# peak: witness_search with most n hits measures 253, 413, 478 and 547 under
-# tracemalloc for k = 1, 2, 3, 5 shifts (N = 10^5); S1-S4 and the certificate
-# stay < 80
-_WINDOW_BYTES, _SHIFT_BYTES = 400, 40
-
-
-def window(params: SieveParams, tup: AdmissibleTuple, end: int) -> range:
+def window(params: SieveParams, tup: AdmissibleTuple, end: int, cost: tuple[int, int]) -> range:
     """n in [N, end) with n = v0 (mod W) and n = 1 (mod 4) (W is odd), after
-    a byte guard on the arrays that the scans over it build."""
+    a byte guard for the scan over it, which names its own peak cost: a
+    bytes per point plus b per point and shift, for cost = (a, b)."""
     r, mod = crt([find_v0(params, tup), 1], [params.W, 4])
     ns = range(params.N + (r - params.N) % mod, end, mod)
-    need = len(ns) * (_WINDOW_BYTES + tup.k * _SHIFT_BYTES)
+    need = len(ns) * (cost[0] + tup.k * cost[1])
     check_bytes("window scan", need, f"{len(ns)} points x {tup.k} shifts")
     return ns
 
@@ -689,6 +683,13 @@ def window_rho(
     return rhos, len(rows), examples
 
 
+# tracemalloc peak per window point, for k = 1, 2, 3, 5 shifts at N = 10^5,
+# 10^6, 10^7: S1-S4 in floats hold 16-56 bytes, charged 80.  Exact S1 holds
+# w and w^2 as Python ints of about b and 2b bits, b the bits of the common
+# denominator: 89-401 bytes for b = 52-823, charged 96 + b/2 (>= 1.26x).
+SUM_BYTES, EXACT_S1_BYTES = 80, 96
+
+
 def s_direct(
     which: str,
     params: SieveParams,
@@ -715,9 +716,10 @@ def s_direct(
     if table.k != tup.k:
         raise ValidationError("s_direct: table arity != tuple size")
 
-    ns = window(params, tup, 2 * params.N)
+    den = table.common_denominator() if exact else 0
+    cost = EXACT_S1_BYTES + den.bit_length() // 2 if exact else SUM_BYTES
+    ns = window(params, tup, 2 * params.N, (cost, 0))
     if exact:
-        den = table.common_denominator()
         w = inner_weights(tup, ns, {d: int(v * den) for d, v in table.entries.items()}, object)
         frac = Fraction(int((w * w).sum()), den * den)
         return SieveSumResult(float(frac), frac, len(ns), 0, ())

@@ -1,8 +1,16 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from twosquares.arith import build_factor_table, is_sum_of_two_squares
+from twosquares.arith import (
+    _isqrt,
+    build_factor_table,
+    is_sum_of_two_squares,
+    primes_up_to,
+    two_squares,
+)
 from twosquares.bins import (
     BinPartition,
     default_mu_t,
@@ -22,6 +30,26 @@ from twosquares.sieve import AdmissibleTuple, SieveParams, lambda_from_F
 
 def relaxed(N, t1, t2, D0):
     return SieveParams(N=N, theta1=t1, theta2=t2, D0=D0, strict=False)
+
+
+def two_square_scan(m):
+    """Oracle: the least x >= ceil(sqrt(m/2)) with m - x^2 a square, by an
+    O(sqrt m) scan; None when there is none."""
+    x = math.isqrt((m + 1) // 2)
+    if 2 * x * x < m:
+        x += 1
+    while x * x <= m:
+        y = math.isqrt(m - x * x)
+        if x * x + y * y == m:
+            return (x, y)
+        x += 1
+    return None
+
+
+def assert_certificates_match_scan(records):
+    for r in records:
+        for h, _, xy in r.certificates:
+            assert xy == two_square_scan(r.n + h), (r.n, h)
 
 
 # -- constants ---------------------------------------------------------------
@@ -149,6 +177,7 @@ def test_witness_search_single_bin_is_indicator(ftab):
     ]
     assert [r.n for r in records] == expected
     assert all(verify_witness(r, ftab) for r in records)
+    assert_certificates_match_scan(records)
 
 
 def test_witness_search_two_bins(ftab):
@@ -157,6 +186,7 @@ def test_witness_search_two_bins(ftab):
     part = BinPartition(sizes=(1, 2))
     records = witness_search(p, tup, part, 2 * 10**4, ftab)
     assert len(records) >= 1
+    assert_certificates_match_scan(records)
     for r in records[:20]:
         assert verify_witness(r, ftab)
         # accepted element of bin 2 is the smallest working shift
@@ -183,6 +213,7 @@ def test_witness_search_negative_shifts(ftab):
     part = BinPartition(sizes=(1, 1))
     records = witness_search(p, tup, part, 2 * 10**4, ftab)
     assert records, "jakobson prefix should have witnesses in this window"
+    assert_certificates_match_scan(records)
     for r in records[:10]:
         assert verify_witness(r, ftab)
         for h, _, (x, y) in r.certificates:
@@ -232,3 +263,57 @@ def test_two_square_decomposition_convention():
     assert two_square_decomposition(25) == (4, 3)
     assert two_square_decomposition(3) is None
     assert two_square_decomposition(0) == (0, 0)
+
+
+# the largest c with 2 c^2 < 2^52, so every x^2 + y^2 with c >= x >= y is in range
+_C_MAX = math.isqrt(2**51 - 1)
+_P1 = [int(p) for p in primes_up_to(2000) if p % 4 == 1]
+_P3 = [int(p) for p in primes_up_to(2000) if p % 4 == 3]
+_SPECIAL = st.one_of(
+    st.integers(0, 10**6),
+    st.integers(0, 1000).map(lambda k: k * k),
+    st.builds(lambda a, p: 2**a * p, st.integers(0, 8), st.sampled_from([2, 3] + _P1 + _P3)),
+    # a prime 3 (mod 4) to an odd power: never a sum of two squares
+    st.builds(lambda q, e, s: q ** (2 * e + 1) * s, st.sampled_from(_P3[:8]), st.integers(0, 1),
+              st.integers(1, 50)),
+    # just below 2^52: x^2 + y^2 with x, y near sqrt(2^51), so the scan stays short
+    st.builds(lambda x, d: x * x + (x - d) ** 2, st.integers(_C_MAX - 3000, _C_MAX),
+              st.integers(0, 2000)),
+)
+
+
+@given(st.lists(_SPECIAL, max_size=40))
+def test_two_squares_property(ms):
+    ms = [0, 1, 2, *ms]
+    want = [list(two_square_scan(m) or (-1, -1)) for m in ms]
+    got = two_squares(np.array(ms, dtype=np.int64))
+    assert got.dtype == np.int64 and got.shape == (len(ms), 2)
+    assert got.tolist() == want
+
+
+@given(st.integers(1, 2**26 - 1))
+def test_float_sqrt_floors_exactly_below_limit(k):
+    vs = [k * k - 1, k * k, k * k + 2 * k]  # all below 2^52
+    assert _isqrt(np.array(vs, dtype=np.int64)).tolist() == [k - 1, k, k]
+
+
+def test_two_squares_across_blocks():
+    # three blocks of rows and a ragged fourth, in shuffled order
+    ms = np.random.default_rng(0).permutation(3 * 2**13 + 5)
+    want = [list(two_square_scan(m) or (-1, -1)) for m in ms.tolist()]
+    assert two_squares(ms).tolist() == want
+
+
+def test_two_squares_domain():
+    # the reason for the limit: one past it the float sqrt rounds up to k + 1
+    k = 2**26 + 1
+    assert _isqrt(np.array([k * k - 1]))[0] == k != math.isqrt(k * k - 1)
+    assert two_squares([]).shape == (0, 2)
+    assert two_squares([2 * _C_MAX**2]).tolist() == [[_C_MAX, _C_MAX]]
+    over = 2 * (_C_MAX + 1) ** 2  # just over 2^52, found at once if it were let in
+    for bad in ([-1], [5, over], [2**70]):
+        with pytest.raises(ValidationError):
+            two_squares(bad)
+    assert two_square_decomposition(-1) is None
+    with pytest.raises(ValidationError):
+        two_square_decomposition(over)

@@ -205,7 +205,8 @@ def test_btable_guard_exit_code(capsys, monkeypatch):
     ids=["witness-search", "certificate"],
 )
 def test_window_guard_exit_code(capsys, monkeypatch, argv):
-    # 2,500 points x 3 shifts need ~9e5 bytes; no window array may be built
+    # 2,500 points x 3 shifts need 3.2e5 bytes for the certificate and 1.9e6
+    # for the witness search; no window array may be built
     monkeypatch.setattr(errors, "BYTE_BUDGET", 10**5)
 
     def unreachable(*args, **kwargs):
@@ -220,6 +221,20 @@ def test_window_guard_exit_code(capsys, monkeypatch, argv):
     err = json.loads(out)["error"]
     assert err["type"] == "resource_guard" and err["message"].startswith("window scan")
     assert "2500 points x 3 shifts" in err["cost_estimate"]
+
+
+def test_window_guard_is_per_scan(capsys, monkeypatch):
+    # on the same 2,500 points x 3 shifts the certificate's arrays fit a
+    # budget that the witness search's records do not
+    (a, b), (c, d) = bins.CERTIFICATE_BYTES, bins.WITNESS_BYTES
+    certificate, witness = 2500 * (a + 3 * b), 2500 * (c + 3 * d)
+    assert certificate < witness
+    monkeypatch.setattr(errors, "BYTE_BUDGET", (certificate + witness) // 2)
+    code, _ = run(capsys, ["certificate", "--N", "1e4", "--mu", "1.5,2.5", "--t", "1,2"])
+    assert code == 0
+    code, out = run(capsys, ["witness-search", "--N", "1e4", "--limit", "2e4"])
+    assert code == 3
+    assert "2500 points x 3 shifts" in json.loads(out)["error"]["cost_estimate"]
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ bookkeeping) against per-n oracles written here, and the window where
 rho < 0 fires pinned."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -11,9 +12,17 @@ from hypothesis import given, strategies as st
 
 from twosquares import sieve
 from twosquares.arith import FactorTable, trial_factorize
-from twosquares.bins import BinPartition, second_moment_lhs
+from twosquares.bins import (
+    CERTIFICATE_BYTES,
+    WITNESS_BYTES,
+    BinPartition,
+    second_moment_lhs,
+    witness_search,
+)
 from twosquares.hooley import RhoParams, rho, rho_on
 from twosquares.sieve import (
+    EXACT_S1_BYTES,
+    SUM_BYTES,
     AdmissibleTuple,
     SieveParams,
     find_v0,
@@ -67,8 +76,8 @@ WEIGHT_CASES = [
 def test_window_matches_filter(pp, shifts):
     p = relaxed(*pp)
     tup = AdmissibleTuple(shifts)
-    assert list(window(p, tup, 2 * p.N)) == window_oracle(p, tup, 2 * p.N)
-    assert list(window(p, tup, p.N + 1000)) == window_oracle(p, tup, p.N + 1000)
+    assert list(window(p, tup, 2 * p.N, (SUM_BYTES, 0))) == window_oracle(p, tup, 2 * p.N)
+    assert list(window(p, tup, p.N + 1000, (SUM_BYTES, 0))) == window_oracle(p, tup, p.N + 1000)
 
 
 @pytest.mark.parametrize("pp, shifts", WEIGHT_CASES)
@@ -76,7 +85,7 @@ def test_inner_weights_vs_divisor_scan(pp, shifts):
     p = relaxed(*pp)
     tup = AdmissibleTuple(shifts)
     wt = lambda_from_F(p, single_bin_spec(tup.k, 1.0))
-    ns = window(p, tup, 2 * p.N)
+    ns = window(p, tup, 2 * p.N, (SUM_BYTES, 0))
     floats = wt.float_entries()
     w = inner_weights(tup, ns, floats, np.float64)
     scale = max(abs(x) for x in floats.values())
@@ -106,7 +115,7 @@ def test_rho_on_vs_scalar_rho(pp, shifts, ftab_2e6):
     p = relaxed(*pp)
     tup = AdmissibleTuple(shifts)
     rp = p.rho_params()
-    ns = window(p, tup, 2 * p.N)
+    ns = window(p, tup, 2 * p.N, (SUM_BYTES, 0))
     for h in tup.h:
         prog = range(ns.start + h, ns.stop + h, ns.step)
         got = rho_on(rp, prog)
@@ -179,7 +188,7 @@ def test_evaluator_b_reads_one_rho_per_shift(monkeypatch):
 
     monkeypatch.setattr(sieve, "rho_on", counted)
     res = second_moment_lhs(p, tup, part, wt)
-    ns = window(p, tup, 2 * p.N)
+    ns = window(p, tup, 2 * p.N, (SUM_BYTES, 0))
     assert progressions == [range(ns.start + h, ns.stop + h, ns.step) for h in tup.h]
     # the components are s_direct's reductions of the same arrays, bit for bit
     assert res.components["S1"] == s_direct("S1", p, tup, wt).value
@@ -219,7 +228,7 @@ def test_negative_rho_window_pinned():
 
 def test_negative_rho_needs_nonzero_weight():
     p = relaxed(10**6, 0.35, 0.4, 1)
-    ns = window(p, AdmissibleTuple((0, 4)), 2 * p.N)
+    ns = window(p, AdmissibleTuple((0, 4)), 2 * p.N, (SUM_BYTES, 0))
     w = np.ones(len(ns))
     _, count, examples = window_rho(p, ns, w, [0, 4])
     assert (count, examples) == (8, tuple(x for x in NEG for _ in range(2)))
@@ -227,3 +236,29 @@ def test_negative_rho_needs_nonzero_weight():
     w[ns.index(NEG[0])] = 0.0
     _, count, examples = window_rho(p, ns, w, [0, 4])
     assert (count, examples) == (7, (NEG[0], NEG[1], NEG[1], NEG[2], NEG[2], NEG[3], NEG[3]))
+
+
+def test_scans_peak_within_charged_bytes(ftab):
+    # each window scan's tracemalloc peak stays under what it charges the
+    # byte guard per point (0.56-0.77 of it at N = 10^4)
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    p = relaxed(10**4, 0.1, 1, 1)
+    tup, one = AdmissibleTuple((0, 4, 16)), AdmissibleTuple((0,))
+    n = len(window(p, tup, 2 * p.N, (0, 0)))
+    part = BinPartition(sizes=(3,), mu=(1.5,), t=(1.0,))
+    wt, wt1 = lambda_from_F(p, part.spec()), lambda_from_F(p, single_bin_spec(1))
+    exact_cost = EXACT_S1_BYTES + wt1.common_denominator().bit_length() // 2
+    for fn, (a, b), k in [
+        (lambda: second_moment_lhs(p, tup, part, wt), CERTIFICATE_BYTES, 3),
+        (lambda: s_direct("S3", p, tup, wt, m=0, l=2), (SUM_BYTES, 0), 3),
+        (lambda: s_direct("S1", p, one, wt1, exact=True), (exact_cost, 0), 1),
+        (lambda: witness_search(p, tup, BinPartition(sizes=(3,)), 2 * p.N, ftab), WITNESS_BYTES, 3),
+    ]:
+        assert peak(fn) < n * (a + k * b)
