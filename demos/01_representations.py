@@ -25,11 +25,11 @@ for n in (1, 2, 3, 9, 21, 25, 50, 65, 99):
 
 print("\nr_3(n^2): closed form vs brute force")
 for n in (1, 2, 3, 5, 10, 21):
-    print(f"  n={n:2d}: {rd_square_identity(n, 3, table):6d} vs {rd_bruteforce(n * n, 3):6d}")
+    print(f"  n={n:2d}: {rd_square_identity(n, 3):6d} vs {rd_bruteforce(n * n, 3):6d}")
 
 print("\nr_4(n^2), even n (exact) and odd n (closed form is 3x too big):")
 for n in (2, 4, 6, 3, 5):
-    ident = rd_square_identity(n, 4, table)
+    ident = rd_square_identity(n, 4)
     brute = rd_bruteforce(n * n, 4)
     tag = "ok" if ident == brute else f"ratio {ident / brute:.0f}"
     print(f"  n={n:2d}: {ident:6d} vs {brute:6d}  ({tag})")

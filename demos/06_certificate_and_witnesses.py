@@ -4,21 +4,22 @@ The certificate's left-hand side is computed pointwise over the window
 and assembled from the S-sums.  Both read the same inner weights and the
 same rho arrays, so their agreement to machine precision checks the
 expansion algebra.  Witness search then finds actual n whose translates
-hit every bin (verified by exact factorisation certificates), and the
-pigeonhole extraction turns per-M witness rows into one nested sequence.
+hit every bin (each n + h certified by an (x, y) with x^2 + y^2 = n + h,
+checked in exact integers), and the pigeonhole extraction turns per-M
+witness rows into one nested sequence.
 """
 
 from twosquares import (
     AdmissibleTuple,
     BinPartition,
     SieveParams,
-    build_factor_table,
     jakobson_tuple,
     lambda_from_F,
     pigeonhole_extract,
     second_moment_lhs,
     witness_search,
 )
+from twosquares.arith import trial_factorize
 from twosquares.bins import default_mu_t, feasibility_condition, theorem_constants, verify_witness
 
 tc = theorem_constants(1 / 40, 1 / 40)
@@ -38,13 +39,12 @@ print(f"  direct   {res.lhs_direct:.6f}")
 print(f"  assembled {res.lhs_assembled:.6f}")
 print(f"  relative difference {res.rel_difference:.2e}; rho<0 encountered: {res.rho_negative_count}")
 
-ftab = build_factor_table(2 * 10**4 + 32)
-records = witness_search(params, tup, BinPartition(sizes=(1, 2)), 2 * 10**4, ftab)
+records = witness_search(params, tup, BinPartition(sizes=(1, 2)), 2 * 10**4)
 print(f"\nwitnesses for bins {{0}},{{4,16}} in [10^4, 2*10^4): {len(records)}")
 w = records[0]
-print(f"  first: n = {w.n}, accepted shifts {w.accepted}, verified: {verify_witness(w, ftab)}")
-for h, pairs, (x, y) in w.certificates:
-    print(f"    n+{h} = {w.n + h} = {x}^2 + {y}^2, factorisation {pairs}")
+print(f"  first: n = {w.n}, accepted shifts {w.accepted}, verified: {verify_witness(w)}")
+for h, (x, y) in zip(w.accepted, w.certificates):
+    print(f"    n+{h} = {w.n + h} = {x}^2 + {y}^2, factorisation {trial_factorize(w.n + h).pairs}")
 
 rows = [records[0].accepted[:1], records[0].accepted, records[1].accepted]
 ext = pigeonhole_extract([tuple(r) for r in rows])
@@ -52,5 +52,5 @@ print(f"\npigeonhole over rows {rows}: a = {list(ext.a)}, depth {ext.depth}")
 
 jt = jakobson_tuple(2)
 print(f"\nnegative-shift tuple {jt.h}: witnesses in the same window:")
-recs = witness_search(params, jt, BinPartition(sizes=(1, 1)), 2 * 10**4, ftab)
+recs = witness_search(params, jt, BinPartition(sizes=(1, 1)), 2 * 10**4)
 print(f"  {len(recs)} found; first n = {recs[0].n} with shifts {recs[0].accepted}")

@@ -208,8 +208,10 @@ def two_squares(ms) -> np.ndarray:
     """For every m in ms the lexicographically least (x, y) with x >= y >= 0
     and x^2 + y^2 = m, as int64[n, 2]; (-1, -1) where m is not a sum of two
     squares.  Every row starts at x = ceil(sqrt(m/2)), and the rows still
-    open step x forward together until m - x^2 is a square or x^2 > m, so a
-    non-sum costs about 0.3 sqrt(m) steps.  Needs 0 <= m < 2^52."""
+    open step x forward together until m - x^2 is a square or x^2 > m.  A
+    row whose odd part is 3 (mod 4) is no sum and is rejected before the
+    walk; any other non-sum (21 * 2^a, say) still costs about 0.3 sqrt(m)
+    steps.  Needs 0 <= m < 2^52."""
     try:
         ms = np.asarray(ms, dtype=np.int64).reshape(-1)
     except OverflowError:
@@ -221,7 +223,8 @@ def two_squares(ms) -> np.ndarray:
         m = ms[lo : lo + _TWO_SQUARES_BLOCK]
         x = _isqrt(m // 2)
         x += 2 * x * x < m
-        rows = np.flatnonzero(x * x <= m)
+        odd = m // np.maximum(m & -m, 1)  # m over its largest power of 2; 0 for m = 0
+        rows = np.flatnonzero((x * x <= m) & (odd % 4 != 3))
         m, x = m[rows], x[rows]
         rows += lo
         while rows.size:
@@ -295,7 +298,7 @@ def r2_lattice_range(limit: int) -> np.ndarray:
     return counts
 
 
-def rd_square_identity(n: int, d: int, table: FactorTable | None = None) -> int:
+def rd_square_identity(n: int, d: int) -> int:
     """The closed forms for r_3(n^2) and r_4(n^2), writing n = 2^k * m, m odd.
 
       r_3(n^2) = 6 * prod_{p^a || m} (sigma(p^a) - (-1)^((p-1)/2) sigma(p^(a-1)))
@@ -313,7 +316,7 @@ def rd_square_identity(n: int, d: int, table: FactorTable | None = None) -> int:
     m = n
     while m % 2 == 0:
         m //= 2
-    fm = table.factorize(m) if table is not None else trial_factorize(m)
+    fm = trial_factorize(m)
     if d == 4:
         m2 = Factorization(tuple((p, 2 * e) for p, e in fm.pairs))
         return 24 * sigma(m2)

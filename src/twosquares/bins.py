@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FactorTable, is_sum_of_two_squares, r2_on, two_squares
-from .errors import ValidationError
+from .arith import is_sum_of_two_squares  # noqa: F401  (not called here; perfbench/tracer.py wraps it)
+from .arith import r2_on, two_squares
+from .errors import ResourceGuardError, ValidationError
 from .hooley import rho  # noqa: F401  (not called here; perfbench/tracer.py wraps bins.rho)
 from .sieve import (
     AdmissibleTuple,
@@ -217,9 +218,14 @@ def two_square_decomposition(m: int) -> tuple[int, int] | None:
 
 
 # tracemalloc peak per window point, for k = 1, 2, 3, 5 shifts in one bin
-# (most hits) at N = 10^5, 10^6, 10^7: 246-269, 434, 509-520 and 596-609
-# bytes, nearly all of it the records, charged 680 + 24k (>= 1.31x)
-WITNESS_BYTES = (680, 24)
+# (most hits) at N = 10^5, 10^6, 10^7: 147-158, 247-258, 298-312 and 343-367
+# bytes, nearly all of it the records, charged 360 + 24k (>= 1.31x)
+WITNESS_BYTES = (360, 24)
+
+# n + h < 2^32 caps r2_on at the primes below 2^16 and the two_squares walk at
+# 0.29 * 2^16 steps per block: just below it the CLI search over 10^5 (10^6)
+# window points takes 2.4 s (21 s) on an Intel Xeon core, shifts 0, 4, 16
+WITNESS_LIMIT = 1 << 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,28 +233,22 @@ class WitnessRecord:
     """One n whose translates hit every bin, with exact certificates.
 
     accepted[i] is the smallest shift h in bin i with n + h a sum of two
-    squares; certificates[i] = (h, factorization pairs of n+h, (x, y))."""
+    squares, and certificates[i] = (x, y) with x^2 + y^2 = n + accepted[i]."""
 
     n: int
     accepted: tuple[int, ...]
-    certificates: tuple[tuple[int, tuple[tuple[int, int], ...], tuple[int, int]], ...]
+    certificates: tuple[tuple[int, int], ...]
 
 
-def verify_witness(record: WitnessRecord, factor_table: FactorTable) -> bool:
-    """Recompute every certificate: factorisation parity and x^2+y^2 = n+h."""
-    for h, pairs, (x, y) in record.certificates:
-        m = record.n + h
-        f = factor_table.factorize(m) if m >= 1 else None
-        if m >= 1:
-            if f.pairs != pairs:
-                return False
-            if not is_sum_of_two_squares(f):
-                return False
-            if any(p % 4 == 3 and e % 2 for p, e in pairs):
-                return False
-        if x * x + y * y != m:
-            return False
-    return True
+def verify_witness(record: WitnessRecord) -> bool:
+    """Recheck the record in Python ints: one certificate per accepted shift
+    h, and each certificate (x, y) has x^2 + y^2 = n + h."""
+    if len(record.certificates) != len(record.accepted):
+        return False
+    return all(
+        int(x) ** 2 + int(y) ** 2 == record.n + h
+        for h, (x, y) in zip(record.accepted, record.certificates)
+    )
 
 
 def witness_search(
@@ -256,19 +256,19 @@ def witness_search(
     tup: AdmissibleTuple,
     partition: BinPartition,
     n_limit: int,
-    factor_table: FactorTable,
 ) -> list[WitnessRecord]:
     """Scan n in [N, n_limit), n = v0 (W), n = 1 (4); record every n for
     which each bin holds at least one h with n + h a sum of two squares.
 
-    Uses the exact indicator r_2(n + h) > 0 from r2_on, never rho.  Only
-    the accepted n + h are factorised, with the factor table, and one
-    two_squares call over all of them gives their (x, y).  Results come in
-    increasing n."""
+    The exact indicator r_2(n + h) > 0 comes from the r2_on sieve, never
+    from rho.  One two_squares call over all accepted n + h then finds
+    their (x, y) by its own search, so verify_witness still fails if the
+    sieve accepted a non-sum.  Every n + h must lie below WITNESS_LIMIT,
+    checked before the window's byte guard.  Results come in increasing n."""
     if partition.k != tup.k:
         raise ValidationError("witness_search: partition arity != tuple size")
-    if n_limit + max(tup.h) > factor_table.limit + 1:
-        raise ValidationError("witness_search: FactorTable too small")
+    if (top := n_limit - 1 + max(tup.h)) >= WITNESS_LIMIT:
+        raise ResourceGuardError("witness_search: n + h past WITNESS_LIMIT", f"n + h up to {top}")
     ns = window(params, tup, n_limit, WITNESS_BYTES)
     sos = np.stack([r2_on(range(ns.start + h, ns.stop + h, ns.step)) > 0 for h in tup.h])
     blocks = [partition.indices(i) for i in range(partition.M)]
@@ -276,23 +276,20 @@ def witness_search(
     # per bin, the position of its smallest shift h with n + h a sum of two squares
     first = np.stack([b.start + sos[b][:, hits].argmax(axis=0) for b in blocks], axis=1)
     n = ns.start + ns.step * hits
-    xy = iter(two_squares(n[:, None] + np.asarray(tup.h)[first]).ravel().tolist())
-    out: list[WitnessRecord] = []
-    for n_i, js in zip(n.tolist(), first):
-        hs = tuple(tup.h[j] for j in js)
-        # zip(xy, xy) reads the flat certificate list as consecutive (x, y)
-        certs = tuple(
-            (h, factor_table.factorize(n_i + h).pairs, c) for h, c in zip(hs, zip(xy, xy))
-        )
-        out.append(WitnessRecord(n_i, hs, certs))
-    return out
+    h = np.asarray(tup.h)[first]
+    xy = two_squares(n[:, None] + h).reshape(len(n), partition.M, 2)
+    # per-n tuples zipped from column lists: per-n nested lists from tolist()
+    # raised the peak from 312 to 453 bytes per point at k = 3, N = 10^6
+    accepted = zip(*h.T.tolist())
+    certificates = zip(*(zip(*xy[:, i].T.tolist()) for i in range(partition.M)))
+    return [WitnessRecord(*r) for r in zip(n.tolist(), accepted, certificates)]
 
 
 def witness_csv_rows(records: list[WitnessRecord]) -> list[str]:
     """Export rows "n,bin,h,x,y" (one per accepted bin element)."""
     rows = ["n,bin,h,x,y"]
     for r in records:
-        for i, (h, _, (x, y)) in enumerate(r.certificates):
+        for i, (h, (x, y)) in enumerate(zip(r.accepted, r.certificates)):
             rows.append(f"{r.n},{i},{h},{x},{y}")
     return rows
 

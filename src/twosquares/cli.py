@@ -17,8 +17,10 @@ import time
 from datetime import datetime, timezone
 from fractions import Fraction
 
+import numpy as np
+
 from . import ap_sums, aux_sums, bins, quantum, sieve
-from .arith import build_factor_table
+from .arith import build_factor_table, primes_up_to
 from .constants import landau_ramanujan_A, special_constants
 from .errors import InternalError, ResourceGuardError, ValidationError
 
@@ -123,10 +125,9 @@ _DEFAULTS = {
 def cmd_build_table(args) -> dict:
     cfg = _resolve(args, ["N"])
     table = build_factor_table(int(cfg["N"]))
-    import numpy as np
-
-    idx = np.arange(2, table.limit + 1)
-    n_primes = int((table.spf[2:] == idx).sum())
+    # a composite n has spf[n] <= isqrt(limit), so no index array is needed
+    root = math.isqrt(table.limit)
+    n_primes = int(np.count_nonzero(table.spf[2:] > root)) + len(primes_up_to(root))
     return {
         "experiment": "build-table",
         "config": cfg,
@@ -370,11 +371,8 @@ def cmd_witness_search(args) -> dict:
     params, tup = _sieve_setup(cfg)
     n_limit = 2 * params.N if cfg["limit"] is None else int(float(cfg["limit"]))
     part = bins.BinPartition(sizes=_bin_sizes(cfg["bins"]))
-    # the byte guard, before the factor table is built
-    sieve.window(params, tup, n_limit, bins.WITNESS_BYTES)
-    ft = build_factor_table(n_limit + max(abs(min(tup.h)), max(tup.h)) + 1)
-    records = bins.witness_search(params, tup, part, n_limit, ft)
-    verified = all(bins.verify_witness(r, ft) for r in records)
+    records = bins.witness_search(params, tup, part, n_limit)
+    verified = all(bins.verify_witness(r) for r in records)
     if cfg["csv"]:
         with open(cfg["csv"], "w") as fh:
             fh.write("\n".join(bins.witness_csv_rows(records)) + "\n")

@@ -108,12 +108,11 @@ def test_criterion_01_r2_oracle_equivalence():
 
 
 def test_criterion_02_rd_square_identities():
-    table = build_factor_table(100)
-    ok = rd_square_identity(3, 3, table) == 30 and rd_square_identity(2, 4, table) == 24
+    ok = rd_square_identity(3, 3) == 30 and rd_square_identity(2, 4) == 24
     for n in range(1, 61):
-        ok = ok and rd_square_identity(n, 3, table) == rd_bruteforce(n * n, 3)
+        ok = ok and rd_square_identity(n, 3) == rd_bruteforce(n * n, 3)
     for n in range(2, 61, 2):
-        ok = ok and rd_square_identity(n, 4, table) == rd_bruteforce(n * n, 4)
+        ok = ok and rd_square_identity(n, 4) == rd_bruteforce(n * n, 4)
     report(2, "r3/r4 square identities n<=60", ok, "exact, d=4 even n only")
     assert ok
 
@@ -327,14 +326,14 @@ def test_criterion_09_second_moment_identity():
 # -- 10 -----------------------------------------------------------------------
 
 
-def test_criterion_10_witness_pipeline(ftab):
+def test_criterion_10_witness_pipeline():
     p = relaxed(10**4, 0.1, 0.5, 1)
     tup = AdmissibleTuple((0, 4, 16))
     # M = 1: the truncated tuple with its first bin; M = 2: bins {h1}, {h2, h3}
-    rec1 = witness_search(p, AdmissibleTuple((0,)), BinPartition(sizes=(1,)), 2 * 10**4, ftab)
-    rec2 = witness_search(p, tup, BinPartition(sizes=(1, 2)), 2 * 10**4, ftab)
+    rec1 = witness_search(p, AdmissibleTuple((0,)), BinPartition(sizes=(1,)), 2 * 10**4)
+    rec2 = witness_search(p, tup, BinPartition(sizes=(1, 2)), 2 * 10**4)
     ok = len(rec2) >= 1 and len(rec1) >= 1
-    ok = ok and all(verify_witness(r, ftab) for r in rec1 + rec2)
+    ok = ok and all(verify_witness(r) for r in rec1 + rec2)
     rows = [rec1[0].accepted, rec2[0].accepted]
     ext = pigeonhole_extract(rows)
     # consistency: depth reaches 2 and a_1 agrees with both rows' first column
@@ -466,9 +465,6 @@ def test_criterion_13_sieve_trend():
 
 
 def main() -> int:
-    from twosquares.arith import build_factor_table as bft
-
-    ftab = bft(250_000)
     r2_1e7 = r2_lattice_range(10**7 + 8)
     failures = 0
     for fn, args in [
@@ -481,7 +477,7 @@ def main() -> int:
         (test_criterion_07_ap_r2_sums, (r2_1e7,)),
         (test_criterion_08_aux_sums, ()),
         (test_criterion_09_second_moment_identity, ()),
-        (test_criterion_10_witness_pipeline, (ftab,)),
+        (test_criterion_10_witness_pipeline, ()),
         (test_criterion_11_quantum_limits, ()),
         (test_criterion_12_constants, ()),
         (test_criterion_13_sieve_trend, ()),

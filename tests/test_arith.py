@@ -264,11 +264,10 @@ def test_rd_square_identity_examples():
 
 
 def test_rd_square_identity_vs_bruteforce():
-    t = build_factor_table(100)
     for n in range(1, 61):
-        assert rd_square_identity(n, 3, t) == rd_bruteforce(n * n, 3)
+        assert rd_square_identity(n, 3) == rd_bruteforce(n * n, 3)
     for n in range(2, 61, 2):
-        assert rd_square_identity(n, 4, t) == rd_bruteforce(n * n, 4)
+        assert rd_square_identity(n, 4) == rd_bruteforce(n * n, 4)
 
 
 def test_rd4_odd_discrepancy_is_exactly_three():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from twosquares.arith import (
     two_squares,
 )
 from twosquares.bins import (
+    WITNESS_LIMIT,
     BinPartition,
     default_mu_t,
     feasibility_condition,
@@ -24,7 +26,7 @@ from twosquares.bins import (
     witness_csv_rows,
     witness_search,
 )
-from twosquares.errors import ValidationError
+from twosquares.errors import ResourceGuardError, ValidationError
 from twosquares.sieve import AdmissibleTuple, SieveParams, lambda_from_F
 
 
@@ -48,7 +50,7 @@ def two_square_scan(m):
 
 def assert_certificates_match_scan(records):
     for r in records:
-        for h, _, xy in r.certificates:
+        for h, xy in zip(r.accepted, r.certificates):
             assert xy == two_square_scan(r.n + h), (r.n, h)
 
 
@@ -169,14 +171,14 @@ def test_witness_search_single_bin_is_indicator(ftab):
     p = relaxed(10**4, 0.1, 0.5, 1)
     tup = AdmissibleTuple((0,))
     part = BinPartition(sizes=(1,))
-    records = witness_search(p, tup, part, 11000, ftab)
+    records = witness_search(p, tup, part, 11000)
     expected = [
         n
         for n in range(10**4, 11000)
         if n % 4 == 1 and is_sum_of_two_squares(ftab.factorize(n))
     ]
     assert [r.n for r in records] == expected
-    assert all(verify_witness(r, ftab) for r in records)
+    assert all(verify_witness(r) for r in records)
     assert_certificates_match_scan(records)
 
 
@@ -184,11 +186,11 @@ def test_witness_search_two_bins(ftab):
     p = relaxed(10**4, 0.1, 0.5, 1)
     tup = AdmissibleTuple((0, 4, 16))
     part = BinPartition(sizes=(1, 2))
-    records = witness_search(p, tup, part, 2 * 10**4, ftab)
+    records = witness_search(p, tup, part, 2 * 10**4)
     assert len(records) >= 1
     assert_certificates_match_scan(records)
     for r in records[:20]:
-        assert verify_witness(r, ftab)
+        assert verify_witness(r)
         # accepted element of bin 2 is the smallest working shift
         h2 = r.accepted[1]
         assert h2 in (4, 16)
@@ -200,32 +202,60 @@ def test_witness_search_two_bins(ftab):
     assert x * x + y * y == n + h
 
 
-def test_witness_search_empty_window(ftab):
+def test_witness_search_empty_window():
     p = relaxed(10**4, 0.1, 0.5, 1)
     tup = AdmissibleTuple((0,))
     part = BinPartition(sizes=(1,))
-    assert witness_search(p, tup, part, 10**4, ftab) == []
+    assert witness_search(p, tup, part, 10**4) == []
 
 
-def test_witness_search_negative_shifts(ftab):
+def test_witness_search_negative_shifts():
     p = relaxed(10**4, 0.1, 0.5, 1)
     tup = jakobson_tuple(2)  # shifts -100, -10000
     part = BinPartition(sizes=(1, 1))
-    records = witness_search(p, tup, part, 2 * 10**4, ftab)
+    records = witness_search(p, tup, part, 2 * 10**4)
     assert records, "jakobson prefix should have witnesses in this window"
     assert_certificates_match_scan(records)
     for r in records[:10]:
-        assert verify_witness(r, ftab)
-        for h, _, (x, y) in r.certificates:
+        assert verify_witness(r)
+        for h, (x, y) in zip(r.accepted, r.certificates):
             assert x * x + y * y == r.n + h
 
 
-def test_witness_rejects_negative_start(ftab):
+def test_witness_rejects_negative_start():
     p = relaxed(10**4, 0.1, 0.5, 1)
     tup = jakobson_tuple(3)  # includes -10^6 < -N
     part = BinPartition(sizes=(1, 1, 1))
     with pytest.raises(ValidationError):
-        witness_search(p, tup, part, 2 * 10**4, ftab)
+        witness_search(p, tup, part, 2 * 10**4)
+
+
+def test_witness_search_limit():
+    # the largest n + h may be WITNESS_LIMIT - 1, not WITNESS_LIMIT
+    p = relaxed(WITNESS_LIMIT - 200, 0.1, 0.5, 1)
+    tup = AdmissibleTuple((0, 4, 16))
+    part = BinPartition(sizes=(1, 2))
+    records = witness_search(p, tup, part, WITNESS_LIMIT - 16)
+    assert records and all(verify_witness(r) for r in records)
+    assert_certificates_match_scan(records)
+    with pytest.raises(ResourceGuardError):
+        witness_search(p, tup, part, WITNESS_LIMIT - 15)
+
+
+def test_verify_witness_rejects_forgeries():
+    p = relaxed(10**4, 0.1, 0.5, 1)
+    records = witness_search(p, AdmissibleTuple((0, 4, 16)), BinPartition(sizes=(1, 2)), 2 * 10**4)
+    # bin {4, 16} accepted 4, and n + 16 is a sum of two squares too
+    r = next(r for r in records if r.accepted[1] == 4 and two_square_decomposition(r.n + 16))
+    assert verify_witness(r)
+    (x0, y0), xy1 = r.certificates
+    forged = [
+        replace(r, certificates=((x0, y0 + 1), xy1)),
+        replace(r, certificates=((x0, y0), two_square_decomposition(r.n + 16))),
+        replace(r, accepted=(r.accepted[0], 16)),
+        replace(r, certificates=((x0, y0),)),
+    ]
+    assert not any(verify_witness(f) for f in forged)
 
 
 # -- pigeonhole ---------------------------------------------------------------------
@@ -263,6 +293,12 @@ def test_two_square_decomposition_convention():
     assert two_square_decomposition(25) == (4, 3)
     assert two_square_decomposition(3) is None
     assert two_square_decomposition(0) == (0, 0)
+
+
+def test_two_square_decomposition_large_non_sum():
+    # odd part 2^51 - 1 = 3 (mod 4): rejected without the ~0.3 sqrt(m) walk
+    assert two_square_decomposition(2**52 - 2) is None
+    assert two_squares([3 * 2**40, 7 * 4**20, 2**52 - 1]).tolist() == [[-1, -1]] * 3
 
 
 # the largest c with 2 c^2 < 2^52, so every x^2 + y^2 with c >= x >= y is in range

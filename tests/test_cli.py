@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from twosquares import bins, cli, errors, hooley, quantum
+from twosquares import arith, bins, cli, errors, hooley, quantum
 
 
 def run(capsys, argv):
@@ -45,6 +46,28 @@ def test_witness_search_dispatch(capsys, tmp_path):
     assert lines[0] == "n,bin,h,x,y"
     n, b, h, x, y = map(int, lines[1].split(","))
     assert x * x + y * y == n + h
+
+
+def test_witness_search_builds_no_factor_table(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("factor table built")
+
+    monkeypatch.setattr(cli, "build_factor_table", unreachable)
+    code, out = run(capsys, ["witness-search", "--N", "1e4", "--limit", "2e4"])
+    assert code == 0
+    assert json.loads(out)["results"][0]["all_verified"] is True
+
+
+def test_witness_search_limit_exit_code(capsys, monkeypatch):
+    # n + h near 9e18 is past bins.WITNESS_LIMIT: exit 3 before any window or sieve
+    def unreachable(*args, **kwargs):
+        raise AssertionError("witness scan started")
+
+    monkeypatch.setattr(bins, "window", unreachable)
+    monkeypatch.setattr(bins, "r2_on", unreachable)
+    code, out = run(capsys, ["witness-search", "--N", "9e18", "--limit", "9000000000001000000"])
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "resource_guard"
 
 
 def test_pigeonhole_dispatch(capsys):
@@ -159,6 +182,25 @@ def test_build_table_dispatch(capsys):
     assert json.loads(out)["results"][0]["primes_below_limit"] == 1229
 
 
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_table_count_adds_under_two_bytes_per_entry(tmp_path):
+    # the prime count after the table build allocates a bool mask of the
+    # table, no index array the length of it (8 bytes per entry)
+    out = tmp_path / "table.json"
+    table_peak = traced_peak(lambda: arith.build_factor_table(10**6))
+    peak = traced_peak(lambda: cli.main(["build-table", "--N", "1e6", "--output", str(out)]))
+    assert json.loads(out.read_text())["results"][0]["primes_below_limit"] == 78498
+    assert peak < table_peak + 2 * 10**6
+
+
 def test_bin_sizes_positions(capsys):
     assert cli._bin_sizes("1:1,2:2") == (1, 2)
     assert cli._bin_sizes("1,2") == (1, 2)
@@ -205,7 +247,7 @@ def test_btable_guard_exit_code(capsys, monkeypatch):
     ids=["witness-search", "certificate"],
 )
 def test_window_guard_exit_code(capsys, monkeypatch, argv):
-    # 2,500 points x 3 shifts need 3.2e5 bytes for the certificate and 1.9e6
+    # 2,500 points x 3 shifts need 3.2e5 bytes for the certificate and 1.1e6
     # for the witness search; no window array may be built
     monkeypatch.setattr(errors, "BYTE_BUDGET", 10**5)
 

@@ -95,6 +95,8 @@ def test_decompose_examples():
     with pytest.raises(ValidationError) as err:
         decompose_Mk(100, [6, 8, 9])  # 100 - 81 = 19 not a sum of two squares
     assert "a_3" in str(err.value)
+    with pytest.raises(ValidationError, match="not a sum of two squares"):
+        decompose_Mk(2**52 - 1, [1])  # M - 1 = 2 (2^51 - 1), odd part 3 (mod 4)
 
 
 # -- families ---------------------------------------------------------------------

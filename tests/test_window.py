@@ -238,7 +238,7 @@ def test_negative_rho_needs_nonzero_weight():
     assert (count, examples) == (7, (NEG[0], NEG[1], NEG[1], NEG[2], NEG[2], NEG[3], NEG[3]))
 
 
-def test_scans_peak_within_charged_bytes(ftab):
+def test_scans_peak_within_charged_bytes():
     # each window scan's tracemalloc peak stays under what it charges the
     # byte guard per point (0.56-0.77 of it at N = 10^4)
     def peak(fn):
@@ -259,6 +259,6 @@ def test_scans_peak_within_charged_bytes(ftab):
         (lambda: second_moment_lhs(p, tup, part, wt), CERTIFICATE_BYTES, 3),
         (lambda: s_direct("S3", p, tup, wt, m=0, l=2), (SUM_BYTES, 0), 3),
         (lambda: s_direct("S1", p, one, wt1, exact=True), (exact_cost, 0), 1),
-        (lambda: witness_search(p, tup, BinPartition(sizes=(3,)), 2 * p.N, ftab), WITNESS_BYTES, 3),
+        (lambda: witness_search(p, tup, BinPartition(sizes=(3,)), 2 * p.N), WITNESS_BYTES, 3),
     ]:
         assert peak(fn) < n * (a + k * b)
