@@ -43,8 +43,9 @@ class Factorization:
         return all(e == 1 for _, e in self.pairs)
 
 
-# tracemalloc peak per entry of the spf sieve: 5.78 at limit 10^5, 5.49 at 4 * 10^7
-_TABLE_BYTES = 6
+# tracemalloc peak per entry of the spf sieve: 5.78, 5.63, 5.53 and 5.51 bytes
+# at limits 10^5, 10^6, 10^7 and 2 * 10^7; charged 8 (>= 1.38x)
+_TABLE_BYTES = 8
 
 
 class FactorTable:

@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .arith import (
-    count_in_class,
     crt,
     euler_phi,
     floor_power,
@@ -733,38 +732,64 @@ def s_direct(
     return SieveSumResult(float(terms.sum()), None, len(ns), neg_count, neg_examples)
 
 
+def _inverse_mod(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a^-1 mod m per row (gcd 1): extended Euclid on the rows not yet done."""
+    out, rows = np.empty_like(a), np.arange(len(a))
+    r0, r1, s0, s1 = m, a % m, np.zeros_like(a), np.ones_like(a)
+    while len(rows):
+        done = r1 == 0
+        out[rows[done]] = s0[done]
+        rows, r0, r1, s0, s1 = [v[~done] for v in (rows, r0, r1, s0, s1)]
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return out % m
+
+
+# pairs per block (small: freed blocks stay resident, and 2^15 raised the tables
+# benchmark's peak RSS by 1 MB), and bytes charged per pair of b-bit weights on one
+# row more than a block, for the per-key data: >= 1.33x tracemalloc at 48-6000 keys
+PAIR_BLOCK, PAIR_BYTES = 1 << 12, 256
+
+
 def s1_pair_expansion(
     params: SieveParams, tup: AdmissibleTuple, table: WeightTable
 ) -> tuple[Fraction, int]:
-    """Independent S1 evaluator: expand the square into lambda_d lambda_e
-    pairs and count the CRT progression hits for each pair.
-
-    Returns (exact value, scaled-integer numerator) where the numerator is
-    over the squared common denominator -- bit-comparable with s_direct's
-    exact path.
+    """Independent S1 evaluator over lambda_d lambda_e pairs.  Key d holds the
+    class c_d mod M_d = 4W prod d_i of its congruences; a pair counts the n in
+    [N, 2N) where its two classes meet, if they do (gcd(M_d, M_e) | c_e - c_d).
+    Pairs run as int64 arrays, exact while 2N + max(M_d)^2 < 2^63 (checked up
+    front); the sum of scaled_d scaled_e count is in Python ints.  Nothing here
+    reads the scan's inner weights or progression slices, so agreeing with
+    s_direct(exact=True) checks both.  Returns (exact value, numerator over
+    the squared common denominator), bit-comparable with s_direct's exact path.
     """
-    v0 = find_v0(params, tup)
-    den = table.common_denominator()
-    scaled = {d: int(v * den) for d, v in table.entries.items()}
-    keys = list(scaled)
-    total_int = 0
-    N, W = params.N, params.W
-    for d in keys:
-        for e in keys:
-            moduli = [W, 4]
-            residues = [v0, 1]
-            for i, h in enumerate(tup.h):
-                lcm_i = d[i] * e[i] // math.gcd(d[i], e[i])
-                moduli.append(lcm_i)
-                residues.append(-h % lcm_i if lcm_i > 1 else 0)
-            sol = crt(residues, moduli)
-            if sol is None:
-                continue
-            r, mmod = sol
-            cnt = count_in_class(N, 2 * N, r, mmod)
-            if cnt:
-                total_int += scaled[d] * scaled[e] * cnt
-    return Fraction(total_int, den * den), total_int
+    v0, den, N = find_v0(params, tup), table.common_denominator(), params.N
+    cls = [crt([v0, 1, *(-h for h in tup.h)], [params.W, 4, *d]) for d in table.entries]
+    keys = [(sol, int(v * den)) for sol, v in zip(cls, table.entries.values()) if sol]
+    top = 2 * N + max((sol[1] for sol, _ in keys), default=1) ** 2
+    if top >= 1 << 63:
+        raise ResourceGuardError("s1_pair_expansion: int64 overflow", f"2N + max(M)^2 = {top:.2e}")
+    size, bits = len(keys), max((abs(s) for _, s in keys), default=0).bit_length()
+    rows = max(1, min(size, PAIR_BLOCK // max(size, 1)))
+    need = (rows + 1) * size * (PAIR_BYTES + 3 * bits // 4)
+    check_bytes("s1_pair_expansion", need, f"{rows} x {size} pairs per block, {bits}-bit weights")
+    c, M = np.array([sol for sol, _ in keys], dtype=np.int64).reshape(-1, 2).T
+    sc, total = np.array([s for _, s in keys], dtype=object), 0
+    for a in range(0, size, rows):
+        # the pairs (i, j), j >= i, of the rows a .. a + rows - 1, where the classes meet
+        I, J = np.nonzero(np.arange(a, min(a + rows, size))[:, None] <= np.arange(size))
+        I += a
+        g = np.gcd(M[I], M[J])
+        meet = (c[J] - c[I]) % g == 0
+        I, J, g = I[meet], J[meet], g[meet]
+        m1, m2 = M[I] // g, M[J] // g
+        # x = c_i + M_i t is in both classes, so its class mod L = m1 M_j is the meet
+        x = c[I] + M[I] * ((c[J] - c[I]) // g % m2 * _inverse_mod(m1, m2) % m2)
+        L = m1 * M[J]
+        cnt = (2 * N - 1 - x) // L - (N - 1 - x) // L
+        I, J, cnt = I[cnt != 0], J[cnt != 0], cnt[cnt != 0]
+        total += int((sc[I] * sc[J] * np.where(I == J, cnt, 2 * cnt)).sum())
+    return Fraction(total, den * den), total
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from twosquares import errors
+from twosquares import arith, errors
 
 from twosquares.arith import (
     Factorization,
@@ -88,7 +88,7 @@ def test_factor_table_rejects():
 
 
 def test_factor_table_byte_guard(monkeypatch):
-    # about 6 bytes per entry: limit 10^7 needs 6e7 bytes, 10^5 fits in 10^6
+    # 8 bytes per entry: limit 10^7 needs 8e7 bytes, 10^5 fits in 10^6
     monkeypatch.setattr(errors, "BYTE_BUDGET", 10**6)
     tracemalloc.start()
     try:
@@ -99,6 +99,17 @@ def test_factor_table_byte_guard(monkeypatch):
         tracemalloc.stop()
     assert "bytes" in exc.value.cost_estimate and peak < 1 << 16
     assert build_factor_table(10**5).spf[99991] == 99991
+
+
+def test_factor_table_peak_within_charge():
+    # the spf sieve keeps the 1.26x margin of the window scans under its charge
+    tracemalloc.start()
+    try:
+        build_factor_table(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < arith._TABLE_BYTES * 10**6 / 1.26
 
 
 def test_factorize_examples():

@@ -2,14 +2,18 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from twosquares.arith import build_factor_table
+from twosquares import errors
+from twosquares.arith import build_factor_table, count_in_class, crt
 from twosquares.constants import landau_ramanujan_A
 from twosquares.errors import ResourceGuardError, ValidationError
 from twosquares.sieve import TestFunctionSpec as TFSpec
 from twosquares.sieve import (
+    PAIR_BYTES,
     AdmissibleTuple,
     SieveParams,
+    WeightTable,
     adaptive_simpson,
     b_constant,
     base_integral_lin,
@@ -252,16 +256,99 @@ def test_s1_collapses_to_progression_count():
     assert res.value == sum(1 for n in range(1000, 2000) if n % 4 == 1)
 
 
-@pytest.mark.parametrize("D0", [1, 10])
-def test_s1_two_evaluators_bit_for_bit(D0):
+def s1_pair_loop(params, tup, table):
+    """Scalar oracle for s1_pair_expansion: one CRT over the lcm of d_i and
+    e_i per shift and one class count for each ordered pair (d, e)."""
+    v0 = find_v0(params, tup)
+    den = table.common_denominator()
+    scaled = {d: int(v * den) for d, v in table.entries.items()}
+    total_int = 0
+    N, W = params.N, params.W
+    for d in scaled:
+        for e in scaled:
+            moduli = [W, 4]
+            residues = [v0, 1]
+            for i, h in enumerate(tup.h):
+                lcm_i = d[i] * e[i] // math.gcd(d[i], e[i])
+                moduli.append(lcm_i)
+                residues.append(-h % lcm_i if lcm_i > 1 else 0)
+            sol = crt(residues, moduli)
+            if sol is None:
+                continue
+            r, mmod = sol
+            cnt = count_in_class(N, 2 * N, r, mmod)
+            if cnt:
+                total_int += scaled[d] * scaled[e] * cnt
+    return Fraction(total_int, den * den), total_int
+
+
+# ids: D0, prefixed by k where k != 2.  At (0, 4, 16) and D0 = 1 the keys
+# (1, 3, 1) and (1, 1, 3) meet mod 12 > 4W (3 | 16 - 4), while (3, 1, 1) and
+# (1, 3, 1) do not meet at all
+@pytest.mark.parametrize(
+    "h, D0",
+    [((0, 4), 1), ((0, 4), 10), ((0,), 1), ((0,), 10), ((0, 4, 16), 1), ((0, 4, 16), 10)],
+    ids=["1", "10", "k1-1", "k1-10", "k3-1", "k3-10"],
+)
+def test_s1_two_evaluators_bit_for_bit(h, D0):
     p = relaxed(10**4, 0.1, 1.2, D0)
-    tup = AdmissibleTuple((0, 4))
-    wt = lambda_from_F(p, single_bin_spec(2, 1.0))
+    tup = AdmissibleTuple(h)
+    wt = lambda_from_F(p, single_bin_spec(tup.k, 1.0))
     exact = s_direct("S1", p, tup, wt, exact=True)
     pairs, scaled = s1_pair_expansion(p, tup, wt)
+    assert (pairs, scaled) == s1_pair_loop(p, tup, wt)
     assert exact.exact == pairs
     den = wt.common_denominator()
     assert exact.exact * den * den == scaled  # same integers, bit for bit
+
+
+def test_s1_pair_expansion_at_the_809_entry_table():
+    p = relaxed(10**6, 0.1, 1.6, 10)
+    tup = AdmissibleTuple((0, 4))
+    wt = lambda_from_F(p, single_bin_spec(2, 1.0))
+    assert len(wt.entries) == 809
+    assert s1_pair_expansion(p, tup, wt)[0] == s_direct("S1", p, tup, wt, exact=True).exact
+
+
+@given(
+    N=st.integers(2000, 12000),
+    theta2=st.floats(1.2, 1.6),
+    D0=st.sampled_from([1, 3, 5, 10]),
+    h=st.lists(st.integers(0, 12).map(lambda x: 4 * x), min_size=1, max_size=3, unique=True),
+)
+def test_s1_pair_expansion_matches_scalar_oracle(N, theta2, D0, h):
+    assume(check_admissible(h).admissible)
+    p, tup = relaxed(N, 0.1, theta2, D0), AdmissibleTuple(h)
+    wt = lambda_from_F(p, single_bin_spec(tup.k, 1.0))
+    assert s1_pair_expansion(p, tup, wt) == s1_pair_loop(p, tup, wt)
+
+
+def hand_table(p, tup, keys):
+    """A weight table with lambda = 1/3, 2/3, ... on the given keys."""
+    entries = {d: Fraction(i + 1, 3) for i, d in enumerate(keys)}
+    return WeightTable(tup.k, p.R, p.W, single_bin_spec(tup.k), entries, {})
+
+
+def test_s1_pair_expansion_int64_guard():
+    p, tup = relaxed(10**4, 0.1, 1.0, 1), AdmissibleTuple((0,))
+    # M = 4 * 3^18 keeps 2N + M^2 under 2^63; 4 * 3^20 does not
+    near = hand_table(p, tup, [(1,), (3,), (3**18,)])
+    assert s1_pair_expansion(p, tup, near) == s1_pair_loop(p, tup, near)
+    with pytest.raises(ResourceGuardError) as exc:
+        s1_pair_expansion(p, tup, hand_table(p, tup, [(1,), (3**20,)]))
+    assert "max(M)^2" in exc.value.cost_estimate
+
+
+def test_s1_pair_expansion_byte_guard(monkeypatch):
+    # (3, 3) asks 3 | n and 3 | n + 4 at once: no class, so 3 keys remain
+    p, tup = relaxed(10**4, 0.1, 1.0, 1), AdmissibleTuple((0, 4))
+    table = hand_table(p, tup, [(1, 1), (3, 1), (1, 7), (3, 3)])
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 12 * PAIR_BYTES - 1)
+    with pytest.raises(ResourceGuardError) as exc:
+        s1_pair_expansion(p, tup, table)
+    assert "3 x 3 pairs" in exc.value.cost_estimate
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 12 * (PAIR_BYTES + 3))
+    assert s1_pair_expansion(p, tup, table) == s1_pair_loop(p, tup, table)
 
 
 def test_s_direct_validation():
