@@ -12,26 +12,24 @@ import math
 
 from twosquares import APQuery, run_experiment
 from twosquares.ap_sums import empirical_sum_r2
-from twosquares.arith import r2_lattice_range
 from twosquares.constants import a2_constant
 
 NS = (10**4, 10**5, 10**6)
-arr = r2_lattice_range(max(NS) + 8)
 
 print("r(n) sums, q=3, a=1:")
 for N in NS:
-    rep = run_experiment("ap_r", APQuery(N=N, q=3, a=1), arr)
+    rep = run_experiment("ap_r", APQuery(N=N, q=3, a=1))
     print(f"  N=10^{int(math.log10(N))}: {rep.empirical:>12.0f} vs {rep.predicted_main:>14.2f}  rel {rep.rel_error:.2e}")
 
 print("\nr(n) r(n+4) sums, q=1:")
 for N in NS:
-    rep = run_experiment("ap_rr", APQuery(N=N, h=4), arr)
+    rep = run_experiment("ap_rr", APQuery(N=N, h=4))
     print(f"  N=10^{int(math.log10(N))}: {rep.empirical:>12.0f} vs {rep.predicted_main:>14.2f}  rel {rep.rel_error:.2e}")
 
 print("\nr^2(n) sums, q=d=1 (displayed term vs 2x the displayed term):")
 a2 = a2_constant().value
 for N in NS:
-    emp = empirical_sum_r2(APQuery(N=N), arr)
+    emp = empirical_sum_r2(APQuery(N=N))
     stated = (math.log(N) + a2) * N
     print(
         f"  N=10^{int(math.log10(N))}: {emp:>12d}   stated {stated:>13.0f} (rel {abs(emp - stated) / stated:.3f})"

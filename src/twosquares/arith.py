@@ -278,8 +278,8 @@ def r2_lattice_range(limit: int) -> np.ndarray:
     """r_2(n) for all 0 <= n <= limit at once, by direct lattice counting.
 
     Same semantics as rd_bruteforce(n, 2) but vectorised over the range;
-    int64 output.  Used both as a range oracle in tests and as the bulk
-    r(n) source for the arithmetic-progression experiments.
+    int64 output.  An independent oracle for r2_on and the progression
+    sums; no production path reads it.
     """
     if limit < 0:
         raise ValidationError("r2_lattice_range: limit must be >= 0")

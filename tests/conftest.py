@@ -24,5 +24,5 @@ def r2_1e5() -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def r2_1e7() -> np.ndarray:
-    """Shared r_2 range table for the large arithmetic-progression runs."""
+    """Lattice r_2 oracle for the large arithmetic-progression checks."""
     return r2_lattice_range(10**7 + 8)

@@ -180,7 +180,7 @@ def _trend(errors: list[float]) -> int:
 # -- 5 ------------------------------------------------------------------------
 
 
-def test_criterion_05_ap_r_sums(r2_1e7):
+def test_criterion_05_ap_r_sums():
     t0 = time.perf_counter()
     ok = True
     details = []
@@ -188,7 +188,7 @@ def test_criterion_05_ap_r_sums(r2_1e7):
         errs = []
         for N in (10**4, 10**5, 10**6, 10**7):
             qq = APQuery(N=N, q=q, a=a, d=d)
-            emp = empirical_sum_r(qq, r2_1e7)
+            emp = empirical_sum_r(qq)
             errs.append(abs(emp - predicted_sum_r(qq)) / predicted_sum_r(qq))
         at6 = errs[2]
         ok = ok and at6 < 0.02 and _trend(errs) <= 1
@@ -207,7 +207,7 @@ def test_criterion_06_ap_rr_sums(r2_1e7):
     emps, preds = [], []
     for N in samples:
         qq = APQuery(N=N, q=1, d1=1, d2=1, h=4)
-        emps.append(empirical_sum_rr(qq, r2_1e7))
+        emps.append(empirical_sum_rr(qq))
         preds.append(predicted_sum_rr(qq))
     errs = [abs(e - p) / p for e, p in zip(emps, preds)]
     # The point errors oscillate (the signed error changes sign hundreds to
@@ -253,13 +253,13 @@ def test_criterion_07_ap_r2_sums(r2_1e7):
     errs, full_errs = [], []
     identity_ok = True
     for N in (10**5, 10**6, 10**7):
-        emp = empirical_sum_r2(APQuery(N=N), r2_1e7)
+        emp = empirical_sum_r2(APQuery(N=N))
         stated = (math.log(N) + a2) * N  # the displayed main term
         displayed = abs(emp - stated) / stated
         errs.append(abs(emp - 2 * stated) / (2 * stated))
         full = int((r2_1e7[1 : N + 1] ** 2).sum())
         folded = sum(
-            empirical_sum_r2(APQuery(N=N >> a), r2_1e7) for a in range(N.bit_length())
+            empirical_sum_r2(APQuery(N=N >> a)) for a in range(N.bit_length())
         )
         identity_ok = identity_ok and full == folded
         classical = 4 * N * (math.log(N) + a2 - math.log(2))
@@ -472,7 +472,7 @@ def main() -> int:
         (test_criterion_02_rd_square_identities, ()),
         (test_criterion_03_mobius_roundtrip, ()),
         (test_criterion_04_functional_closed_forms, ()),
-        (test_criterion_05_ap_r_sums, (r2_1e7,)),
+        (test_criterion_05_ap_r_sums, ()),
         (test_criterion_06_ap_rr_sums, (r2_1e7,)),
         (test_criterion_07_ap_r2_sums, (r2_1e7,)),
         (test_criterion_08_aux_sums, ()),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from twosquares.ap_sums import (
     APQuery,
@@ -18,7 +19,7 @@ from twosquares.ap_sums import (
     validate_pair,
     validate_single,
 )
-from twosquares.arith import trial_factorize, g3, g5
+from twosquares.arith import r2_lattice_range, trial_factorize, g3, g5
 from twosquares.constants import a2_constant
 from twosquares.errors import ValidationError
 
@@ -109,11 +110,11 @@ def test_predicted_r2_bracket_terms():
     assert predicted_sum_r2(APQuery(N=n)) == pytest.approx((math.log(n) + a2) * n)
 
 
-def test_run_experiment_reports(r2_1e5):
-    rep = run_experiment("ap_r", APQuery(N=10**5), r2_1e5)
+def test_run_experiment_reports():
+    rep = run_experiment("ap_r", APQuery(N=10**5))
     assert rep.rel_error < 0.01
     assert rep.params["q"] == 1 and rep.N == 10**5
-    rep2 = run_experiment("ap_rr", APQuery(N=10**5, h=4), r2_1e5)
+    rep2 = run_experiment("ap_rr", APQuery(N=10**5, h=4))
     assert rep2.rel_error < 0.05
     with pytest.raises(ValidationError):
         run_experiment("nope", APQuery(N=10))
@@ -122,7 +123,7 @@ def test_run_experiment_reports(r2_1e5):
 def test_rr_congruence_steering(r2_1e5):
     # d1 | n and d2 | n+h handled through the CRT class
     q = APQuery(N=10**5, q=1, d1=5, d2=13, h=4)
-    got = empirical_sum_rr(q, r2_1e5)
+    got = empirical_sum_rr(q)
     arr = r2_1e5
     brute = sum(
         int(arr[n]) * int(arr[n + 4])
@@ -130,3 +131,34 @@ def test_rr_congruence_steering(r2_1e5):
         if n % 4 == 1 and n % 5 == 0 and (n + 4) % 13 == 0
     )
     assert got == brute
+
+
+ODD_SQUAREFREE = [1, 3, 5, 7, 11, 13, 15, 21, 35, 105]
+
+
+@st.composite
+def ap_queries(draw):
+    """Queries that pass both validators: q, d, d1, d2 odd squarefree with
+    the coprimality the sums assume, 4 | h and every odd prime of h | q."""
+    q = draw(st.sampled_from(ODD_SQUAREFREE))
+    coprime = [m for m in ODD_SQUAREFREE if math.gcd(m, q) == 1]
+    d, d1 = draw(st.sampled_from(coprime)), draw(st.sampled_from(coprime))
+    d2 = draw(st.sampled_from([m for m in coprime if math.gcd(m, d1) == 1]))
+    odd = math.prod(p for p in trial_factorize(q).primes() if draw(st.booleans()))
+    h = 4 * 2 ** draw(st.integers(0, 2)) * odd
+    a = draw(st.integers(0, 4 * q).filter(lambda a: math.gcd(a, q) == 1 == math.gcd(a + h, q)))
+    return APQuery(N=draw(st.integers(0, 2 * 10**4)), q=q, a=a, d=d, d1=d1, d2=d2, h=h)
+
+
+@given(ap_queries())
+def test_sums_match_masked_lattice(query):
+    # the CRT classes against a mask of the congruences over every n <= N
+    N, h = query.N, query.h
+    r = r2_lattice_range(N + h)
+    n = np.arange(N + 1)
+    cls = (n % 4 == 1) & (n % query.q == query.a % query.q)
+    single = r[: N + 1][cls & (n % query.d == 0)]
+    assert empirical_sum_r(query) == single.sum()
+    assert empirical_sum_r2(query) == (single * single).sum()
+    pair = cls & (n % query.d1 == 0) & ((n + h) % query.d2 == 0)
+    assert empirical_sum_rr(query) == (r[: N + 1][pair] * r[h:][pair]).sum()

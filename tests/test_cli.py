@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from twosquares import arith, bins, cli, errors, hooley, quantum
+from twosquares import ap_sums, arith, bins, cli, errors, hooley, quantum
 
 
 def run(capsys, argv):
@@ -21,6 +21,49 @@ def test_ap_sums_dispatch(capsys):
     assert rep["results"][0]["rel_error"] < 0.05
     # resolved config embeds defaults
     assert rep["config"]["d"] == 1 and rep["config"]["h"] == 4
+
+
+@pytest.mark.parametrize("argv", [["--N", "0"], ["--trend", "0,100"]], ids=["N", "trend"])
+def test_ap_sums_r2_at_zero(capsys, argv):
+    # the empty sum is 0, and so is its main term: no log(0)
+    code, out = run(capsys, ["ap-sums", "--sum", "r2", *argv])
+    assert code == 0
+    first = json.loads(out)["results"][0]
+    assert (first["N"], first["empirical"], first["predicted_main"], first["rel_error"]) == (0, 0, 0, 0)
+
+
+def test_ap_sums_guard_exit_code(capsys, monkeypatch):
+    # 2.5e8 progression terms are over the byte budget: exit 3 before r2_on
+    def unreachable(*args, **kwargs):
+        raise AssertionError("r2 array built past the guard")
+
+    monkeypatch.setattr(ap_sums, "r2_on", unreachable)
+    code, out = run(capsys, ["ap-sums", "--sum", "rr", "--N", "1e9", "--h", "4"])
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["type"] == "resource_guard" and "250000001 progression terms" in err["cost_estimate"]
+
+
+@pytest.mark.parametrize(
+    "name, query",
+    [
+        ("r", dict(q=1)),
+        ("r", dict(q=3, a=1)),
+        ("r", dict(d=5)),
+        ("rr", dict(h=4)),
+        ("rr", dict(q=3, a=1, d1=5, d2=7, h=12)),
+        ("r2", dict(q=1)),
+    ],
+    ids=["r", "r-q3", "r-d5", "rr", "rr-q3-d5-d7-h12", "r2"],
+)
+def test_ap_sums_peak_within_charged_bytes(monkeypatch, name, query):
+    # each sum's tracemalloc peak stays under what it charges the byte guard
+    # (0.53-0.77 of it at N = 10^5)
+    charged = []
+    monkeypatch.setattr(ap_sums, "check_bytes", lambda what, need, workload: charged.append(need))
+    fn = getattr(ap_sums, f"empirical_sum_{name}")
+    peak = traced_peak(lambda: fn(ap_sums.APQuery(N=10**5, **query)))
+    assert len(charged) == 1 and peak < charged[0]
 
 
 def test_functionals_dispatch(capsys):
