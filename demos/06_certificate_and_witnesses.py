@@ -39,18 +39,18 @@ print(f"  direct   {res.lhs_direct:.6f}")
 print(f"  assembled {res.lhs_assembled:.6f}")
 print(f"  relative difference {res.rel_difference:.2e}; rho<0 encountered: {res.rho_negative_count}")
 
-records = witness_search(params, tup, BinPartition(sizes=(1, 2)), 2 * 10**4)
-print(f"\nwitnesses for bins {{0}},{{4,16}} in [10^4, 2*10^4): {len(records)}")
-w = records[0]
-print(f"  first: n = {w.n}, accepted shifts {w.accepted}, verified: {verify_witness(w)}")
-for h, (x, y) in zip(w.accepted, w.certificates):
-    print(f"    n+{h} = {w.n + h} = {x}^2 + {y}^2, factorisation {trial_factorize(w.n + h).pairs}")
+found = witness_search(params, tup, BinPartition(sizes=(1, 2)), 2 * 10**4)
+print(f"\nwitnesses for bins {{0}},{{4,16}} in [10^4, 2*10^4): {len(found)}")
+n, accepted = int(found.n[0]), tuple(found.accepted[0].tolist())
+print(f"  first: n = {n}, accepted shifts {accepted}, verified: {verify_witness(found)}")
+for h, (x, y) in zip(accepted, found.certificates[0].tolist()):
+    print(f"    n+{h} = {n + h} = {x}^2 + {y}^2, factorisation {trial_factorize(n + h).pairs}")
 
-rows = [records[0].accepted[:1], records[0].accepted, records[1].accepted]
-ext = pigeonhole_extract([tuple(r) for r in rows])
+rows = [accepted[:1], accepted, tuple(found.accepted[1].tolist())]
+ext = pigeonhole_extract(rows)
 print(f"\npigeonhole over rows {rows}: a = {list(ext.a)}, depth {ext.depth}")
 
 jt = jakobson_tuple(2)
 print(f"\nnegative-shift tuple {jt.h}: witnesses in the same window:")
-recs = witness_search(params, jt, BinPartition(sizes=(1, 1)), 2 * 10**4)
-print(f"  {len(recs)} found; first n = {recs[0].n} with shifts {recs[0].accepted}")
+neg = witness_search(params, jt, BinPartition(sizes=(1, 1)), 2 * 10**4)
+print(f"  {len(neg)} found; first n = {int(neg.n[0])} with shifts {tuple(neg.accepted[0].tolist())}")

@@ -48,7 +48,7 @@ from .sieve import (
 )
 from .bins import (
     BinPartition,
-    WitnessRecord,
+    Witnesses,
     jakobson_tuple,
     pigeonhole_extract,
     second_moment_lhs,

@@ -207,20 +207,11 @@ def second_moment_lhs(
 # ---------------------------------------------------------------------------
 
 
-def two_square_decomposition(m: int) -> tuple[int, int] | None:
-    """Lexicographically least (x, y) with x >= y >= 0 and x^2 + y^2 = m,
-    from the two_squares kernel; None for m < 0 or when m is not a sum of
-    two squares, (0, 0) for m = 0; m >= 2^52 raises ValidationError."""
-    if m < 0:
-        return None
-    x, y = two_squares([m])[0].tolist()
-    return None if x < 0 else (x, y)
-
-
 # tracemalloc peak per window point, for k = 1, 2, 3, 5 shifts in one bin
-# (most hits) at N = 10^5, 10^6, 10^7: 147-158, 247-258, 298-312 and 343-367
-# bytes, nearly all of it the records, charged 360 + 24k (>= 1.31x)
-WITNESS_BYTES = (360, 24)
+# (most hits) at N = 10^7, 10^6, 10^5, 10^4: 24-50-65, 40-66-102, 49-74-118,
+# 59-83-132 bytes (bins (1, 2): 26-80, (1, 2, 2): 28-93), charged 88 + 24k
+# (>= 1.33x).  Below 2^13 hits every hit's two_squares temporaries coexist
+WITNESS_BYTES = (88, 24)
 
 # n + h < 2^32 caps r2_on at the primes below 2^16 and the two_squares walk at
 # 0.29 * 2^16 steps per block: just below it the CLI search over 10^5 (10^6)
@@ -228,27 +219,39 @@ WITNESS_BYTES = (360, 24)
 WITNESS_LIMIT = 1 << 32
 
 
-@dataclass(frozen=True, slots=True)
-class WitnessRecord:
-    """One n whose translates hit every bin, with exact certificates.
+@dataclass(frozen=True, eq=False)
+class Witnesses:
+    """The n whose translates hit every bin, as read-only int64 columns:
+    n (H,) increasing; accepted (H, M), accepted[j, i] the smallest shift h
+    in bin i with n[j] + h a sum of two squares; certificates (H, M, 2), an
+    exact (x, y) with x^2 + y^2 = n[j] + accepted[j, i].  len() is H."""
 
-    accepted[i] is the smallest shift h in bin i with n + h a sum of two
-    squares, and certificates[i] = (x, y) with x^2 + y^2 = n + accepted[i]."""
+    n: np.ndarray
+    accepted: np.ndarray
+    certificates: np.ndarray
 
-    n: int
-    accepted: tuple[int, ...]
-    certificates: tuple[tuple[int, int], ...]
+    def __post_init__(self):
+        for name in ("n", "accepted", "certificates"):
+            col = np.asarray(getattr(self, name), dtype=np.int64)
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return len(self.n)
 
 
-def verify_witness(record: WitnessRecord) -> bool:
-    """Recheck the record in Python ints: one certificate per accepted shift
-    h, and each certificate (x, y) has x^2 + y^2 = n + h."""
-    if len(record.certificates) != len(record.accepted):
+def verify_witness(found: Witnesses) -> bool:
+    """Recheck every certificate at once, exactly: the shapes agree and
+    x^2 + y^2 = n + h for every row and bin.  The int64 arithmetic cannot
+    wrap: 0 <= y <= x <= 2^16 is checked first, so x^2 + y^2 <= 2^33, and
+    with n >= 0 no int64 n + h is congruent to it mod 2^64 unless equal.
+    An honest certificate passes that check since n + h < WITNESS_LIMIT."""
+    n, h, xy = found.n, found.accepted, found.certificates
+    if n.ndim != 1 or h.ndim != 2 or len(h) != len(n) or xy.shape != (*h.shape, 2):
         return False
-    return all(
-        int(x) ** 2 + int(y) ** 2 == record.n + h
-        for h, (x, y) in zip(record.accepted, record.certificates)
-    )
+    x, y = xy[..., 0], xy[..., 1]
+    in_range = (n >= 0).all() and ((0 <= y) & (y <= x) & (x <= 1 << 16)).all()
+    return bool(in_range and (x * x + y * y == n[:, None] + h).all())
 
 
 def witness_search(
@@ -256,15 +259,15 @@ def witness_search(
     tup: AdmissibleTuple,
     partition: BinPartition,
     n_limit: int,
-) -> list[WitnessRecord]:
-    """Scan n in [N, n_limit), n = v0 (W), n = 1 (4); record every n for
+) -> Witnesses:
+    """Scan n in [N, n_limit), n = v0 (W), n = 1 (4); keep every n for
     which each bin holds at least one h with n + h a sum of two squares.
 
     The exact indicator r_2(n + h) > 0 comes from the r2_on sieve, never
     from rho.  One two_squares call over all accepted n + h then finds
     their (x, y) by its own search, so verify_witness still fails if the
     sieve accepted a non-sum.  Every n + h must lie below WITNESS_LIMIT,
-    checked before the window's byte guard.  Results come in increasing n."""
+    checked before the window's byte guard."""
     if partition.k != tup.k:
         raise ValidationError("witness_search: partition arity != tuple size")
     if (top := n_limit - 1 + max(tup.h)) >= WITNESS_LIMIT:
@@ -276,22 +279,15 @@ def witness_search(
     # per bin, the position of its smallest shift h with n + h a sum of two squares
     first = np.stack([b.start + sos[b][:, hits].argmax(axis=0) for b in blocks], axis=1)
     n = ns.start + ns.step * hits
-    h = np.asarray(tup.h)[first]
-    xy = two_squares(n[:, None] + h).reshape(len(n), partition.M, 2)
-    # per-n tuples zipped from column lists: per-n nested lists from tolist()
-    # raised the peak from 312 to 453 bytes per point at k = 3, N = 10^6
-    accepted = zip(*h.T.tolist())
-    certificates = zip(*(zip(*xy[:, i].T.tolist()) for i in range(partition.M)))
-    return [WitnessRecord(*r) for r in zip(n.tolist(), accepted, certificates)]
+    h = np.asarray(tup.h, dtype=np.int64)[first]
+    return Witnesses(n, h, two_squares(n[:, None] + h).reshape(len(n), partition.M, 2))
 
 
-def witness_csv_rows(records: list[WitnessRecord]) -> list[str]:
+def witness_csv_rows(found: Witnesses) -> list[str]:
     """Export rows "n,bin,h,x,y" (one per accepted bin element)."""
-    rows = ["n,bin,h,x,y"]
-    for r in records:
-        for i, (h, (x, y)) in enumerate(zip(r.accepted, r.certificates)):
-            rows.append(f"{r.n},{i},{h},{x},{y}")
-    return rows
+    n, i = np.broadcast_arrays(found.n[:, None], np.arange(found.accepted.shape[1]))
+    rows = np.dstack([n, i, found.accepted, found.certificates]).reshape(-1, 5).tolist()
+    return ["n,bin,h,x,y", *(",".join(map(str, row)) for row in rows)]
 
 
 # ---------------------------------------------------------------------------

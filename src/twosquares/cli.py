@@ -371,21 +371,21 @@ def cmd_witness_search(args) -> dict:
     params, tup = _sieve_setup(cfg)
     n_limit = 2 * params.N if cfg["limit"] is None else int(float(cfg["limit"]))
     part = bins.BinPartition(sizes=_bin_sizes(cfg["bins"]))
-    records = bins.witness_search(params, tup, part, n_limit)
-    verified = all(bins.verify_witness(r) for r in records)
+    found = bins.witness_search(params, tup, part, n_limit)
+    verified = bins.verify_witness(found)
     if cfg["csv"]:
         with open(cfg["csv"], "w") as fh:
-            fh.write("\n".join(bins.witness_csv_rows(records)) + "\n")
+            fh.write("\n".join(bins.witness_csv_rows(found)) + "\n")
     return {
         "experiment": "witness-search",
         "config": cfg,
         "results": [
             {
-                "count": len(records),
+                "count": len(found),
                 "all_verified": verified,
                 "first": (
-                    {"n": records[0].n, "accepted": list(records[0].accepted)}
-                    if records
+                    {"n": int(found.n[0]), "accepted": found.accepted[0].tolist()}
+                    if len(found)
                     else None
                 ),
             }

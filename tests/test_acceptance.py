@@ -333,11 +333,11 @@ def test_criterion_10_witness_pipeline():
     rec1 = witness_search(p, AdmissibleTuple((0,)), BinPartition(sizes=(1,)), 2 * 10**4)
     rec2 = witness_search(p, tup, BinPartition(sizes=(1, 2)), 2 * 10**4)
     ok = len(rec2) >= 1 and len(rec1) >= 1
-    ok = ok and all(verify_witness(r) for r in rec1 + rec2)
-    rows = [rec1[0].accepted, rec2[0].accepted]
+    ok = ok and verify_witness(rec1) and verify_witness(rec2)
+    rows = [tuple(rec1.accepted[0].tolist()), tuple(rec2.accepted[0].tolist())]
     ext = pigeonhole_extract(rows)
     # consistency: depth reaches 2 and a_1 agrees with both rows' first column
-    ok = ok and ext.depth == 2 and ext.a[0] in {rec1[0].accepted[0], rec2[0].accepted[0]}
+    ok = ok and ext.depth == 2 and ext.a[0] in {rec1.accepted[0, 0], rec2.accepted[0, 0]}
     for depth, surviving in enumerate(ext.supporting_rows, start=1):
         for idx in surviving:
             ok = ok and rows[idx][:depth] == ext.a[:depth]

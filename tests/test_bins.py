@@ -3,31 +3,32 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from twosquares.arith import (
     _isqrt,
     build_factor_table,
     is_sum_of_two_squares,
     primes_up_to,
+    trial_factorize,
     two_squares,
 )
 from twosquares.bins import (
     WITNESS_LIMIT,
     BinPartition,
+    Witnesses,
     default_mu_t,
     feasibility_condition,
     jakobson_tuple,
     pigeonhole_extract,
     second_moment_lhs,
     theorem_constants,
-    two_square_decomposition,
     verify_witness,
     witness_csv_rows,
     witness_search,
 )
 from twosquares.errors import ResourceGuardError, ValidationError
-from twosquares.sieve import AdmissibleTuple, SieveParams, lambda_from_F
+from twosquares.sieve import AdmissibleTuple, SieveParams, check_admissible, find_v0, lambda_from_F
 
 
 def relaxed(N, t1, t2, D0):
@@ -48,10 +49,10 @@ def two_square_scan(m):
     return None
 
 
-def assert_certificates_match_scan(records):
-    for r in records:
-        for h, xy in zip(r.accepted, r.certificates):
-            assert xy == two_square_scan(r.n + h), (r.n, h)
+def assert_certificates_match_scan(found):
+    for n, hs, xys in zip(found.n.tolist(), found.accepted.tolist(), found.certificates.tolist()):
+        for h, xy in zip(hs, xys):
+            assert tuple(xy) == two_square_scan(n + h), (n, h)
 
 
 # -- constants ---------------------------------------------------------------
@@ -171,32 +172,31 @@ def test_witness_search_single_bin_is_indicator(ftab):
     p = relaxed(10**4, 0.1, 0.5, 1)
     tup = AdmissibleTuple((0,))
     part = BinPartition(sizes=(1,))
-    records = witness_search(p, tup, part, 11000)
+    found = witness_search(p, tup, part, 11000)
     expected = [
         n
         for n in range(10**4, 11000)
         if n % 4 == 1 and is_sum_of_two_squares(ftab.factorize(n))
     ]
-    assert [r.n for r in records] == expected
-    assert all(verify_witness(r) for r in records)
-    assert_certificates_match_scan(records)
+    assert found.n.tolist() == expected
+    assert verify_witness(found)
+    assert_certificates_match_scan(found)
 
 
 def test_witness_search_two_bins(ftab):
     p = relaxed(10**4, 0.1, 0.5, 1)
     tup = AdmissibleTuple((0, 4, 16))
     part = BinPartition(sizes=(1, 2))
-    records = witness_search(p, tup, part, 2 * 10**4)
-    assert len(records) >= 1
-    assert_certificates_match_scan(records)
-    for r in records[:20]:
-        assert verify_witness(r)
+    found = witness_search(p, tup, part, 2 * 10**4)
+    assert len(found) >= 1
+    assert_certificates_match_scan(found)
+    assert verify_witness(found)
+    for n, h2 in zip(found.n[:20].tolist(), found.accepted[:20, 1].tolist()):
         # accepted element of bin 2 is the smallest working shift
-        h2 = r.accepted[1]
         assert h2 in (4, 16)
         if h2 == 16:
-            assert not is_sum_of_two_squares(ftab.factorize(r.n + 4))
-    rows = witness_csv_rows(records[:2])
+            assert not is_sum_of_two_squares(ftab.factorize(n + 4))
+    rows = witness_csv_rows(found)
     assert rows[0] == "n,bin,h,x,y"
     n, b, h, x, y = map(int, rows[1].split(","))
     assert x * x + y * y == n + h
@@ -206,20 +206,21 @@ def test_witness_search_empty_window():
     p = relaxed(10**4, 0.1, 0.5, 1)
     tup = AdmissibleTuple((0,))
     part = BinPartition(sizes=(1,))
-    assert witness_search(p, tup, part, 10**4) == []
+    assert len(witness_search(p, tup, part, 10**4)) == 0
 
 
 def test_witness_search_negative_shifts():
     p = relaxed(10**4, 0.1, 0.5, 1)
     tup = jakobson_tuple(2)  # shifts -100, -10000
     part = BinPartition(sizes=(1, 1))
-    records = witness_search(p, tup, part, 2 * 10**4)
-    assert records, "jakobson prefix should have witnesses in this window"
-    assert_certificates_match_scan(records)
-    for r in records[:10]:
-        assert verify_witness(r)
-        for h, (x, y) in zip(r.accepted, r.certificates):
-            assert x * x + y * y == r.n + h
+    found = witness_search(p, tup, part, 2 * 10**4)
+    assert len(found), "jakobson prefix should have witnesses in this window"
+    assert_certificates_match_scan(found)
+    assert verify_witness(found)
+    for n, hs, xys in zip(found.n[:10].tolist(), found.accepted[:10].tolist(),
+                          found.certificates[:10].tolist()):
+        for h, (x, y) in zip(hs, xys):
+            assert x * x + y * y == n + h
 
 
 def test_witness_rejects_negative_start():
@@ -235,27 +236,99 @@ def test_witness_search_limit():
     p = relaxed(WITNESS_LIMIT - 200, 0.1, 0.5, 1)
     tup = AdmissibleTuple((0, 4, 16))
     part = BinPartition(sizes=(1, 2))
-    records = witness_search(p, tup, part, WITNESS_LIMIT - 16)
-    assert records and all(verify_witness(r) for r in records)
-    assert_certificates_match_scan(records)
+    found = witness_search(p, tup, part, WITNESS_LIMIT - 16)
+    assert len(found) and verify_witness(found)
+    assert_certificates_match_scan(found)
     with pytest.raises(ResourceGuardError):
         witness_search(p, tup, part, WITNESS_LIMIT - 15)
 
 
 def test_verify_witness_rejects_forgeries():
     p = relaxed(10**4, 0.1, 0.5, 1)
-    records = witness_search(p, AdmissibleTuple((0, 4, 16)), BinPartition(sizes=(1, 2)), 2 * 10**4)
-    # bin {4, 16} accepted 4, and n + 16 is a sum of two squares too
-    r = next(r for r in records if r.accepted[1] == 4 and two_square_decomposition(r.n + 16))
-    assert verify_witness(r)
-    (x0, y0), xy1 = r.certificates
+    found = witness_search(p, AdmissibleTuple((0, 4, 16)), BinPartition(sizes=(1, 2)), 2 * 10**4)
+    assert verify_witness(found)
+    # a row whose bin {4, 16} accepted 4, and n + 16 is a sum of two squares too
+    xy16 = two_squares(found.n + 16)
+    j = next(j for j in range(len(found)) if found.accepted[j, 1] == 4 and xy16[j, 0] >= 0)
+
+    wrong_y, wrong_h, swapped = found.certificates.copy(), found.certificates.copy(), found.accepted.copy()
+    wrong_y[j, 0, 1] += 1
+    wrong_h[j, 1] = xy16[j]
+    swapped[j, 1] = 16
     forged = [
-        replace(r, certificates=((x0, y0 + 1), xy1)),
-        replace(r, certificates=((x0, y0), two_square_decomposition(r.n + 16))),
-        replace(r, accepted=(r.accepted[0], 16)),
-        replace(r, certificates=((x0, y0),)),
+        replace(found, certificates=wrong_y),
+        replace(found, certificates=wrong_h),
+        replace(found, accepted=swapped),
+        replace(found, certificates=found.certificates[:, :1]),
     ]
     assert not any(verify_witness(f) for f in forged)
+
+
+def test_verify_witness_rejects_forgeries_mod_2_64():
+    # 10609 = 103^2 is a witness with certificate (103, 0); (103, 2^32) is
+    # right modulo 2^64, where int64 squares wrap
+    p = relaxed(10**4, 0.1, 0.5, 1)
+    found = witness_search(p, AdmissibleTuple((0,)), BinPartition(sizes=(1,)), 2 * 10**4)
+    j = found.n.tolist().index(10609)
+    assert found.certificates[j].tolist() == [[103, 0]] and verify_witness(found)
+    c = found.certificates.copy()
+    c[j, 0, 1] = 2**32
+    wrapped = replace(found, certificates=c)
+    x, y = c[..., 0], c[..., 1]
+    assert (x * x + y * y == found.n[:, None] + found.accepted).all()
+    assert not verify_witness(wrapped)
+    # n + h = 25 - 2^64 wraps to 25 = 4^2 + 3^2 in int64
+    assert not verify_witness(Witnesses([-(2**63)], [[25 - 2**63]], [[[4, 3]]]))
+
+
+def witness_oracle(params, tup, partition, n_limit):
+    """Per-n scalar witness search: the window by filtering every integer,
+    r_2 > 0 from trial factorisations, certificates from two_square_scan."""
+    v0 = find_v0(params, tup)
+    n_col, accepted, certificates = [], [], []
+    for n in range(params.N, n_limit):
+        if n % 4 != 1 or (n - v0) % params.W:
+            continue
+        row = []
+        for i in range(partition.M):
+            hs = [
+                tup.h[j]
+                for j in partition.indices(i)
+                if is_sum_of_two_squares(trial_factorize(n + tup.h[j]))
+            ]
+            if not hs:
+                break
+            row.append(min(hs))
+        else:
+            n_col.append(n)
+            accepted.append(row)
+            certificates.append([list(two_square_scan(n + h)) for h in row])
+    return n_col, accepted, certificates
+
+
+@given(
+    N=st.integers(2000, 2 * 10**4),
+    width=st.integers(0, 2000),
+    D0=st.sampled_from([1, 3, 5, 10]),
+    h=st.lists(st.integers(-12, 12).map(lambda x: 4 * x), min_size=1, max_size=5, unique=True),
+    cuts=st.sets(st.integers(1, 4)),
+)
+def test_witness_search_matches_scalar_oracle(N, width, D0, h, cuts):
+    assume(check_admissible(h).admissible)
+    p, tup = relaxed(N, 0.1, 0.5, D0), AdmissibleTuple(h)
+    bounds = sorted({0, tup.k} | {c for c in cuts if c < tup.k})
+    part = BinPartition(sizes=tuple(b - a for a, b in zip(bounds, bounds[1:])))
+    try:
+        find_v0(p, tup)
+    except ValidationError:
+        assume(False)
+    n_limit = min(N + width, 2 * 10**4)
+    found = witness_search(p, tup, part, n_limit)
+    n_col, accepted, certificates = witness_oracle(p, tup, part, n_limit)
+    assert found.n.tolist() == n_col
+    assert found.accepted.tolist() == accepted
+    assert found.certificates.tolist() == certificates
+    assert found.accepted.shape == (len(n_col), part.M) and verify_witness(found)
 
 
 # -- pigeonhole ---------------------------------------------------------------------
@@ -286,18 +359,15 @@ def test_pigeonhole_prefix_invariant():
             assert rows[idx][:depth] == r.a[:depth]
 
 
-def test_two_square_decomposition_convention():
-    assert two_square_decomposition(16) == (4, 0)
-    assert two_square_decomposition(1) == (1, 0)
-    assert two_square_decomposition(2) == (1, 1)
-    assert two_square_decomposition(25) == (4, 3)
-    assert two_square_decomposition(3) is None
-    assert two_square_decomposition(0) == (0, 0)
+def test_two_squares_convention():
+    # the least (x, y) with x >= y >= 0; (-1, -1) for a non-sum, (0, 0) for 0
+    got = two_squares([16, 1, 2, 25, 3, 0]).tolist()
+    assert got == [[4, 0], [1, 0], [1, 1], [4, 3], [-1, -1], [0, 0]]
 
 
-def test_two_square_decomposition_large_non_sum():
+def test_two_squares_large_non_sum():
     # odd part 2^51 - 1 = 3 (mod 4): rejected without the ~0.3 sqrt(m) walk
-    assert two_square_decomposition(2**52 - 2) is None
+    assert two_squares([2**52 - 2]).tolist() == [[-1, -1]]
     assert two_squares([3 * 2**40, 7 * 4**20, 2**52 - 1]).tolist() == [[-1, -1]] * 3
 
 
@@ -350,6 +420,3 @@ def test_two_squares_domain():
     for bad in ([-1], [5, over], [2**70]):
         with pytest.raises(ValidationError):
             two_squares(bad)
-    assert two_square_decomposition(-1) is None
-    with pytest.raises(ValidationError):
-        two_square_decomposition(over)

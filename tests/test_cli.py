@@ -290,7 +290,7 @@ def test_btable_guard_exit_code(capsys, monkeypatch):
     ids=["witness-search", "certificate"],
 )
 def test_window_guard_exit_code(capsys, monkeypatch, argv):
-    # 2,500 points x 3 shifts need 3.2e5 bytes for the certificate and 1.1e6
+    # 2,500 points x 3 shifts need 3.2e5 bytes for the certificate and 4.0e5
     # for the witness search; no window array may be built
     monkeypatch.setattr(errors, "BYTE_BUDGET", 10**5)
 
@@ -309,15 +309,19 @@ def test_window_guard_exit_code(capsys, monkeypatch, argv):
 
 
 def test_window_guard_is_per_scan(capsys, monkeypatch):
-    # on the same 2,500 points x 3 shifts the certificate's arrays fit a
-    # budget that the witness search's records do not
+    # on the same 2,500 points x 3 shifts, a budget between the two scans'
+    # charges lets the cheaper one run and stops the dearer one
     (a, b), (c, d) = bins.CERTIFICATE_BYTES, bins.WITNESS_BYTES
-    certificate, witness = 2500 * (a + 3 * b), 2500 * (c + 3 * d)
-    assert certificate < witness
-    monkeypatch.setattr(errors, "BYTE_BUDGET", (certificate + witness) // 2)
-    code, _ = run(capsys, ["certificate", "--N", "1e4", "--mu", "1.5,2.5", "--t", "1,2"])
+    scans = {
+        2500 * (a + 3 * b): ["certificate", "--N", "1e4", "--mu", "1.5,2.5", "--t", "1,2"],
+        2500 * (c + 3 * d): ["witness-search", "--N", "1e4", "--limit", "2e4"],
+    }
+    cheaper, dearer = sorted(scans)
+    assert cheaper < dearer
+    monkeypatch.setattr(errors, "BYTE_BUDGET", (cheaper + dearer) // 2)
+    code, _ = run(capsys, scans[cheaper])
     assert code == 0
-    code, out = run(capsys, ["witness-search", "--N", "1e4", "--limit", "2e4"])
+    code, out = run(capsys, scans[dearer])
     assert code == 3
     assert "2500 points x 3 shifts" in json.loads(out)["error"]["cost_estimate"]
 
