@@ -203,6 +203,8 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
 # malloc reuses.  Unblocked, or at 2^14 rows, a witness search's 37,232
 # certificates left 1-2 MB more resident after the call.
 _TWO_SQUARES_BLOCK = 1 << 13
+# primes 3 (mod 4) whose odd powers two_squares rejects before its walk
+_SMALL_3MOD4 = (3, 7, 11, 19, 23)
 
 
 def two_squares(ms) -> np.ndarray:
@@ -210,9 +212,10 @@ def two_squares(ms) -> np.ndarray:
     and x^2 + y^2 = m, as int64[n, 2]; (-1, -1) where m is not a sum of two
     squares.  Every row starts at x = ceil(sqrt(m/2)), and the rows still
     open step x forward together until m - x^2 is a square or x^2 > m.  A
-    row whose odd part is 3 (mod 4) is no sum and is rejected before the
-    walk; any other non-sum (21 * 2^a, say) still costs about 0.3 sqrt(m)
-    steps.  Needs 0 <= m < 2^52."""
+    row whose odd part is 3 (mod 4), or that a prime 3, 7, 11, 19 or 23
+    divides to an odd power, is no sum and is rejected before the walk; a
+    non-sum whose primes 3 (mod 4) are all larger (31 * 43 * 2^a, say)
+    still costs about 0.3 sqrt(m) steps.  Needs 0 <= m < 2^52."""
     try:
         ms = np.asarray(ms, dtype=np.int64).reshape(-1)
     except OverflowError:
@@ -224,8 +227,15 @@ def two_squares(ms) -> np.ndarray:
         m = ms[lo : lo + _TWO_SQUARES_BLOCK]
         x = _isqrt(m // 2)
         x += 2 * x * x < m
-        odd = m // np.maximum(m & -m, 1)  # m over its largest power of 2; 0 for m = 0
-        rows = np.flatnonzero((x * x <= m) & (odd % 4 != 3))
+        odd = np.maximum(m, 1) // np.maximum(m & -m, 1)  # m over its largest power of 2; 1 for m = 0
+        sum_ok = (x * x <= m) & (odd % 4 != 3)
+        for p in _SMALL_3MOD4:  # strip p^2 while it divides: an odd power leaves p
+            at = np.flatnonzero(odd % p == 0)
+            rest = odd[at]
+            while (square := rest % (p * p) == 0).any():
+                rest[square] //= p * p
+            sum_ok[at[rest % p == 0]] = False
+        rows = np.flatnonzero(sum_ok)
         m, x = m[rows], x[rows]
         rows += lo
         while rows.size:

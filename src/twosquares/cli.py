@@ -16,6 +16,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -25,11 +26,21 @@ from .constants import landau_ramanujan_A, special_constants
 from .errors import InternalError, ResourceGuardError, ValidationError
 
 
+# stands in for a BTauTable in the encoded report; _emit splices the table in
+_TABLE_MARK = "\x00b_tau table\x00"
+# json.dumps spells the non-finite floats its own way
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# b_tau entries per piece of text: the pieces, not the whole table, are held
+_WRITE_ROWS = 1 << 14
+
+
 def _round_floats(obj):
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator}
+    if isinstance(obj, quantum.BTauTable):
+        return _TABLE_MARK
     if isinstance(obj, dict):
         return {str(k): _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -37,18 +48,63 @@ def _round_floats(obj):
     return obj
 
 
+def _btau_json(table: quantum.BTauTable, indent: str):
+    """The text json.dumps(indent=2, sort_keys=True) gives the rounded dict
+    {"t1,...,td": b_tau} when its key's line starts with `indent`, as an
+    iterator of pieces of _WRITE_ROWS entries.  The array passes over the
+    table's columns run in this call; a piece is formatted when it is read."""
+    n, d = table.taus.shape
+    if n == 0:
+        return iter(["{}"])
+    parts = np.unique(np.concatenate([np.unique(column) for column in table.taus.T]))
+    small = np.min_scalar_type(len(parts))  # small codes radix-sort
+    index = np.empty((d, n), dtype=small)  # coded a column at a time
+    for column, codes in zip(table.taus.T, index):
+        codes[:] = np.searchsorted(parts, column)
+    names = np.array(list(map(str, parts.tolist())), dtype=object)
+    # sort_keys orders the keys by code point.  "," sorts below every digit,
+    # so that order compares the component strings in turn ("-1" < "-10" <
+    # "-2" < "1" < "10" < "2"), not the numbers.
+    rank = np.empty(len(names), dtype=small)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    order = np.lexsort(rank[index[::-1]])
+    # each distinct value (by its bits, so -0.0 stays apart) is spelled once
+    bits, at = np.unique(table.values.view(np.int64), return_inverse=True)
+    spelled = map(repr, map(float, map("{:.12g}".format, bits.view(np.float64).tolist())))
+    values = np.array([_JSON_NONFINITE.get(v, v) for v in spelled], dtype=object)
+    line = indent + '  "' + ",".join(["{}"] * d) + '": {}'
+
+    def piece(start: int) -> str:
+        rows = order[start : start + _WRITE_ROWS]
+        columns = names[index[:, rows]].tolist()
+        return (",\n" if start else "{\n") + ",\n".join(map(line.format, *columns, values[at[rows]].tolist()))
+
+    return chain(map(piece, range(0, n, _WRITE_ROWS)), ["\n" + indent + "}"])
+
+
 def _emit(report: dict, out_path: str | None, runtime_ms: float | None = None) -> None:
-    """Wall-clock noise lives only on the timestamp line of a report."""
+    """Wall-clock noise lives only on the timestamp line of a report.  A
+    BTauTable in the results is written by _btau_json where its mark stands
+    in the encoded rest of the report; the mark is checked and the table's
+    arrays are set up before the output is opened."""
     stamp = datetime.now(timezone.utc).isoformat()
     if runtime_ms is not None:
         stamp += f" runtime_ms={runtime_ms:.3f}"
-    report = {**report, "timestamp": stamp}
-    text = json.dumps(_round_floats(report), indent=2, sort_keys=True)
+    text = json.dumps(_round_floats({**report, "timestamp": stamp}), indent=2, sort_keys=True)
+    tables = [r["b_tau"] for r in report.get("results", ()) if isinstance(r.get("b_tau"), quantum.BTauTable)]
+    head, *tail = text.split(json.dumps(_TABLE_MARK))
+    if len(tail) != len(tables) or len(tables) > 1:
+        raise InternalError("report: the b_tau table mark is not unique")
+    pieces = [text, "\n"]
+    if tables:
+        line = head[head.rfind("\n") + 1 :]
+        table = _btau_json(tables[0], " " * (len(line) - len(line.lstrip(" "))))
+        pieces = chain([head], table, [tail[0], "\n"])
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.writelines(pieces)
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
 
 
 def _numbers(text: str, flag: str, parse) -> list:
@@ -454,11 +510,7 @@ def cmd_quantum(args) -> dict:
                 }
             )
         elif what == "btable":
-            table = quantum.all_btau(fam)
-            keys = (",".join(map(str, tau)) for tau in table.taus.tolist())
-            results.append(
-                {"rule": rule, "k": k, "b_tau": dict(zip(keys, table.values.tolist()))}
-            )
+            results.append({"rule": rule, "k": k, "b_tau": quantum.all_btau(fam)})
         elif what == "btau":
             tau = tuple(_ints(cfg["tau"] or "0,0,0", "--tau"))
             coef = quantum.b_tau(fam, tau)
@@ -575,6 +627,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         report = args.func(args)
+        _emit(report, getattr(args, "output", None), (time.perf_counter() - t0) * 1000)
     except ValidationError as exc:
         _emit({"experiment": args.command, "error": {"type": "validation", "message": str(exc)}}, getattr(args, "output", None))
         return 2
@@ -590,7 +643,6 @@ def main(argv: list[str] | None = None) -> int:
     except (InternalError, AssertionError) as exc:
         _emit({"experiment": args.command, "error": {"type": "internal", "message": str(exc)}}, getattr(args, "output", None))
         return 4
-    _emit(report, getattr(args, "output", None), (time.perf_counter() - t0) * 1000)
     return 0
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from twosquares import arith
 from twosquares.arith import (
     _isqrt,
     build_factor_table,
@@ -365,10 +366,31 @@ def test_two_squares_convention():
     assert got == [[4, 0], [1, 0], [1, 1], [4, 3], [-1, -1], [0, 0]]
 
 
-def test_two_squares_large_non_sum():
-    # odd part 2^51 - 1 = 3 (mod 4): rejected without the ~0.3 sqrt(m) walk
-    assert two_squares([2**52 - 2]).tolist() == [[-1, -1]]
-    assert two_squares([3 * 2**40, 7 * 4**20, 2**52 - 1]).tolist() == [[-1, -1]] * 3
+def test_two_squares_large_non_sum(monkeypatch):
+    # an even power of a small prime 3 (mod 4) is no obstacle, for large m or
+    # small; an odd one rejects small m as the walk would
+    ms = [9 * (1000**2 + 999**2), 7**2 * 11**2 * (1000**2 + 999**2), 9 * 49 * 2**10, 9 * 5 * 2**9]
+    ms += [0, 9, 21, 23 * 2, 9 * 21]
+    assert two_squares(ms).tolist() == [list(two_square_scan(m) or (-1, -1)) for m in ms]
+
+    # a non-sum is rejected without the ~0.3 sqrt(m) walk: _isqrt runs for the
+    # start x and no step (21 * 2^40 walked about 25 s before the small primes)
+    calls = []
+
+    def start_only(v):
+        calls.append(len(v))
+        assert len(calls) == 1, "two_squares walked"
+        return _isqrt(v)
+
+    monkeypatch.setattr(arith, "_isqrt", start_only)
+    for ms in (
+        [2**52 - 2],  # odd part 2^51 - 1 = 3 (mod 4)
+        [3 * 2**40, 7 * 4**20, 2**52 - 1],
+        [21 * 2**40, 7 * 11 * 2**30, 9 * 21 * 2**40],  # odd part 1 (mod 4), 3 or 7 to an odd power
+        [21, 11 * 19 * 4, 23 * 3 * 2],  # small m as well
+    ):
+        calls.clear()
+        assert two_squares(ms).tolist() == [[-1, -1]] * len(ms)
 
 
 # the largest c with 2 c^2 < 2^52, so every x^2 + y^2 with c >= x >= y is in range

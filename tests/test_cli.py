@@ -1,7 +1,10 @@
+import itertools
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twosquares import ap_sums, arith, bins, cli, errors, hooley, quantum
@@ -279,6 +282,118 @@ def test_btable_guard_exit_code(capsys, monkeypatch):
     assert code == 3
     err = json.loads(out)["error"]
     assert err["type"] == "resource_guard" and "bytes" in err["cost_estimate"]
+
+
+# -- the b_tau table report against the dict encoding it replaced ----------------
+
+
+def old_encoding(report: dict) -> str:
+    """The report as written before tables were written from their columns:
+    each BTauTable as a dict keyed "t1,...,td", through json.dumps."""
+
+    def as_dict(table):
+        keys = (",".join(map(str, tau)) for tau in table.taus.tolist())
+        return dict(zip(keys, table.values.tolist()))
+
+    results = [
+        {**r, "b_tau": as_dict(r["b_tau"])} if isinstance(r.get("b_tau"), quantum.BTauTable) else r
+        for r in report["results"]
+    ]
+    rounded = cli._round_floats({**report, "results": results, "timestamp": ""})
+    return json.dumps(rounded, indent=2, sort_keys=True) + "\n"
+
+
+def without_timestamp(text: str) -> list[str]:
+    return [line for line in text.split("\n") if not line.startswith('  "timestamp": ')]
+
+
+BTABLE_ARGV = {
+    "ql_ii-d5-k2": ["--rule", "ql_ii", "--dim", "5", "--k", "2"],
+    "main-k8": ["--rule", "main", "--k", "8"],
+    "ql_i-k3": ["--rule", "ql_i", "--k", "3"],
+}
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["output", "stdout"])
+@pytest.mark.parametrize("family", list(BTABLE_ARGV))
+def test_btable_report_matches_dict_encoding(capsys, tmp_path, family, to_file):
+    argv = ["quantum", "--what", "btable", *BTABLE_ARGV[family]]
+    report = cli.cmd_quantum(cli.build_parser().parse_args(argv))
+    assert isinstance(report["results"][0]["b_tau"], quantum.BTauTable)
+    path = tmp_path / "btable.json"
+    code, out = run(capsys, argv + ["--output", str(path)] if to_file else argv)
+    assert code == 0
+    got = path.read_text() if to_file else out
+    assert without_timestamp(got) == without_timestamp(old_encoding(report))
+    assert len(json.loads(got)["results"][0]["b_tau"]) == len(report["results"][0]["b_tau"])
+
+
+def hand_table(taus, values) -> quantum.BTauTable:
+    taus = np.array(taus, dtype=np.int64)
+    none = np.empty(0, dtype=np.int64)
+    return quantum.BTauTable(
+        taus, np.array(values, dtype=np.float64), np.ones(len(values), dtype=bool), none, none.copy(), none.copy(), ()
+    )
+
+
+EDGE_VALUES = [1e-05, 1.5e-4, 123456789012.0, 1e15, 1e16, 0.1 + 0.2, -0.0, math.inf, math.nan, -math.inf, 0.0, 1 / 3]
+# 1, 2 and 3 digits of both signs: the key strings sort "-1" < "-10" < "-100"
+# < "-2" and "1" < "10" < "100" < "2", which is not the rows' numeric order
+EDGE_PARTS = [-134, -100, -12, -10, -2, -1, 0, 1, 2, 9, 10, 12, 100, 134]
+EDGE_TAUS = sorted(itertools.product(EDGE_PARTS, repeat=2))
+
+
+@pytest.mark.parametrize(
+    "taus, values",
+    [
+        (np.empty((0, 3)), []),
+        ([[5, -7, 0]], [0.25]),
+        ([[-(10**12), 3], [7, 10**15]], [1e-05, math.nan]),
+        (EDGE_TAUS, [EDGE_VALUES[i % len(EDGE_VALUES)] for i in range(len(EDGE_TAUS))]),
+    ],
+    ids=["empty", "one-row", "wide-range", "digits-and-values"],
+)
+@pytest.mark.parametrize("write_rows", [None, 5], ids=["one-piece", "pieces-of-5"])
+def test_btable_writer_edge_cases(tmp_path, monkeypatch, taus, values, write_rows):
+    if write_rows:
+        monkeypatch.setattr(cli, "_WRITE_ROWS", write_rows)
+    report = {"experiment": "quantum", "results": [{"b_tau": hand_table(taus, values), "k": 1}]}
+    path = tmp_path / "table.json"
+    cli._emit(report, str(path))
+    got = path.read_text()
+    assert without_timestamp(got) == without_timestamp(old_encoding(report))
+    if not values:
+        assert '"b_tau": {},' in got
+
+
+def test_btable_writer_mark_must_be_unique(capsys, tmp_path, monkeypatch):
+    # a report string equal to the table's mark cannot be told from it; that
+    # is found before the output is opened, and the command exits 4
+    report = {"results": [{"b_tau": hand_table([[1]], [1.0]), "note": cli._TABLE_MARK}]}
+    path = tmp_path / "table.json"
+    with pytest.raises(errors.InternalError):
+        cli._emit(report, str(path))
+    assert not path.exists()
+    with pytest.raises(errors.InternalError):
+        cli._emit({"results": [{"note": cli._TABLE_MARK}]}, str(path))
+    monkeypatch.setattr(cli, "cmd_quantum", lambda args: report)
+    code, _ = run(capsys, ["quantum", "--what", "btable", "--output", str(path)])
+    assert code == 4
+    assert json.loads(path.read_text())["error"]["type"] == "internal"
+
+
+def test_btable_writer_peak_below_dict_encoding(tmp_path):
+    # ql_ii d = 5, k = 3: written in pieces from the columns, the report peaks
+    # at 5.4 MB under tracemalloc; the dict, its rounded copy and the
+    # encoder's chunks at 22.1 MB
+    argv = ["quantum", "--what", "btable", "--rule", "ql_ii", "--dim", "5", "--k", "3"]
+    report = cli.cmd_quantum(cli.build_parser().parse_args(argv))
+    old_peak = traced_peak(lambda: (tmp_path / "old.json").write_text(old_encoding(report)))
+    peak = traced_peak(lambda: cli._emit(report, str(tmp_path / "new.json")))
+    assert peak < old_peak / 2
+    assert without_timestamp((tmp_path / "new.json").read_text()) == without_timestamp(
+        (tmp_path / "old.json").read_text()
+    )
 
 
 @pytest.mark.parametrize(
