@@ -98,7 +98,9 @@ def validate_pair(query: APQuery) -> None:
         raise ValidationError(f"N={query.N} must be >= 0")
 
 
-AP_BYTES = 42  # tracemalloc peak per progression term: 21.8-32.4 at N = 10^5-10^7
+# tracemalloc peak per sieved term: 17.0-17.1 bytes at N = 10^5-10^7 (int32
+# terms), 21.0 above 2^31 (int64 terms); charged 28 (>= 1.33x)
+AP_BYTES = 28
 
 
 def _class(query: APQuery, extra: list[tuple[int, int]]) -> range:

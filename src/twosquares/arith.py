@@ -43,9 +43,13 @@ class Factorization:
         return all(e == 1 for _, e in self.pairs)
 
 
-# tracemalloc peak per entry of the spf sieve: 5.78, 5.63, 5.53 and 5.51 bytes
-# at limits 10^5, 10^6, 10^7 and 2 * 10^7; charged 8 (>= 1.38x)
+# tracemalloc peak per entry of the spf sieve: 5.91, 4.62, 4.06 and 4.03 bytes
+# at limits 10^5, 10^6, 10^7 and 2 * 10^7; charged 8 (>= 1.35x)
 _TABLE_BYTES = 8
+# entries per segment of the spf sieve: 1 MiB of uint32, inside a 4 MiB L2.
+# At limit 2 * 10^7 on such a Xeon, segments of 2^16 to 2^20 entries ran in
+# 0.18-0.23 s and the one-pass masked sieve over the whole table in 0.54 s.
+_SEGMENT = 1 << 18
 
 
 class FactorTable:
@@ -53,6 +57,9 @@ class FactorTable:
 
     Immutable after construction; safe to share between threads.  spf[n]
     is the least prime dividing n, and spf[p] == p exactly for primes.
+    Sieved one _SEGMENT at a time: in each segment every prime p <= sqrt
+    (limit) writes p onto its multiples from p^2 on, in descending order
+    of p, so the least prime factor writes last; what stays 0 is prime.
     """
 
     def __init__(self, limit: int):
@@ -61,12 +68,16 @@ class FactorTable:
         check_bytes("FactorTable", _TABLE_BYTES * limit, f"limit {limit}")
         self.limit = limit
         spf = np.zeros(limit + 1, dtype=np.uint32)
-        for p in range(2, math.isqrt(limit) + 1):
-            if spf[p] == 0:
-                sl = spf[p * p :: p]
-                sl[sl == 0] = p
-        rest = np.nonzero(spf[2:] == 0)[0] + 2
-        spf[rest] = rest
+        primes = primes_up_to(math.isqrt(limit))[::-1].tolist()
+        for lo in range(0, limit + 1, _SEGMENT):
+            seg = spf[lo : lo + _SEGMENT]
+            hi = lo + len(seg)
+            for p in primes:
+                if p * p < hi:
+                    seg[max(p * p - lo, -lo % p) :: p] = p
+            rest = np.flatnonzero(seg == 0)
+            seg[rest] = rest + lo
+        spf[:2] = 0  # 0 and 1 have no prime factor
         self.spf = spf
         self.spf.setflags(write=False)
 
@@ -107,16 +118,27 @@ def trial_factorize(n: int) -> Factorization:
     return Factorization(tuple(pairs))
 
 
+# tracemalloc peak per integer of the prime sieve: 1.54, 1.27, 1.13, 1.03 and
+# 0.98 bytes at n = 10^4, 10^5, 10^6, 10^7 and 5 * 10^7; charged 2 (>= 1.30x)
+_PRIME_BYTES = 2
+
+
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (plain Eratosthenes)."""
+    """All primes <= n as an int64 array, by Eratosthenes over the odd
+    numbers: odd[i] stands for 2i + 1."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    check_bytes("primes_up_to", _PRIME_BYTES * n, f"n {n}")
+    odd = np.ones((n + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    out = np.flatnonzero(odd).astype(np.int64, copy=False)
+    out *= 2
+    out += 1
+    out[0] = 2  # odd[0], the 1, was left set to stand for 2
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -574,32 +596,42 @@ def progression_slice(ns: range, residues: Sequence[int], moduli: Sequence[int])
 
 def r2_on(progression: range) -> np.ndarray:
     """r_2(m) at every term m >= 1 of an arithmetic progression, as int64,
-    by a sieve over the progression itself: for each prime p <= sqrt(max m)
-    its exponent counts the slices of multiples of p, p^2, ..., and is
-    divided out; what is left above 1 is one prime larger than sqrt(max m)."""
+    by a sieve over the progression itself.  For each prime p <= sqrt(max m)
+    the slices of multiples of p, p^2, ... each divide p out once.  On the
+    p^k slice a p = 1 (mod 4) turns its factor k into k + 1, and a p = 3
+    (mod 4) flips the sign, so one pass of max(., 0) over the p slice zeroes
+    the odd exponents.  What is left above 1 is one prime larger than
+    sqrt(max m).  Terms are int32 below 2^31 and counts int32 throughout:
+    r_2 <= 4 d(m) < 2^31 for every int64 m."""
     if progression.step < 1 or (progression and progression.start < 1):
         raise ValidationError(f"r2_on: {progression} must be increasing with terms >= 1")
-    m = np.arange(progression.start, progression.stop, progression.step, dtype=np.int64)
-    out = np.full(len(m), 4, dtype=np.int64)
-    for p in map(int, primes_up_to(math.isqrt(progression[-1]) if progression else 0)):
-        sl = progression_slice(progression, [0], [p])
-        if sl is None or not (multiples := progression[sl]):
-            continue
-        e = np.ones(len(multiples), dtype=np.int64)
-        q = p * p
-        while q <= multiples[-1] and (deeper := progression_slice(multiples, [0], [q])) is not None:
-            e[deeper] += 1
+    last = progression[-1] if progression else 0
+    dtype = np.int32 if last < 1 << 31 else np.int64
+    m = np.arange(progression.start, progression.stop, progression.step, dtype=dtype)
+    out = np.full(len(m), 4, dtype=np.int32)
+    for p in primes_up_to(math.isqrt(last)).tolist():
+        q, k = p, 1
+        while q <= last and (sl := progression_slice(progression, [0], [q])) is not None:
+            if not (level := m[sl]).size:
+                break
+            level //= p
+            factor = out[sl]
+            if p & 3 == 1:
+                if k > 1:
+                    factor //= k
+                factor *= k + 1
+            elif p & 3 == 3:
+                np.negative(factor, out=factor)
             q *= p
-        m[sl] //= p**e
-        if p % 4 == 1:
-            out[sl] *= e + 1
-        elif p % 4 == 3:
-            out[sl] *= 1 - (e & 1)
+            k += 1
+        if p & 3 == 3 and k > 1:
+            factor = out[progression_slice(progression, [0], [p])]
+            np.maximum(factor, 0, out=factor)
     prime = m > 1
-    m %= 4
-    out[m == 3] = 0
-    out[(m == 1) & prime] *= 2
-    return out
+    m &= 3
+    out <<= (m == 1) & prime
+    out *= m != 3
+    return out.astype(np.int64)
 
 
 def floor_power(N: int, theta: float) -> int:

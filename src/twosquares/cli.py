@@ -309,8 +309,7 @@ def cmd_sieve_run(args) -> dict:
     l = (1 if tup.k > 1 else 0) if cfg["l"] is None else int(cfg["l"])
     results = []
     diagnostics = list(params.warnings)
-    for w in which:
-        direct = sieve.s_direct(w, params, tup, table, m=m, l=l)
+    for w, direct in zip(which, sieve.s_direct_sums(which, params, tup, table, m=m, l=l)):
         pred = sieve.s_predicted(w, params, tup, spec, m=m, l=l)
         results.append(
             {

@@ -677,9 +677,15 @@ def window_rho(
     n + h in (n, h) order."""
     rp = params.rho_params()
     rhos = [rho_on(rp, range(ns.start + h, ns.stop + h, ns.step)) for h in hs]
+    return rhos, *_rho_negatives(ns, w, hs, rhos)
+
+
+def _rho_negatives(
+    ns: range, w: np.ndarray, hs: Sequence[int], rhos: Sequence[np.ndarray]
+) -> tuple[int, tuple[int, ...]]:
     rows, cols = np.nonzero((np.stack(rhos, axis=1) < 0) & (w != 0)[:, None])
     examples = tuple(ns[r] + hs[c] for r, c in zip(rows[:10].tolist(), cols[:10].tolist()))
-    return rhos, len(rows), examples
+    return len(rows), examples
 
 
 # tracemalloc peak per window point, for k = 1, 2, 3, 5 shifts at N = 10^5,
@@ -706,30 +712,55 @@ def s_direct(
     lambda denominator, so two independent evaluators can be compared
     bit-for-bit.
     """
-    if which not in ("S1", "S2", "S3", "S4"):
-        raise ValidationError(f"s_direct: unknown sum {which!r}")
-    if which == "S3" and m == l:
-        raise ValidationError("s_direct: S3 needs m != l")
-    if which != "S1" and exact:
+    if not exact:
+        return s_direct_sums([which], params, tup, table, m=m, l=l)[0]
+    if which != "S1":
         raise ValidationError("s_direct: exact mode is defined for S1 only")
     if table.k != tup.k:
         raise ValidationError("s_direct: table arity != tuple size")
+    den = table.common_denominator()
+    ns = window(params, tup, 2 * params.N, (EXACT_S1_BYTES + den.bit_length() // 2, 0))
+    w = inner_weights(tup, ns, {d: int(v * den) for d, v in table.entries.items()}, object)
+    frac = Fraction(int((w * w).sum()), den * den)
+    return SieveSumResult(float(frac), frac, len(ns), 0, ())
 
-    den = table.common_denominator() if exact else 0
-    cost = EXACT_S1_BYTES + den.bit_length() // 2 if exact else SUM_BYTES
-    ns = window(params, tup, 2 * params.N, (cost, 0))
-    if exact:
-        w = inner_weights(tup, ns, {d: int(v * den) for d, v in table.entries.items()}, object)
-        frac = Fraction(int((w * w).sum()), den * den)
-        return SieveSumResult(float(frac), frac, len(ns), 0, ())
+
+def s_direct_sums(
+    which: Sequence[str],
+    params: SieveParams,
+    tup: AdmissibleTuple,
+    table: WeightTable,
+    m: int = 0,
+    l: int = 1,
+) -> list[SieveSumResult]:
+    """s_direct's float sums for every name in which, in that order, from
+    one window, one inner weight array and one rho array per shift that
+    the sums read (h_m, and h_l for S3); S1 alone reads no rho."""
+    for name in which:
+        if name not in ("S1", "S2", "S3", "S4"):
+            raise ValidationError(f"s_direct: unknown sum {name!r}")
+        if name == "S3" and m == l:
+            raise ValidationError("s_direct: S3 needs m != l")
+    if table.k != tup.k:
+        raise ValidationError("s_direct: table arity != tuple size")
+
+    ns = window(params, tup, 2 * params.N, (SUM_BYTES, 0))
     w = inner_weights(tup, ns, table.float_entries(), np.float64)
-    terms, neg_count, neg_examples = w * w, 0, ()
-    if which != "S1":
-        hs = [tup.h[m], tup.h[l]] if which == "S3" else [tup.h[m]]
-        rhos, neg_count, neg_examples = window_rho(params, ns, w, hs)
+    ww = w * w
+    shifts = {name: [tup.h[m], tup.h[l]] if name == "S3" else [tup.h[m]] for name in which if name != "S1"}
+    rp = params.rho_params()
+    rho_at = {h: rho_on(rp, range(ns.start + h, ns.stop + h, ns.step)) for h in set().union(*shifts.values())}
+    out = []
+    for name in which:
+        if name == "S1":
+            out.append(SieveSumResult(float(ww.sum()), None, len(ns), 0, ()))
+            continue
+        rhos = [rho_at[h] for h in shifts[name]]
+        negatives = _rho_negatives(ns, w, shifts[name], rhos)
         # S2: rho_m; S3: rho_m rho_l; S4: rho_m^2
-        terms *= rhos[0] if which == "S2" else rhos[0] * rhos[-1]
-    return SieveSumResult(float(terms.sum()), None, len(ns), neg_count, neg_examples)
+        terms = ww * (rhos[0] if name == "S2" else rhos[0] * rhos[-1])
+        out.append(SieveSumResult(float(terms.sum()), None, len(ns), *negatives))
+    return out
 
 
 def _inverse_mod(a: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ from twosquares.arith import (
     tau_k,
     trial_factorize,
 )
+from twosquares.bins import WITNESS_LIMIT
 from twosquares.errors import ResourceGuardError, ValidationError
 
 
@@ -64,6 +65,54 @@ def oracle_trial_division(n):
 
 def oracle_divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def oracle_prime_sieve(n):
+    """Primes <= n by Eratosthenes over a bool array of every integer."""
+    if n < 2:
+        return np.empty(0, dtype=np.int64)
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.nonzero(sieve)[0].astype(np.int64)
+
+
+def oracle_spf(limit):
+    """Least prime factor of 0..limit (0 at 0 and 1): each prime p in
+    ascending order writes p onto the multiples from p^2 on that no smaller
+    prime has claimed; what is left unclaimed is prime."""
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            sl = spf[p * p :: p]
+            sl[sl == 0] = p
+    rest = np.nonzero(spf[2:] == 0)[0] + 2
+    spf[rest] = rest
+    return spf
+
+
+# every prime below sqrt(2^32 + 2^22), for the r2 oracle on the largest terms
+ORACLE_PRIMES = oracle_prime_sieve(65_600).tolist()
+
+
+def oracle_r2(m):
+    """r_2(m) for 1 <= m < 65600^2 from its factorisation by trial division
+    over ORACLE_PRIMES."""
+    pairs = []
+    for p in ORACLE_PRIMES:
+        if p * p > m:
+            break
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            pairs.append((p, e))
+    if m > 1:
+        pairs.append((m, 1))
+    return r2(Factorization(tuple(pairs)))
 
 
 # -- factor tables ----------------------------------------------------------
@@ -110,6 +159,41 @@ def test_factor_table_peak_within_charge():
     finally:
         tracemalloc.stop()
     assert peak < arith._TABLE_BYTES * 10**6 / 1.26
+
+
+SEGMENT_EDGES = [k * arith._SEGMENT + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 100, *SEGMENT_EDGES, 262147, 999983])
+def test_spf_equals_masked_sieve(limit):
+    # the segmented sieve against the one-pass masked sieve, at and around
+    # the segment ends and at the primes 262147 (first above one segment),
+    # 524287, 786431, 786433 and 999983
+    spf = build_factor_table(limit).spf
+    assert spf.dtype == np.uint32
+    assert np.array_equal(spf, oracle_spf(limit))
+
+
+def test_primes_up_to_equals_bool_sieve():
+    for n in range(-2, 501):
+        got = arith.primes_up_to(n)
+        assert got.dtype == np.int64 and np.array_equal(got, oracle_prime_sieve(n)), n
+    # odd and even n around prime squares, and the spf segment ends
+    for n in [1009**2 + d for d in (-2, -1, 0, 1, 2)] + SEGMENT_EDGES + [999983, 10**6]:
+        assert np.array_equal(arith.primes_up_to(n), oracle_prime_sieve(n)), n
+
+
+def test_primes_up_to_peak_within_charge():
+    # the prime sieve keeps the 1.26x margin under its charge; the CLI test
+    # test_prime_bound_guard_exit_code checks that the charge is made
+    for n in (10**4, 10**6):
+        tracemalloc.start()
+        try:
+            arith.primes_up_to(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < arith._PRIME_BYTES * n / 1.26
 
 
 def test_factorize_examples():
@@ -226,6 +310,36 @@ STEPS = st.one_of(st.sampled_from([1, 4, 9, 12, 25, 420]), st.integers(min_value
 def test_r2_on_property(start, step, count):
     prog = range(start, start + count * step, step)
     assert r2_on(prog).tolist() == [r2(trial_factorize(m)) for m in prog]
+
+
+# p^k for k >= 3, p = 1 (mod 4) and p = 3 (mod 4), below 2^32
+HIGH_POWERS = [p**k for p in (3, 5, 7, 11, 13, 17) for k in range(3, 21) if p**k < WITNESS_LIMIT]
+
+
+@st.composite
+def wide_progressions(draw):
+    """Progressions that cross 2^31, where the terms turn from int32 to
+    int64, that end just below bins.WITNESS_LIMIT = 2^32, or whose terms
+    carry a prime power p^k, k >= 3, up to 2^32."""
+    step = draw(STEPS)
+    count = draw(st.integers(min_value=1, max_value=30))
+    span = (count - 1) * step
+    kind = draw(st.sampled_from(["int32 edge", "witness limit", "high powers"]))
+    if kind == "int32 edge":  # the last term is 2^31 - 1 or above
+        start = 2**31 - draw(st.integers(min_value=0, max_value=span + 1))
+    elif kind == "witness limit":
+        start = WITNESS_LIMIT - 1 - span - draw(st.integers(min_value=0, max_value=step))
+    else:
+        q = draw(st.sampled_from(HIGH_POWERS))
+        start = q * draw(st.integers(min_value=1, max_value=(WITNESS_LIMIT - 1) // q))
+        step = draw(st.sampled_from([step, q, step * q]))
+        count = min(count, (WITNESS_LIMIT - 1 - start) // step + 1)
+    return range(start, start + count * step, step)
+
+
+@given(prog=wide_progressions())
+def test_r2_on_wide_property(prog):
+    assert r2_on(prog).tolist() == [oracle_r2(m) for m in prog]
 
 
 @given(start=st.integers(min_value=-10**6, max_value=0), step=STEPS, count=st.integers(min_value=1, max_value=60))

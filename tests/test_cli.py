@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twosquares import ap_sums, arith, bins, cli, errors, hooley, quantum
+from twosquares import ap_sums, arith, bins, cli, errors, hooley, quantum, sieve
 
 
 def run(capsys, argv):
@@ -61,12 +61,35 @@ def test_ap_sums_guard_exit_code(capsys, monkeypatch):
 )
 def test_ap_sums_peak_within_charged_bytes(monkeypatch, name, query):
     # each sum's tracemalloc peak stays under what it charges the byte guard
-    # (0.53-0.77 of it at N = 10^5)
+    # (0.61-0.62 of it at N = 10^5)
     charged = []
     monkeypatch.setattr(ap_sums, "check_bytes", lambda what, need, workload: charged.append(need))
     fn = getattr(ap_sums, f"empirical_sum_{name}")
     peak = traced_peak(lambda: fn(ap_sums.APQuery(N=10**5, **query)))
     assert len(charged) == 1 and peak < charged[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants"],
+        ["c-gamma", "--D0", "10"],
+        ["tech-sum", "--N", "1e4"],
+        ["aux-sums", "--v", "1000"],
+    ],
+    ids=["constants", "c-gamma", "tech-sum", "aux-sums"],
+)
+def test_prime_bound_guard_exit_code(capsys, monkeypatch, argv):
+    # a prime bound of 12345679 charges the prime sieve 2.47e7 bytes: over a
+    # 10^6 budget it exits 3 before the sieve allocates its 6 MB.  No other
+    # test uses this bound, so no cached constant skips the sieve.
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 10**6)
+    result = []
+    peak = traced_peak(lambda: result.append(run(capsys, [*argv, "--prime-bound", "12345679"])))
+    code, out = result[0]
+    err = json.loads(out)["error"]
+    assert code == 3 and err["type"] == "resource_guard" and peak < 1 << 20
+    assert err["cost_estimate"].startswith("2.47e+07 bytes peak for n 12345679")
 
 
 def test_functionals_dispatch(capsys):
@@ -203,6 +226,25 @@ def test_sieve_run_dispatch(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["results"][0]["ratio"] > 0
+
+
+def test_sieve_run_builds_one_window(capsys, monkeypatch):
+    # S1-S4 share one window and one inner weight array, and read one rho
+    # array per distinct shift: h_m for S2-S4, h_l for S3
+    calls = []
+    for name in ("window", "inner_weights", "rho_on"):
+        def counted(*args, _fn=getattr(sieve, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(sieve, name, counted)
+    argv = ["sieve-run", "--N", "1e5", "--theta1", "0.1", "--theta2", "1.6", "--D0", "10", "--tuple", "0,4"]
+    code, out = run(capsys, argv + ["--which", "S1,S2,S3,S4"])
+    assert code == 0 and sorted(calls) == ["inner_weights", "rho_on", "rho_on", "window"]
+    assert [r["sum"] for r in json.loads(out)["results"]] == ["S1", "S2", "S3", "S4"]
+    calls.clear()
+    code, _ = run(capsys, argv + ["--which", "S1"])
+    assert code == 0 and sorted(calls) == ["inner_weights", "window"]
 
 
 def test_certificate_dispatch(capsys):

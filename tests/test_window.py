@@ -226,6 +226,28 @@ def test_negative_rho_window_pinned():
     assert res.rel_difference < 1e-12
 
 
+def test_window_sums_equal_per_sum_reductions():
+    # s_direct_sums shares the window, w and the rho arrays across the sums
+    # it is asked for, and gives each one the value and rho < 0 bookkeeping
+    # of a scan for that sum alone, bit for bit
+    p = relaxed(10**6, 0.35, 0.4, 1)
+    tup = AdmissibleTuple((0, 4, 16))
+    wt = lambda_from_F(p, single_bin_spec(3, 1.0))
+    which = ["S4", "S3", "S1", "S2", "S3"]
+    got = sieve.s_direct_sums(which, p, tup, wt, m=1, l=2)
+    ns = window(p, tup, 2 * p.N, (SUM_BYTES, 0))
+    w = inner_weights(tup, ns, wt.float_entries(), np.float64)
+    for name, res in zip(which, got, strict=True):
+        terms, negatives = w * w, (0, ())
+        if name != "S1":
+            hs = [tup.h[1], tup.h[2]] if name == "S3" else [tup.h[1]]
+            rhos, *negatives = window_rho(p, ns, w, hs)
+            terms *= rhos[0] if name == "S2" else rhos[0] * rhos[-1]
+        want = (float(terms.sum()), len(ns), *negatives)
+        assert (res.value, res.n_terms, res.rho_negative_count, res.rho_negative_examples) == want
+    assert got[1].rho_negative_count > 0
+
+
 def test_negative_rho_needs_nonzero_weight():
     p = relaxed(10**6, 0.35, 0.4, 1)
     ns = window(p, AdmissibleTuple((0, 4)), 2 * p.N, (SUM_BYTES, 0))
