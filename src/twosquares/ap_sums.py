@@ -3,8 +3,8 @@ versus predicted main terms.
 
 Each empirical sum sieves r_2 with `r2_on` over its own CRT-combined
 residue class (no per-n modulus checks); the pair sum reads r(n) and
-r(n+h) as strided views of one progression.  Partial sums are integers,
-so results are independent of any internal blocking.
+r(n+h) from the class and its shift by h.  Partial sums are integers, so
+results are independent of any internal blocking.
 """
 
 from __future__ import annotations
@@ -112,8 +112,12 @@ def _class(query: APQuery, extra: list[tuple[int, int]]) -> range:
     return range(start, query.N + 1, step)
 
 
+def _charge(terms: int) -> None:
+    check_bytes("AP sums: r2_on", AP_BYTES * terms, f"{terms} progression terms")
+
+
 def _r2_on(terms: range) -> np.ndarray:
-    check_bytes("AP sums: r2_on", AP_BYTES * len(terms), f"{len(terms)} progression terms")
+    _charge(len(terms))
     return r2_on(terms)
 
 
@@ -191,15 +195,18 @@ def gamma_direct_sum(d1: int, d2: int, q: int, r_max: int = 10**4) -> float:
 
 
 def empirical_sum_rr(query: APQuery) -> int:
-    """r(n) and r(n + h) are strided views of r_2 on one progression from
-    the least class member to N + h, of step g = gcd(m, h) for the class
-    modulus m."""
+    """When the class modulus m divides h, r(n) and r(n + h) are views of
+    r_2 on the class itself, run on to N + h.  Otherwise the class and its
+    shift by h are sieved apart: the one progression holding both has step
+    gcd(m, h), m/gcd(m, h) times as many terms."""
     validate_pair(query)
     cls = _class(query, [(0, query.d1), (-query.h, query.d2)])
-    g = math.gcd(cls.step, query.h)
-    r = _r2_on(range(cls.start, query.N + query.h + 1, g))
-    stride = cls.step // g
-    return int((r[::stride][: len(cls)] * r[query.h // g :: stride][: len(cls)]).sum())
+    if query.h % cls.step == 0:
+        r = _r2_on(range(cls.start, query.N + query.h + 1, cls.step))
+        return int((r[: len(cls)] * r[query.h // cls.step :][: len(cls)]).sum())
+    shifted = range(cls.start + query.h, query.N + query.h + 1, cls.step)
+    _charge(2 * len(cls))
+    return int((r2_on(cls) * r2_on(shifted)).sum())
 
 
 def predicted_sum_rr(query: APQuery, tail_prime_bound: int = 10**6) -> float:

@@ -52,7 +52,12 @@ def _btau_json(table: quantum.BTauTable, indent: str):
     """The text json.dumps(indent=2, sort_keys=True) gives the rounded dict
     {"t1,...,td": b_tau} when its key's line starts with `indent`, as an
     iterator of pieces of _WRITE_ROWS entries.  The array passes over the
-    table's columns run in this call; a piece is formatted when it is read."""
+    table's columns run in this call; a piece is assembled when it is read.
+
+    Each distinct component and each distinct value is spelled once, as a
+    zero-padded bytes string.  A piece gathers its entries into one
+    fixed-width byte matrix, a row ',\\n<indent>  "t1,...,td": value' per
+    entry, and keeps its nonzero bytes: no byte of the text is zero."""
     n, d = table.taus.shape
     if n == 0:
         return iter(["{}"])
@@ -61,23 +66,35 @@ def _btau_json(table: quantum.BTauTable, indent: str):
     index = np.empty((d, n), dtype=small)  # coded a column at a time
     for column, codes in zip(table.taus.T, index):
         codes[:] = np.searchsorted(parts, column)
-    names = np.array(list(map(str, parts.tolist())), dtype=object)
+    names = np.array(list(map(str, parts.tolist())), dtype=bytes)
     # sort_keys orders the keys by code point.  "," sorts below every digit,
     # so that order compares the component strings in turn ("-1" < "-10" <
-    # "-2" < "1" < "10" < "2"), not the numbers.
-    rank = np.empty(len(names), dtype=small)
-    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    # "-2" < "1" < "10" < "2"), not the numbers; a zero pad sorts below
+    # every byte, so the padded names sort as the strings do.
+    rank = np.empty(len(parts), dtype=small)
+    rank[np.argsort(names, kind="stable")] = np.arange(len(parts))
     order = np.lexsort(rank[index[::-1]])
     # each distinct value (by its bits, so -0.0 stays apart) is spelled once
     bits, at = np.unique(table.values.view(np.int64), return_inverse=True)
     spelled = map(repr, map(float, map("{:.12g}".format, bits.view(np.float64).tolist())))
-    values = np.array([_JSON_NONFINITE.get(v, v) for v in spelled], dtype=object)
-    line = indent + '  "' + ",".join(["{}"] * d) + '": {}'
+    values = np.array([_JSON_NONFINITE.get(v, v) for v in spelled], dtype=bytes)
+    # an entry's row: the lead, d slots of a name and the "," or '"' after
+    # it, ": " and the value
+    lead = f',\n{indent}  "'.encode()
+    slot = names.itemsize + 1
+    row = lead + b",".join([bytes(names.itemsize)] * d) + b'": ' + bytes(values.itemsize)
+    template = np.frombuffer(row, dtype=np.uint8)
 
     def piece(start: int) -> str:
         rows = order[start : start + _WRITE_ROWS]
-        columns = names[index[:, rows]].tolist()
-        return (",\n" if start else "{\n") + ",\n".join(map(line.format, *columns, values[at[rows]].tolist()))
+        mat = np.empty((len(rows), len(template)), dtype=np.uint8)
+        mat[:] = template
+        keys = mat[:, len(lead) : len(lead) + slot * d].reshape(len(rows), d, slot)[:, :, :-1]
+        keys.view(names.dtype)[:, :, 0] = names[index[:, rows].T]
+        mat[:, -values.itemsize :].view(values.dtype)[:, 0] = values[at[rows]]
+        if start == 0:
+            mat[0, 0] = ord("{")
+        return str(mat[mat != 0].data, "ascii")
 
     return chain(map(piece, range(0, n, _WRITE_ROWS)), ["\n" + indent + "}"])
 

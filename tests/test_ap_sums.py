@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from twosquares import ap_sums
 from twosquares.ap_sums import (
     APQuery,
     empirical_sum_r,
@@ -19,7 +20,7 @@ from twosquares.ap_sums import (
     validate_pair,
     validate_single,
 )
-from twosquares.arith import r2_lattice_range, trial_factorize, g3, g5
+from twosquares.arith import r2_lattice_range, r2_on, trial_factorize, g3, g5
 from twosquares.constants import a2_constant
 from twosquares.errors import ValidationError
 
@@ -150,6 +151,23 @@ def ap_queries(draw):
     return APQuery(N=draw(st.integers(0, 2 * 10**4)), q=q, a=a, d=d, d1=d1, d2=d2, h=h)
 
 
+def pair_class_mask(query: APQuery) -> np.ndarray:
+    """The n <= N of the pair sum, by a mask of its congruences."""
+    n = np.arange(query.N + 1)
+    return (
+        (n % 4 == 1)
+        & (n % query.q == query.a % query.q)
+        & (n % query.d1 == 0)
+        & ((n + query.h) % query.d2 == 0)
+    )
+
+
+def masked_lattice_rr(query: APQuery) -> int:
+    r = r2_lattice_range(query.N + query.h)
+    pair = pair_class_mask(query)
+    return int((r[: query.N + 1][pair] * r[query.h :][pair]).sum())
+
+
 @given(ap_queries())
 def test_sums_match_masked_lattice(query):
     # the CRT classes against a mask of the congruences over every n <= N
@@ -160,5 +178,36 @@ def test_sums_match_masked_lattice(query):
     single = r[: N + 1][cls & (n % query.d == 0)]
     assert empirical_sum_r(query) == single.sum()
     assert empirical_sum_r2(query) == (single * single).sum()
-    pair = cls & (n % query.d1 == 0) & ((n + h) % query.d2 == 0)
-    assert empirical_sum_rr(query) == (r[: N + 1][pair] * r[h:][pair]).sum()
+    assert empirical_sum_rr(query) == masked_lattice_rr(query)
+
+
+@given(ap_queries().filter(lambda query: query.d1 > 1 and query.d2 > 1))
+def test_rr_with_both_divisors_matches_masked_lattice(query):
+    # d1 d2 does not divide h, so the class and its shift are sieved apart
+    assert empirical_sum_rr(query) == masked_lattice_rr(query)
+
+
+@pytest.mark.parametrize(
+    "query, sieves",
+    [
+        (APQuery(N=10**5, h=4), 1),
+        (APQuery(N=10**5, q=3, a=1, h=12), 1),
+        (APQuery(N=10**5, h=4, d1=13, d2=17), 2),
+        (APQuery(N=10**5, q=3, a=1, h=4), 2),
+        (APQuery(N=10**5, q=3, a=1, d1=5, d2=7, h=12), 2),
+    ],
+    ids=["h4", "q3-h12", "d13-d17", "q3-h4", "q3-d5-d7-h12"],
+)
+def test_rr_sieves_and_charges_only_what_it_reads(monkeypatch, query, sieves):
+    # a class modulus that divides h: one sieve over the class run on to
+    # N + h; any other: the class and its shift, 2 len(class) terms
+    charged, sieved = [], []
+    monkeypatch.setattr(ap_sums, "check_bytes", lambda what, need, workload: charged.append(need))
+    monkeypatch.setattr(ap_sums, "r2_on", lambda terms: sieved.append(len(terms)) or r2_on(terms))
+    assert empirical_sum_rr(query) == masked_lattice_rr(query)
+    members = int(pair_class_mask(query).sum())
+    if sieves == 1:
+        assert sieved == [members + query.h // (4 * query.q)]
+    else:
+        assert sieved == [members, members]
+    assert charged == [sum(sieved) * ap_sums.AP_BYTES]

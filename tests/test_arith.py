@@ -557,3 +557,49 @@ def test_crt_and_counting():
     assert count_in_class(10, 20, 1, 4) == 2
     assert count_in_class(0, 0, 0, 1) == 0
     assert count_in_class(5, 6, 5, 7) == 1
+
+
+# -- CRT helpers and floor_power against brute force ---------------------------
+
+MODULI = st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 24)), min_size=1, max_size=3)
+
+
+@given(congruences=MODULI)
+def test_crt_property(congruences):
+    residues, moduli = zip(*congruences)
+    lcm = math.lcm(*moduli)
+    hits = [x for x in range(lcm) if all((x - r) % m == 0 for r, m in congruences)]
+    assert crt(residues, moduli) == ((hits[0], lcm) if hits else None)
+
+
+@given(lo=st.integers(-60, 60), width=st.integers(-5, 80), residue=st.integers(-40, 40), modulus=st.integers(1, 24))
+def test_count_in_class_property(lo, width, residue, modulus):
+    want = sum(1 for n in range(lo, lo + width) if (n - residue) % modulus == 0)
+    assert count_in_class(lo, lo + width, residue, modulus) == want
+
+
+@given(start=st.integers(1, 60), count=st.integers(0, 80), step=st.integers(1, 30), congruences=MODULI)
+def test_progression_slice_property(start, count, step, congruences):
+    ns = range(start, start + count * step, step)
+    residues, moduli = zip(*congruences)
+    want = [i for i, x in enumerate(ns) if all((x - r) % m == 0 for r, m in congruences)]
+    hits = progression_slice(ns, residues, moduli)
+    assert ([] if hits is None else list(range(len(ns)))[hits]) == want
+
+
+@st.composite
+def powers(draw):
+    """(N, theta) with theta = p/q, and N drawn both at random and as an
+    exact q-th power, where N^p is the q-th power of an integer."""
+    q = draw(st.integers(1, 12))
+    p = draw(st.integers(1, 2 * q))
+    N = draw(st.one_of(st.integers(1, 10**12), st.integers(1, 10**(12 // q) + 1).map(lambda b: b**q)))
+    return N, p / q
+
+
+@given(case=powers())
+def test_floor_power_property(case):
+    N, theta = case
+    p, q = Fraction(theta).limit_denominator(1000).as_integer_ratio()
+    r = floor_power(N, theta)
+    assert r**q <= N**p < (r + 1) ** q

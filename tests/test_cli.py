@@ -1,11 +1,15 @@
+import contextlib
+import io
 import itertools
 import json
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from twosquares import ap_sums, arith, bins, cli, errors, hooley, quantum, sieve
 
@@ -408,6 +412,29 @@ def test_btable_writer_edge_cases(tmp_path, monkeypatch, taus, values, write_row
         assert '"b_tau": {},' in got
 
 
+# small components of both signs beside +-10^15; values with -0.0, NaN,
+# +-inf, subnormals and 1e16 beside every other float
+COMPONENTS = st.one_of(st.integers(-150, 150), st.sampled_from([-(10**15), 10**15]))
+VALUES = st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e16]))
+
+
+@st.composite
+def hand_tables(draw):
+    d = draw(st.integers(1, 6))
+    taus = sorted(draw(st.lists(st.tuples(*[COMPONENTS] * d), unique=True, max_size=40)))
+    values = draw(st.lists(VALUES, min_size=len(taus), max_size=len(taus)))
+    return hand_table(np.array(taus, dtype=np.int64).reshape(len(taus), d), values)
+
+
+@given(table=hand_tables(), write_rows=st.sampled_from([1, 2, 7, cli._WRITE_ROWS]))
+def test_btable_writer_matches_dict_encoding(table, write_rows):
+    report = {"experiment": "quantum", "results": [{"b_tau": table, "k": 1}]}
+    out = io.StringIO()
+    with mock.patch.object(cli, "_WRITE_ROWS", write_rows), contextlib.redirect_stdout(out):
+        cli._emit(report, None)
+    assert without_timestamp(out.getvalue()) == without_timestamp(old_encoding(report))
+
+
 def test_btable_writer_mark_must_be_unique(capsys, tmp_path, monkeypatch):
     # a report string equal to the table's mark cannot be told from it; that
     # is found before the output is opened, and the command exits 4
@@ -425,14 +452,16 @@ def test_btable_writer_mark_must_be_unique(capsys, tmp_path, monkeypatch):
 
 
 def test_btable_writer_peak_below_dict_encoding(tmp_path):
-    # ql_ii d = 5, k = 3: written in pieces from the columns, the report peaks
-    # at 5.4 MB under tracemalloc; the dict, its rounded copy and the
+    # ql_ii d = 5, k = 3: written in pieces of byte rows from the columns,
+    # the report peaks at 4.5 MB under tracemalloc; with one str.format call
+    # per entry it peaked at 5.3 MB, and the dict, its rounded copy and the
     # encoder's chunks at 22.1 MB
     argv = ["quantum", "--what", "btable", "--rule", "ql_ii", "--dim", "5", "--k", "3"]
     report = cli.cmd_quantum(cli.build_parser().parse_args(argv))
     old_peak = traced_peak(lambda: (tmp_path / "old.json").write_text(old_encoding(report)))
     peak = traced_peak(lambda: cli._emit(report, str(tmp_path / "new.json")))
     assert peak < old_peak / 2
+    assert peak < 5.3 * 10**6
     assert without_timestamp((tmp_path / "new.json").read_text()) == without_timestamp(
         (tmp_path / "old.json").read_text()
     )
