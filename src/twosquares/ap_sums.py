@@ -98,8 +98,9 @@ def validate_pair(query: APQuery) -> None:
         raise ValidationError(f"N={query.N} must be >= 0")
 
 
-# tracemalloc peak per sieved term: 17.0-17.1 bytes at N = 10^5-10^7 (int32
-# terms), 21.0 above 2^31 (int64 terms); charged 28 (>= 1.33x)
+# tracemalloc peak per sieved term, int32 counts with int64 products: 10.0-13.9
+# bytes at N = 10^7, up to 19.4 at N = 10^5 (int32 terms), 14.0 above 2^31
+# (int64 terms); charged 28 (>= 1.33x)
 AP_BYTES = 28
 
 
@@ -128,7 +129,7 @@ def _r2_on(terms: range) -> np.ndarray:
 
 def empirical_sum_r(query: APQuery) -> int:
     validate_single(query)
-    return int(_r2_on(_class(query, [(0, query.d)])).sum())
+    return int(_r2_on(_class(query, [(0, query.d)])).sum(dtype=np.int64))
 
 
 def predicted_sum_r(query: APQuery) -> float:
@@ -203,10 +204,10 @@ def empirical_sum_rr(query: APQuery) -> int:
     cls = _class(query, [(0, query.d1), (-query.h, query.d2)])
     if query.h % cls.step == 0:
         r = _r2_on(range(cls.start, query.N + query.h + 1, cls.step))
-        return int((r[: len(cls)] * r[query.h // cls.step :][: len(cls)]).sum())
+        return int(np.multiply(r[: len(cls)], r[query.h // cls.step :][: len(cls)], dtype=np.int64).sum())
     shifted = range(cls.start + query.h, query.N + query.h + 1, cls.step)
     _charge(2 * len(cls))
-    return int((r2_on(cls) * r2_on(shifted)).sum())
+    return int(np.multiply(r2_on(cls), r2_on(shifted), dtype=np.int64).sum())
 
 
 def predicted_sum_rr(query: APQuery, tail_prime_bound: int = 10**6) -> float:
@@ -224,7 +225,7 @@ def predicted_sum_rr(query: APQuery, tail_prime_bound: int = 10**6) -> float:
 def empirical_sum_r2(query: APQuery) -> int:
     validate_single(query)
     r = _r2_on(_class(query, [(0, query.d)]))
-    return int((r * r).sum())
+    return int(np.square(r, dtype=np.int64).sum())
 
 
 def predicted_sum_r2(query: APQuery) -> float:

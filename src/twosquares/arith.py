@@ -595,14 +595,15 @@ def progression_slice(ns: range, residues: Sequence[int], moduli: Sequence[int])
 
 
 def r2_on(progression: range) -> np.ndarray:
-    """r_2(m) at every term m >= 1 of an arithmetic progression, as int64,
+    """r_2(m) at every term m >= 1 of an arithmetic progression, as int32,
     by a sieve over the progression itself.  For each prime p <= sqrt(max m)
     the slices of multiples of p, p^2, ... each divide p out once.  On the
     p^k slice a p = 1 (mod 4) turns its factor k into k + 1, and a p = 3
     (mod 4) flips the sign, so one pass of max(., 0) over the p slice zeroes
     the odd exponents.  What is left above 1 is one prime larger than
     sqrt(max m).  Terms are int32 below 2^31 and counts int32 throughout:
-    r_2 <= 4 d(m) < 2^31 for every int64 m."""
+    r_2 <= 4 d(m) < 2^31 for every int64 m.  Callers take products and sums
+    of the counts in int64."""
     if progression.step < 1 or (progression and progression.start < 1):
         raise ValidationError(f"r2_on: {progression} must be increasing with terms >= 1")
     last = progression[-1] if progression else 0
@@ -631,7 +632,7 @@ def r2_on(progression: range) -> np.ndarray:
     m &= 3
     out <<= (m == 1) & prime
     out *= m != 3
-    return out.astype(np.int64)
+    return out
 
 
 def floor_power(N: int, theta: float) -> int:

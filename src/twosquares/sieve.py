@@ -20,9 +20,7 @@ import numpy as np
 
 from .arith import (
     crt,
-    euler_phi,
     floor_power,
-    mobius,
     primes_up_to,
     progression_slice,
     squarefree_products,
@@ -241,13 +239,24 @@ def geometric_bin_spec(sizes: Sequence[int]) -> TestFunctionSpec:
 # ---------------------------------------------------------------------------
 
 
+def _support(bound: int, W: int) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """a -> (mu(a), primes of a) for every squarefree a <= bound coprime to W
+    whose primes are all 3 mod 4, in ascending order of a; 1 comes first."""
+    ps = [p for p in primes_up_to(bound).tolist() if p % 4 == 3 and W % p]
+    return {a: (mu, primes) for a, mu, primes in sorted(squarefree_products(ps, bound))}
+
+
+def _divisor_lists(support: dict[int, tuple[int, tuple[int, ...]]]) -> dict[int, list[int]]:
+    """The ascending divisors of every support element, from its primes."""
+    return {a: sorted(d for d, _, _ in squarefree_products(ps, a)) for a, (_, ps) in support.items()}
+
+
 def enumerate_support(R: int, W: int = 1) -> list[int]:
     """Ascending squarefree n <= R, coprime to W, all prime factors 3 mod 4;
     1 is always included."""
     if R < 1:
         raise ValidationError(f"enumerate_support: R={R} < 1")
-    ps = [int(p) for p in primes_up_to(R) if p % 4 == 3 and W % int(p) != 0]
-    return sorted(a for a, _, _ in squarefree_products(ps, R))
+    return list(_support(R, W))
 
 
 @dataclass
@@ -284,14 +293,6 @@ class WeightTable:
         return rows
 
 
-def _squarefree_divisor_tuples(r: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-    divs = [
-        sorted(d for d, _, _ in squarefree_products(trial_factorize(ri).primes(), ri))
-        for ri in r
-    ]
-    return iproduct(*divs)
-
-
 def _support_tuples(
     support: list[int], k: int, R: int, caps_vals: list[int]
 ) -> Iterable[tuple[int, ...]]:
@@ -320,70 +321,63 @@ def _support_tuples(
 def lambda_from_F(params: SieveParams, spec: TestFunctionSpec) -> WeightTable:
     """Weights lambda_d = (prod mu(d_i) d_i) * sum over r-tuples divisible by
     d of F(log r / log R) / prod phi(r_i), on the squarefree 3-mod-4 support.
+    Only support elements up to the largest cap R^c can enter an r-tuple, so
+    the support, and with it every phi, mu and divisor list, stops there.
 
     F evaluations are materialised as exact fractions of their float
     values, so everything downstream is exact rational arithmetic.
     """
     k = spec.k
-    support = enumerate_support(params.R, params.W)
     logR = math.log(params.R) if params.R > 1 else 1.0
-    caps = spec.caps()
     caps_vals = [
-        min(params.R, int(math.floor(params.R**c * (1 + 1e-12)))) for c in caps
+        min(params.R, int(math.floor(params.R**c * (1 + 1e-12)))) for c in spec.caps()
     ]
-    est = 1.0
-    for cv in caps_vals:
-        est *= max(1, sum(1 for s in support if s <= cv))
+    support = _support(max(caps_vals), params.W)
+    est = math.prod(max(1, sum(1 for s in support if s <= cv)) for cv in caps_vals)
     if est > 5e6:
         raise ResourceGuardError(
             f"lambda_from_F: ~{est:.2e} r-tuples exceed the 5e6 guard",
-            cost_estimate=f"k={k}, |support|={len(support)}",
+            cost_estimate=f"k={k}, |support up to the caps|={len(support)}",
         )
 
-    phi = {s: euler_phi(trial_factorize(s)) for s in support}
+    phi = {s: math.prod(p - 1 for p in ps) for s, (_, ps) in support.items()}
+    divisors = _divisor_lists(support)
     y_entries: dict[tuple[int, ...], Fraction] = {}
     lam_tilde: dict[tuple[int, ...], Fraction] = {}
-    for r in _support_tuples(support, k, params.R, caps_vals):
+    for r in _support_tuples(list(support), k, params.R, caps_vals):
         t = [math.log(ri) / logR if ri > 1 else 0.0 for ri in r]
         fval = spec.evaluate(t)
         if fval == 0.0:
             continue
-        y = Fraction(fval)
-        y_entries[r] = y
-        c = y
-        for ri in r:
-            c /= phi[ri]
-        for d in _squarefree_divisor_tuples(r):
-            lam_tilde[d] = lam_tilde.get(d, Fraction(0)) + c
+        y_entries[r] = y = Fraction(fval)
+        c = y / math.prod(phi[ri] for ri in r)
+        for d in iproduct(*(divisors[ri] for ri in r)):
+            lam_tilde[d] = lam_tilde.get(d, 0) + c
 
     entries: dict[tuple[int, ...], Fraction] = {}
     for d, val in lam_tilde.items():
-        pref = Fraction(1)
-        for di in d:
-            pref *= mobius(trial_factorize(di)) * di
-        lam = pref * val
+        lam = math.prod(support[di][0] * di for di in d) * val
         if lam != 0:
             entries[d] = lam
     return WeightTable(k, params.R, params.W, spec, entries, y_entries)
 
 
 def y_from_lambda(table: WeightTable) -> dict[tuple[int, ...], Fraction]:
-    """Recover y_r = (prod mu(r_i) phi(r_i)) sum_{d: r_i | d_i} lambda_d / prod d_i."""
+    """Recover y_r = (prod mu(r_i) phi(r_i)) sum_{d: r_i | d_i} lambda_d / prod d_i.
+    Every key component must lie on the support; ValidationError otherwise."""
+    support = _support(min(table.R, max(map(max, table.entries), default=1)), table.W)
+    divisors = _divisor_lists(support)
     acc: dict[tuple[int, ...], Fraction] = {}
     for d, lam in table.entries.items():
-        prod_d = 1
         for di in d:
-            prod_d *= di
-        contrib = lam / prod_d
-        for r in _squarefree_divisor_tuples(d):
-            acc[r] = acc.get(r, Fraction(0)) + contrib
+            if di not in support:
+                raise ValidationError(f"y_from_lambda: key component {di} of {d} is off the support")
+        contrib = lam / math.prod(d)
+        for r in iproduct(*(divisors[di] for di in d)):
+            acc[r] = acc.get(r, 0) + contrib
     out: dict[tuple[int, ...], Fraction] = {}
     for r, val in acc.items():
-        pref = Fraction(1)
-        for ri in r:
-            fr = trial_factorize(ri)
-            pref *= mobius(fr) * euler_phi(fr)
-        val = pref * val
+        val *= math.prod(mu * math.prod(p - 1 for p in ps) for mu, ps in map(support.get, r))
         if val != 0:
             out[r] = val
     return out
@@ -836,12 +830,11 @@ def tech_sum_check(
 ) -> CorrelationReport:
     """Direct sum over the support of mu^2(d) f(d) G(log d / log R) against
     the predicted B * int_0^1 G(x) dx/sqrt(x)."""
-    support = enumerate_support(params.R, params.W)
     logR = math.log(params.R) if params.R > 1 else 1.0
     total = 0.0
-    for dd in support:
+    for dd, (_, ps) in _support(params.R, params.W).items():
         fv = Fraction(1)
-        for p, _ in trial_factorize(dd).pairs:
+        for p in ps:
             fv *= Fraction(f_rule(p))
         total += float(fv) * G(math.log(dd) / logR if dd > 1 else 0.0)
     B = b_constant(params, prime_bound).value
@@ -871,21 +864,18 @@ def c_gamma_check(
     known L(1,chi4)^(-1/2) = (pi/4)^(-1/2); the regrouped factors are
     1 + O(p^-2) and the partial products converge absolutely.
     """
-    alpha = alpha_rule or (lambda p: 0.0)
-    W = params.W
-    log_acc = -0.5 * math.log(math.pi / 4.0)
-    for p in map(int, primes_up_to(prime_bound)):
-        chi = 0 if p == 2 else (1 if p % 4 == 1 else -1)
-        gamma_p = (1.0 + alpha(p)) if (p % 4 == 3 and W % p != 0) else 0.0
-        log_acc += (
-            -math.log(1.0 - gamma_p / p)
-            + 0.5 * math.log(1.0 - 1.0 / p)
-            - 0.5 * math.log(1.0 - chi / p)
-        )
-    truncated = math.exp(log_acc)
+    w3_primes = trial_factorize(params.W3).primes()
+    ps = primes_up_to(prime_bound)
+    chi = np.where(ps % 4 == 1, 1.0, -1.0)
+    chi[ps == 2] = 0.0
+    on = np.flatnonzero((ps % 4 == 3) & ~np.isin(ps, w3_primes))
+    gamma = np.zeros(len(ps))
+    gamma[on] = 1.0 if alpha_rule is None else [1.0 + alpha_rule(p) for p in ps[on].tolist()]
+    terms = -np.log1p(-gamma / ps) + 0.5 * np.log1p(-1.0 / ps) - 0.5 * np.log1p(-chi / ps)
+    truncated = math.exp(-0.5 * math.log(math.pi / 4.0) + float(terms.sum()))
     A = landau_ramanujan_A(prime_bound).value
     phi_ratio = 1.0
-    for p, _ in trial_factorize(params.W3).pairs:
+    for p in w3_primes:
         phi_ratio *= 1 - 1 / p
     closed = A / math.sqrt(math.pi / 4.0) * phi_ratio
     return {

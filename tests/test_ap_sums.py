@@ -211,3 +211,21 @@ def test_rr_sieves_and_charges_only_what_it_reads(monkeypatch, query, sieves):
     else:
         assert sieved == [members, members]
     assert charged == [sum(sieved) * ap_sums.AP_BYTES]
+
+
+@pytest.mark.parametrize(
+    "query",
+    [APQuery(N=10**5, h=4), APQuery(N=10**5, h=4, d1=13, d2=17)],
+    ids=["one-sieve", "two-sieves"],
+)
+def test_sums_of_int32_counts_take_int64_products(monkeypatch, query):
+    # r2_on returns int32 counts.  No r_2(m) of an int64 m is large enough for
+    # a product of two to pass 2^31, so counts of 50,000 stand in for them:
+    # 50,000^2 wraps in int32, and so do the sums over these classes.
+    monkeypatch.setattr(ap_sums, "r2_on", lambda terms: np.full(len(terms), 50_000, dtype=np.int32))
+    members = int(pair_class_mask(query).sum())
+    assert empirical_sum_rr(query) == 50_000**2 * members
+    single = APQuery(N=query.N, d=query.d1)
+    terms = sum(1 for n in range(1, single.N + 1) if n % 4 == 1 and n % single.d == 0)
+    assert empirical_sum_r2(single) == 50_000**2 * terms
+    assert empirical_sum_r(single) == 50_000 * terms

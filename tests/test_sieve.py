@@ -1,11 +1,21 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from twosquares import errors
-from twosquares.arith import build_factor_table, count_in_class, crt
+from twosquares.arith import (
+    build_factor_table,
+    count_in_class,
+    crt,
+    euler_phi,
+    mobius,
+    primes_up_to,
+    squarefree_products,
+    trial_factorize,
+)
 from twosquares.constants import landau_ramanujan_A
 from twosquares.errors import ResourceGuardError, ValidationError
 from twosquares.sieve import TestFunctionSpec as TFSpec
@@ -153,6 +163,98 @@ def test_export_rows():
     wt = lambda_from_F(p, single_bin_spec(1, 1.0))
     rows = wt.export_rows()
     assert all(len(r.split(",")) == 3 for r in rows)
+
+
+def divisor_tuples_oracle(r):
+    """The squarefree divisor tuples of r, each component by trial division."""
+    divs = [sorted(d for d, _, _ in squarefree_products(trial_factorize(ri).primes(), ri)) for ri in r]
+    return product(*divs)
+
+
+def lambda_oracle(params, spec):
+    """(entries, y_entries) of lambda_from_F, with the support filtered from
+    every integer by trial division and the r-tuples drawn by brute force."""
+    R, W = params.R, params.W
+    caps_vals = [min(R, int(math.floor(R**c * (1 + 1e-12)))) for c in spec.caps()]
+    support = [
+        n
+        for n in range(1, max(caps_vals) + 1)
+        if all(e == 1 and p % 4 == 3 and W % p for p, e in trial_factorize(n).pairs)
+    ]
+    logR = math.log(R) if R > 1 else 1.0
+    y_entries, lam_tilde = {}, {}
+    for r in product(*([s for s in support if s <= cv] for cv in caps_vals)):
+        if math.prod(r) > R or any(math.gcd(a, b) > 1 for i, a in enumerate(r) for b in r[i + 1 :]):
+            continue
+        fval = spec.evaluate([math.log(ri) / logR if ri > 1 else 0.0 for ri in r])
+        if fval == 0.0:
+            continue
+        y_entries[r] = Fraction(fval)
+        c = Fraction(fval) / math.prod(euler_phi(trial_factorize(ri)) for ri in r)
+        for d in divisor_tuples_oracle(r):
+            lam_tilde[d] = lam_tilde.get(d, Fraction(0)) + c
+    entries = {}
+    for d, val in lam_tilde.items():
+        lam = math.prod(mobius(trial_factorize(di)) * di for di in d) * val
+        if lam != 0:
+            entries[d] = lam
+    return entries, y_entries
+
+
+def y_oracle(entries):
+    """y_from_lambda with every phi, mu and divisor list by trial division."""
+    acc = {}
+    for d, lam in entries.items():
+        for r in divisor_tuples_oracle(d):
+            acc[r] = acc.get(r, Fraction(0)) + lam / math.prod(d)
+    out = {}
+    for r, val in acc.items():
+        val *= math.prod(mobius(f) * euler_phi(f) for f in map(trial_factorize, r))
+        if val != 0:
+            out[r] = val
+    return out
+
+
+@st.composite
+def bin_specs(draw):
+    """1-3 bins, k <= 3 coordinates in all, betas summing to at most 1."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: sum(s) <= 3))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(sizes), max_size=len(sizes)))
+    total = sum(weights) + draw(st.integers(0, 2))
+    return TFSpec(tuple((ki, w / total) for ki, w in zip(sizes, weights)))
+
+
+@given(
+    spec=bin_specs(),
+    N=st.floats(3.0, math.log10(2 * 10**5)).map(lambda x: int(10**x)),
+    theta2=st.floats(1.0, 1.6),
+    D0=st.sampled_from([1, 3, 5, 10]),
+)
+@example(single_bin_spec(1, 1.0), 2 * 10**5, 1.6, 1)  # R = 17,411: the full-cap k = 1 table
+@example(single_bin_spec(2, 1.0), 2 * 10**5, 1.6, 10)
+@example(TFSpec(((1, 0.5), (2, 0.5))), 2 * 10**5, 1.6, 3)
+def test_weight_maps_equal_trial_division_oracle(spec, N, theta2, D0):
+    p = relaxed(N, 0.2, theta2, D0)
+    wt = lambda_from_F(p, spec)
+    entries, y_entries = lambda_oracle(p, spec)
+    assert list(wt.entries.items()) == list(entries.items())
+    assert list(wt.y_entries.items()) == list(y_entries.items())
+    y = y_from_lambda(wt)
+    assert list(y.items()) == list(y_oracle(wt.entries).items())
+    assert y == wt.y_entries
+
+
+@pytest.mark.parametrize(
+    "component",
+    [9, 2, 5, 3, 11 * 19 * 23],  # square, even, 1 mod 4, divides W = 105, above R = 200
+)
+def test_y_from_lambda_rejects_keys_off_the_support(component):
+    p = relaxed(200**2, 0.13, 1.0, 10)
+    wt = lambda_from_F(p, single_bin_spec(2, 1.0))
+    entries = {**wt.entries, (1, component): Fraction(1)}
+    bad = WeightTable(wt.k, wt.R, wt.W, wt.spec, entries, wt.y_entries)
+    with pytest.raises(ValidationError, match=f"component {component} of"):
+        y_from_lambda(bad)
 
 
 # -- functionals ---------------------------------------------------------------
@@ -432,6 +534,29 @@ def test_c_gamma_alpha_perturbation():
     res = c_gamma_check(p, lambda q: 1.0 / q, 10**5)
     # gamma(p) = 1 + 1/p still has closed form up to O(1/D0) slack
     assert res["slack"] < 0.1 * res["closed_form"]
+
+
+@pytest.mark.parametrize("D0", [1, 10])
+@pytest.mark.parametrize("alpha_rule", [None, lambda q: 1.0 / q], ids=["alpha0", "alpha1/q"])
+def test_c_gamma_equals_fsum_of_prime_terms(D0, alpha_rule):
+    p = relaxed(10**4, 0.1, 1.0, D0)
+    called = []
+
+    def alpha(q):
+        called.append(q)
+        return alpha_rule(q)
+
+    res = c_gamma_check(p, alpha_rule and alpha, 10**5)
+    terms, gamma_primes = [-0.5 * math.log(math.pi / 4.0)], []
+    for q in primes_up_to(10**5).tolist():
+        chi = 0 if q == 2 else (1 if q % 4 == 1 else -1)
+        gamma = 0.0
+        if q % 4 == 3 and p.W % q:
+            gamma_primes.append(q)
+            gamma = 1.0 + (alpha_rule(q) if alpha_rule else 0.0)
+        terms += [-math.log(1.0 - gamma / q), 0.5 * math.log(1.0 - 1.0 / q), -0.5 * math.log(1.0 - chi / q)]
+    assert res["truncated"].value == pytest.approx(math.exp(math.fsum(terms)), rel=1e-12)
+    assert called == (gamma_primes if alpha_rule else [])
 
 
 # -- the general sieve sum -----------------------------------------------------------

@@ -8,7 +8,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from twosquares import sieve
 from twosquares.arith import FactorTable, trial_factorize
@@ -93,6 +93,33 @@ def test_inner_weights_vs_divisor_scan(pp, shifts):
     scaled = {d: int(v * den) for d, v in wt.entries.items()}
     exact = inner_weights(tup, ns, scaled, object)
     assert len(w) == len(exact) == len(ns)
+    for n, got, got_exact in zip(ns, w.tolist(), exact.tolist()):
+        assert got_exact == inner_weight_oracle(tup, scaled, n), n
+        want = inner_weight_oracle(tup, floats, n)
+        assert abs(got - want) <= 1e-12 * max(abs(want), scale), n
+
+
+@st.composite
+def weighted_windows(draw):
+    """A small window, an admissible tuple of k <= 3 shifts and a table of
+    Python-int weights on k-tuples of moduli up to 60."""
+    shifts = draw(st.lists(st.integers(-50, 50).map(lambda x: 4 * x), min_size=1, max_size=3, unique=True))
+    assume(sieve.check_admissible(shifts).admissible)
+    tup = AdmissibleTuple(shifts)
+    start, step, count = draw(st.integers(1, 10**6)), draw(st.integers(1, 60)), draw(st.integers(0, 200))
+    keys = st.tuples(*[st.integers(1, 60)] * tup.k)
+    values = draw(st.dictionaries(keys, st.integers(-(10**30), 10**30), max_size=30))
+    return tup, range(start, start + count * step, step), values
+
+
+@given(weighted_windows())
+def test_inner_weights_property(case):
+    tup, ns, scaled = case
+    floats = {d: v / 7.0 for d, v in scaled.items()}
+    exact = inner_weights(tup, ns, scaled, object)
+    w = inner_weights(tup, ns, floats, np.float64)
+    assert len(w) == len(exact) == len(ns)
+    scale = max((abs(x) for x in floats.values()), default=0.0)
     for n, got, got_exact in zip(ns, w.tolist(), exact.tolist()):
         assert got_exact == inner_weight_oracle(tup, scaled, n), n
         want = inner_weight_oracle(tup, floats, n)
