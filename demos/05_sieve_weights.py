@@ -2,10 +2,10 @@
 
 Weight tables are exact rationals; inverting lambda back to the y-vector
 reproduces the test-function evaluations with zero error.  The sieve
-functionals have closed forms whose quadrature twins agree to ~1e-12, and
-the direct window sums S1..S4 track their predicted main terms with
-ratios drifting toward 1 as N grows (the first-order rate is unquantified,
-so watch the trend, not the gap).
+functionals have closed forms whose quadrature twins agree to machine
+precision, and the direct window sums S1..S4 track their predicted main
+terms with ratios drifting toward 1 as N grows (the first-order rate is
+unquantified, so watch the trend, not the gap).
 """
 
 import math

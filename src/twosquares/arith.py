@@ -550,16 +550,15 @@ def squarefree_products(
             stack.append((j + 1, *child))
 
 
-def w_split(D0: int) -> tuple[int, int, int]:
+def w_split(D0: int) -> tuple[int, int, int, float, float]:
     """The W-trick modulus W = prod of the odd primes <= D0, split by
-    residue class mod 4 as W = W1 * W3; returns (W, W1, W3)."""
-    w1 = w3 = 1
+    residue class mod 4 as W = W1 * W3; returns (W, W1, W3, phi(W1)/W1,
+    phi(W3)/W3), each ratio the product of 1 - 1/p over its ascending primes."""
+    w, ratio = [1] * 4, [1.0] * 4  # indexed by p mod 4; slot 2 takes p = 2, which W leaves out
     for p in map(int, primes_up_to(D0)):
-        if p % 4 == 1:
-            w1 *= p
-        elif p % 4 == 3:
-            w3 *= p
-    return w1 * w3, w1, w3
+        w[p % 4] *= p
+        ratio[p % 4] *= 1 - 1 / p
+    return w[1] * w[3], w[1], w[3], ratio[1], ratio[3]
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:

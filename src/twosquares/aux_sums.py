@@ -34,14 +34,14 @@ class AuxParams:
     W: int = field(init=False)
     W1: int = field(init=False)
     W3: int = field(init=False)
+    phi_W1: float = field(init=False)  # phi(W1)/W1
 
     def __post_init__(self):
         if self.v < 2:
             raise ValidationError(f"AuxParams: v={self.v} must be >= 2")
-        w, w1, w3 = w_split(self.D0)
-        object.__setattr__(self, "W", w)
-        object.__setattr__(self, "W1", w1)
-        object.__setattr__(self, "W3", w3)
+        w, w1, w3, phi_w1, _ = w_split(self.D0)
+        for name, val in (("W", w), ("W1", w1), ("W3", w3), ("phi_W1", phi_w1)):
+            object.__setattr__(self, name, val)
 
 
 @lru_cache(maxsize=1)
@@ -132,29 +132,21 @@ def z2_direct(params: AuxParams) -> float:
     return float(np.sum(2 * phi_w * s_z * s_zg6 - psi * s_z**2))
 
 
-def _g1_W1(params: AuxParams) -> float:
-    out = 1.0
-    for p in map(int, primes_up_to(params.D0)):
-        if p % 4 == 1:
-            out *= 1 - 1 / p
-    return out
-
-
 def x_predicted(params: AuxParams, prime_bound: int = 10**6) -> float:
     A = landau_ramanujan_A(prime_bound).value
-    return 8 * A * math.sqrt(math.log(params.v)) / (math.pi * _g1_W1(params))
+    return 8 * A * math.sqrt(math.log(params.v)) / (math.pi * params.phi_W1)
 
 
 def y_predicted(params: AuxParams, prime_bound: int = 10**6) -> float:
     A = landau_ramanujan_A(prime_bound).value
-    return 64 * A * A * math.log(params.v) / (math.pi**2 * _g1_W1(params) ** 2)
+    return 64 * A * A * math.log(params.v) / (math.pi**2 * params.phi_W1 ** 2)
 
 
 def z1_predicted(params: AuxParams, prime_bound: int = 10**6) -> float:
     A = landau_ramanujan_A(prime_bound).value
-    return 32 * A**3 * math.sqrt(math.log(params.v)) / (math.pi**2 * _g1_W1(params) ** 3)
+    return 32 * A**3 * math.sqrt(math.log(params.v)) / (math.pi**2 * params.phi_W1 ** 3)
 
 
 def z2_predicted(params: AuxParams, prime_bound: int = 10**6) -> float:
     A = landau_ramanujan_A(prime_bound).value
-    return -16 * A**3 * math.log(params.v) ** 1.5 / (math.pi**2 * _g1_W1(params) ** 3)
+    return -16 * A**3 * math.log(params.v) ** 1.5 / (math.pi**2 * params.phi_W1 ** 3)

@@ -159,17 +159,35 @@ def _bin_sizes(text: str) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
-    """File config overridden by explicit flags; defaults materialised."""
-    file_cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-    out = {}
-    for k in keys:
-        flag = getattr(args, k, None)
-        out[k] = flag if flag is not None else file_cfg.get(k, _DEFAULTS.get(k))
-    return out
+def _config_file(path: str) -> dict:
+    """The JSON object in a --config file; ValidationError names the file."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"--config {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValidationError(f"--config {path}: not JSON ({exc})") from None
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"--config {path}: not a JSON object")
+    return cfg
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """Every flag the subcommand declares: its command-line value, else the
+    --config file's through the flag's type (null counts as unset), else
+    its default."""
+    file_cfg = _config_file(args.config) if args.config else {}
+    cfg = {}
+    for flag, typ in args.flags:
+        value = getattr(args, flag)
+        if value is None and file_cfg.get(flag) is not None:
+            try:
+                value = typ(file_cfg[flag])
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError(f"--config {args.config}: {flag}={file_cfg[flag]!r} is not valid") from None
+        cfg[flag] = _DEFAULTS.get(flag) if value is None else value
+    return cfg
 
 
 _DEFAULTS = {
@@ -190,27 +208,29 @@ _DEFAULTS = {
 }
 
 
+def report(args: argparse.Namespace) -> dict:
+    """The report of subcommand args.command on its resolved config, which
+    echoes the defaults the command filled in."""
+    cfg = _resolve(args)
+    results, diagnostics = args.func(cfg)
+    return {"experiment": args.command, "config": cfg, "results": results, "diagnostics": diagnostics}
+
+
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each takes the resolved config and returns
+# (results, diagnostics)
 # ---------------------------------------------------------------------------
 
 
-def cmd_build_table(args) -> dict:
-    cfg = _resolve(args, ["N"])
+def cmd_build_table(cfg):
     table = build_factor_table(int(cfg["N"]))
     # a composite n has spf[n] <= isqrt(limit), so no index array is needed
     root = math.isqrt(table.limit)
     n_primes = int(np.count_nonzero(table.spf[2:] > root)) + len(primes_up_to(root))
-    return {
-        "experiment": "build-table",
-        "config": cfg,
-        "results": [{"limit": table.limit, "primes_below_limit": n_primes}],
-        "diagnostics": [],
-    }
+    return [{"limit": table.limit, "primes_below_limit": n_primes}], []
 
 
-def cmd_ap_sums(args) -> dict:
-    cfg = _resolve(args, ["sum", "N", "q", "a", "d", "d1", "d2", "h", "trend", "csv"])
+def cmd_ap_sums(cfg):
     name = {"r": "ap_r", "rr": "ap_rr", "r2": "ap_r2"}.get(cfg["sum"])
     if name is None:
         raise ValidationError(f"ap-sums: unknown --sum {cfg['sum']!r}")
@@ -234,16 +254,10 @@ def cmd_ap_sums(args) -> dict:
                 fh.write(
                     f"{r['N']},{r['empirical']:.12g},{r['predicted_main']:.12g},{r['rel_error']:.12g}\n"
                 )
-    return {
-        "experiment": "ap-sums",
-        "config": cfg,
-        "results": results,
-        "diagnostics": [],
-    }
+    return results, []
 
 
-def cmd_aux_sums(args) -> dict:
-    cfg = _resolve(args, ["v", "D0", "which", "prime_bound"])
+def cmd_aux_sums(cfg):
     which = (cfg["which"] or "x").split(",")
     params = aux_sums.AuxParams(v=int(cfg["v"]), D0=int(cfg["D0"]))
     pb = int(cfg["prime_bound"])
@@ -268,20 +282,14 @@ def cmd_aux_sums(args) -> dict:
                 "rel_error": abs(direct - pred) / abs(pred) if pred else math.inf,
             }
         )
-    return {
-        "experiment": "aux-sums",
-        "config": cfg,
-        "results": results,
-        "diagnostics": [f"W={params.W}", f"W1={params.W1}"],
-    }
+    return results, [f"W={params.W}", f"W1={params.W1}"]
 
 
-def cmd_functionals(args) -> dict:
-    cfg = _resolve(args, ["k", "beta"])
+def cmd_functionals(cfg):
     spec = sieve.single_bin_spec(int(cfg["k"]), float(cfg["beta"]))
     results = []
     for kind, m, l in (("L", None, None), ("L_m", 0, None), ("L_ml", 0, 1)):
-        if kind != "L" and spec.k < 2 and kind == "L_ml":
+        if kind == "L_ml" and spec.k < 2:
             continue
         closed = sieve.functional_value(spec, kind, "closed_form", m=m, l=l)
         quad = sieve.functional_value(spec, kind, "quadrature", m=m, l=l)
@@ -293,32 +301,27 @@ def cmd_functionals(args) -> dict:
                 "abs_difference": abs(closed.value - quad.value),
             }
         )
-    return {
-        "experiment": "functionals",
-        "config": cfg,
-        "results": results,
-        "diagnostics": [],
-    }
+    return results, []
 
 
-def _sieve_setup(cfg):
-    params = sieve.SieveParams(
+def _sieve_params(cfg) -> sieve.SieveParams:
+    return sieve.SieveParams(
         N=int(cfg["N"]),
         theta1=float(cfg["theta1"]),
         theta2=float(cfg["theta2"]),
         D0=int(cfg["D0"]),
         strict=False,
     )
-    tup = sieve.AdmissibleTuple(tuple(_ints(cfg["tuple"], "--tuple")))
-    return params, tup
 
 
-def cmd_sieve_run(args) -> dict:
-    cfg = _resolve(
-        args, ["N", "theta1", "theta2", "D0", "tuple", "beta", "which", "m", "l"]
-    )
-    cfg["tuple"] = cfg["tuple"] or "0,4"
-    params, tup = _sieve_setup(cfg)
+def _sieve_setup(cfg, default_tuple: str):
+    cfg["tuple"] = cfg["tuple"] or default_tuple
+    params = _sieve_params(cfg)
+    return params, sieve.AdmissibleTuple(tuple(_ints(cfg["tuple"], "--tuple")))
+
+
+def cmd_sieve_run(cfg):
+    params, tup = _sieve_setup(cfg, "0,4")
     spec = sieve.single_bin_spec(tup.k, float(cfg["beta"]))
     table = sieve.lambda_from_F(params, spec)
     which = (cfg["which"] or "S1").split(",")
@@ -341,20 +344,11 @@ def cmd_sieve_run(args) -> dict:
             diagnostics.append(
                 f"{w}: rho < 0 at {direct.rho_negative_count} points, e.g. {direct.rho_negative_examples[:3]}"
             )
-    return {
-        "experiment": "sieve-run",
-        "config": cfg,
-        "results": results,
-        "diagnostics": diagnostics,
-    }
+    return results, diagnostics
 
 
-def cmd_tech_sum(args) -> dict:
-    cfg = _resolve(args, ["N", "theta1", "theta2", "D0", "f_rule", "G_rule", "prime_bound"])
-    params = sieve.SieveParams(
-        N=int(cfg["N"]), theta1=float(cfg["theta1"]), theta2=float(cfg["theta2"]),
-        D0=int(cfg["D0"]), strict=False,
-    )
+def cmd_tech_sum(cfg):
+    params = _sieve_params(cfg)
     f_rules = {"reciprocal": lambda p: Fraction(1, p)}
     g_rules = {"one": lambda x: 1.0, "linear": lambda x: 1.0 - x}
     fr = f_rules.get(cfg["f_rule"] or "reciprocal")
@@ -362,43 +356,24 @@ def cmd_tech_sum(args) -> dict:
     if fr is None or gr is None:
         raise ValidationError("tech-sum: unknown rule")
     rep = sieve.tech_sum_check(params, fr, gr, int(cfg["prime_bound"]))
-    return {
-        "experiment": "tech-sum",
-        "config": cfg,
-        "results": [rep.as_dict()],
-        "diagnostics": list(params.warnings),
-    }
+    return [rep.as_dict()], list(params.warnings)
 
 
-def cmd_c_gamma(args) -> dict:
-    cfg = _resolve(args, ["N", "theta1", "theta2", "D0", "prime_bound"])
-    params = sieve.SieveParams(
-        N=int(cfg["N"]), theta1=float(cfg["theta1"]), theta2=float(cfg["theta2"]),
-        D0=int(cfg["D0"]), strict=False,
-    )
-    res = sieve.c_gamma_check(params, None, int(cfg["prime_bound"]))
-    return {
-        "experiment": "c-gamma",
-        "config": cfg,
-        "results": [
-            {
-                "truncated": res["truncated"].value,
-                "closed_form": res["closed_form"],
-                "slack": res["slack"],
-                "truncation": res["truncated"].parameters,
-            }
-        ],
-        "diagnostics": [],
-    }
+def cmd_c_gamma(cfg):
+    res = sieve.c_gamma_check(_sieve_params(cfg), None, int(cfg["prime_bound"]))
+    return [
+        {
+            "truncated": res["truncated"].value,
+            "closed_form": res["closed_form"],
+            "slack": res["slack"],
+            "truncation": res["truncated"].parameters,
+        }
+    ], []
 
 
-def cmd_certificate(args) -> dict:
-    cfg = _resolve(
-        args, ["N", "theta1", "theta2", "D0", "tuple", "bins", "mu", "t"]
-    )
-    cfg["tuple"] = cfg["tuple"] or "0,4,16"
+def cmd_certificate(cfg):
     cfg["bins"] = cfg["bins"] or "1:1,2:2"
-    params, tup = _sieve_setup(cfg)
+    params, tup = _sieve_setup(cfg, "0,4,16")
     sizes = _bin_sizes(cfg["bins"])
     if cfg["mu"] and cfg["t"]:
         mu, t = tuple(_floats(cfg["mu"], "--mu")), tuple(_floats(cfg["t"], "--t"))
@@ -411,36 +386,23 @@ def cmd_certificate(args) -> dict:
     part = bins.BinPartition(sizes=sizes, mu=mu, t=t)
     table = sieve.lambda_from_F(params, part.spec())
     res = bins.second_moment_lhs(params, tup, part, table)
-    return {
-        "experiment": "certificate",
-        "config": cfg,
-        "results": [
-            {
-                "lhs_direct": res.lhs_direct,
-                "lhs_assembled": res.lhs_assembled,
-                "rel_difference": res.rel_difference,
-                "mu": list(mu),
-                "t": list(t),
-                "positive": res.lhs_direct > 0,
-            }
-        ],
-        "diagnostics": warn
-        + list(params.warnings)
-        + (
-            [f"rho < 0 at {res.rho_negative_count} points"]
-            if res.rho_negative_count
-            else []
-        ),
-    }
+    results = [
+        {
+            "lhs_direct": res.lhs_direct,
+            "lhs_assembled": res.lhs_assembled,
+            "rel_difference": res.rel_difference,
+            "mu": list(mu),
+            "t": list(t),
+            "positive": res.lhs_direct > 0,
+        }
+    ]
+    rho_negative = [f"rho < 0 at {res.rho_negative_count} points"] if res.rho_negative_count else []
+    return results, warn + list(params.warnings) + rho_negative
 
 
-def cmd_witness_search(args) -> dict:
-    cfg = _resolve(
-        args, ["N", "limit", "theta1", "theta2", "D0", "tuple", "bins", "csv"]
-    )
-    cfg["tuple"] = cfg["tuple"] or "0,4,16"
+def cmd_witness_search(cfg):
     cfg["bins"] = cfg["bins"] or "1:1,2:2"
-    params, tup = _sieve_setup(cfg)
+    params, tup = _sieve_setup(cfg, "0,4,16")
     n_limit = 2 * params.N if cfg["limit"] is None else int(float(cfg["limit"]))
     part = bins.BinPartition(sizes=_bin_sizes(cfg["bins"]))
     found = bins.witness_search(params, tup, part, n_limit)
@@ -448,48 +410,25 @@ def cmd_witness_search(args) -> dict:
     if cfg["csv"]:
         with open(cfg["csv"], "w") as fh:
             fh.write("\n".join(bins.witness_csv_rows(found)) + "\n")
-    return {
-        "experiment": "witness-search",
-        "config": cfg,
-        "results": [
-            {
-                "count": len(found),
-                "all_verified": verified,
-                "first": (
-                    {"n": int(found.n[0]), "accepted": found.accepted[0].tolist()}
-                    if len(found)
-                    else None
-                ),
-            }
-        ],
-        "diagnostics": list(params.warnings),
-    }
+    first = {"n": int(found.n[0]), "accepted": found.accepted[0].tolist()} if len(found) else None
+    return [{"count": len(found), "all_verified": verified, "first": first}], list(params.warnings)
 
 
-def cmd_pigeonhole(args) -> dict:
-    cfg = _resolve(args, ["rows"])
+def cmd_pigeonhole(cfg):
     if not cfg["rows"]:
         raise ValidationError("pigeonhole: --rows required, e.g. '5;5,7;5,7,9'")
     rows = [tuple(_ints(r, "--rows")) for r in cfg["rows"].split(";") if r]
     res = bins.pigeonhole_extract(rows)
-    return {
-        "experiment": "pigeonhole",
-        "config": cfg,
-        "results": [
-            {
-                "a": list(res.a),
-                "depth": res.depth,
-                "supporting_rows": [list(s) for s in res.supporting_rows],
-            }
-        ],
-        "diagnostics": [],
-    }
+    return [
+        {
+            "a": list(res.a),
+            "depth": res.depth,
+            "supporting_rows": [list(s) for s in res.supporting_rows],
+        }
+    ], []
 
 
-def cmd_quantum(args) -> dict:
-    cfg = _resolve(
-        args, ["what", "n", "dim", "rule", "M", "a_list", "k", "tau", "epsilon", "csv"]
-    )
+def cmd_quantum(cfg):
     what = cfg["what"] or "shell"
     results = []
     if what == "shell":
@@ -555,11 +494,10 @@ def cmd_quantum(args) -> dict:
                 results.append({"i": i, **quantum.mass_lower_bound(fam, i, eps)})
         else:
             raise ValidationError(f"quantum: unknown --what {what!r}")
-    return {"experiment": "quantum", "config": cfg, "results": results, "diagnostics": []}
+    return results, []
 
 
-def cmd_constants(args) -> dict:
-    cfg = _resolve(args, ["prime_bound"])
+def cmd_constants(cfg):
     pb = int(cfg["prime_bound"])
     out = {"A": landau_ramanujan_A(pb)}
     out.update(special_constants())
@@ -573,92 +511,71 @@ def cmd_constants(args) -> dict:
         }
         for name, est in out.items()
     ]
-    return {"experiment": "constants", "config": cfg, "results": results, "diagnostics": []}
+    return results, []
 
 
 # ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per subcommand.  Its (flag, type) list is the one record
+    of the config keys the command reads and its report echoes."""
     p = argparse.ArgumentParser(
         prog="twosquares",
         description="Empirical toolkit for sums-of-two-squares sieve experiments",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, flags):
+    num = lambda s: int(float(s))
+    window = [("N", num), ("theta1", float), ("theta2", float), ("D0", int)]
+    commands = [
+        ("build-table", cmd_build_table, [("N", num)]),
+        (
+            "ap-sums",
+            cmd_ap_sums,
+            [("sum", str), ("N", num), ("q", int), ("a", int), ("d", int), ("d1", int), ("d2", int), ("h", int), ("trend", str), ("csv", str)],
+        ),
+        ("aux-sums", cmd_aux_sums, [("v", num), ("D0", int), ("which", str), ("prime_bound", num)]),
+        ("functionals", cmd_functionals, [("k", int), ("beta", float)]),
+        ("sieve-run", cmd_sieve_run, [*window, ("tuple", str), ("beta", float), ("which", str), ("m", int), ("l", int)]),
+        ("tech-sum", cmd_tech_sum, [*window, ("f_rule", str), ("G_rule", str), ("prime_bound", num)]),
+        ("c-gamma", cmd_c_gamma, [*window, ("prime_bound", num)]),
+        ("certificate", cmd_certificate, [*window, ("tuple", str), ("bins", str), ("mu", str), ("t", str)]),
+        ("witness-search", cmd_witness_search, [*window, ("limit", num), ("tuple", str), ("bins", str), ("csv", str)]),
+        ("pigeonhole", cmd_pigeonhole, [("rows", str)]),
+        (
+            "quantum",
+            cmd_quantum,
+            [("what", str), ("n", num), ("dim", int), ("rule", str), ("M", num), ("a_list", str), ("k", int), ("tau", str), ("epsilon", float), ("csv", str)],
+        ),
+        ("constants", cmd_constants, [("prime_bound", num)]),
+    ]
+    for name, fn, flags in commands:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file; flags override it")
         sp.add_argument("--output", help="write the JSON report here instead of stdout")
         for flag, typ in flags:
             sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=typ)
-        sp.set_defaults(func=fn)
-
-    num = lambda s: int(float(s))
-    add("build-table", cmd_build_table, [("N", num)])
-    add(
-        "ap-sums",
-        cmd_ap_sums,
-        [("sum", str), ("N", num), ("q", int), ("a", int), ("d", int), ("d1", int), ("d2", int), ("h", int), ("trend", str), ("csv", str)],
-    )
-    add("aux-sums", cmd_aux_sums, [("v", num), ("D0", int), ("which", str), ("prime_bound", num)])
-    add("functionals", cmd_functionals, [("k", int), ("beta", float)])
-    add(
-        "sieve-run",
-        cmd_sieve_run,
-        [("N", num), ("theta1", float), ("theta2", float), ("D0", int), ("tuple", str), ("beta", float), ("which", str), ("m", int), ("l", int)],
-    )
-    add(
-        "tech-sum",
-        cmd_tech_sum,
-        [("N", num), ("theta1", float), ("theta2", float), ("D0", int), ("f_rule", str), ("G_rule", str), ("prime_bound", num)],
-    )
-    add(
-        "c-gamma",
-        cmd_c_gamma,
-        [("N", num), ("theta1", float), ("theta2", float), ("D0", int), ("prime_bound", num)],
-    )
-    add(
-        "certificate",
-        cmd_certificate,
-        [("N", num), ("theta1", float), ("theta2", float), ("D0", int), ("tuple", str), ("bins", str), ("mu", str), ("t", str)],
-    )
-    add(
-        "witness-search",
-        cmd_witness_search,
-        [("N", num), ("limit", num), ("theta1", float), ("theta2", float), ("D0", int), ("tuple", str), ("bins", str), ("csv", str)],
-    )
-    add("pigeonhole", cmd_pigeonhole, [("rows", str)])
-    add(
-        "quantum",
-        cmd_quantum,
-        [("what", str), ("n", num), ("dim", int), ("rule", str), ("M", num), ("a_list", str), ("k", int), ("tau", str), ("epsilon", float), ("csv", str)],
-    )
-    add("constants", cmd_constants, [("prime_bound", num)])
+        sp.set_defaults(func=fn, flags=flags)
     return p
+
+
+# exit code and report "type" of each error a command may raise; an
+# InternalError is an AssertionError
+_ERRORS = {ValidationError: (2, "validation"), ResourceGuardError: (3, "resource_guard"), AssertionError: (4, "internal")}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        report = args.func(args)
-        _emit(report, getattr(args, "output", None), (time.perf_counter() - t0) * 1000)
-    except ValidationError as exc:
-        _emit({"experiment": args.command, "error": {"type": "validation", "message": str(exc)}}, getattr(args, "output", None))
-        return 2
-    except ResourceGuardError as exc:
-        _emit(
-            {
-                "experiment": args.command,
-                "error": {"type": "resource_guard", "message": str(exc), "cost_estimate": exc.cost_estimate},
-            },
-            getattr(args, "output", None),
-        )
-        return 3
-    except (InternalError, AssertionError) as exc:
-        _emit({"experiment": args.command, "error": {"type": "internal", "message": str(exc)}}, getattr(args, "output", None))
-        return 4
+        _emit(report(args), args.output, (time.perf_counter() - t0) * 1000)
+    except tuple(_ERRORS) as exc:
+        code, kind = next(v for cls, v in _ERRORS.items() if isinstance(exc, cls))
+        error = {"type": kind, "message": str(exc)}
+        if isinstance(exc, ResourceGuardError):
+            error["cost_estimate"] = exc.cost_estimate
+        _emit({"experiment": args.command, "error": error}, args.output)
+        return code
     return 0
 
 

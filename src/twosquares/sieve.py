@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 from typing import Callable, Iterable, Sequence
 
@@ -57,6 +58,7 @@ class SieveParams:
     W: int = field(init=False)
     W1: int = field(init=False)
     W3: int = field(init=False)
+    phi_W3: float = field(init=False)  # phi(W3)/W3
     warnings: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
@@ -81,12 +83,10 @@ class SieveParams:
             raise ValidationError(f"SieveParams: derived v={v} < 2")
         if r < 1:
             raise ValidationError(f"SieveParams: derived R={r} < 1")
-        w, w1, w3 = w_split(self.D0)
-        for name, val in (("v", v), ("R", r), ("W", w)):
+        w, w1, w3, _, phi_w3 = w_split(self.D0)
+        derived = {"v": v, "R": r, "W": w, "W1": w1, "W3": w3, "phi_W3": phi_w3, "warnings": tuple(warnings)}
+        for name, val in derived.items():
             object.__setattr__(self, name, val)
-        object.__setattr__(self, "W1", w1)
-        object.__setattr__(self, "W3", w3)
-        object.__setattr__(self, "warnings", tuple(warnings))
 
     def rho_params(self) -> RhoParams:
         return RhoParams(self.N, self.theta1, strict=self.strict)
@@ -392,65 +392,39 @@ def y_from_lambda(table: WeightTable) -> dict[tuple[int, ...], Fraction]:
 class FunctionalValue:
     value: float
     method: str  # closed_form | quadrature
-    tolerance: float
 
 
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-9,
-    max_panels: int = 10**6,
-) -> tuple[float, float]:
-    """Adaptive Simpson; returns (value, achieved tolerance estimate)."""
+@cache
+def _legendre_nodes() -> tuple[np.ndarray, np.ndarray]:
+    # built on first use: leggauss imports numpy.polynomial
+    return np.polynomial.legendre.leggauss(48)
 
-    panels = 0
 
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def rec(x0, x2, f0, f1, f2, whole, eps):
-        nonlocal panels
-        panels += 1
-        if panels > max_panels:
-            raise ResourceGuardError(
-                f"adaptive_simpson: exceeded {max_panels} panels",
-                cost_estimate=f"achieved tolerance ~{eps:.1e}",
-            )
-        xm = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if abs(left + right - whole) <= 15 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return rec(x0, xm, f0, fl, f1, left, eps / 2) + rec(
-            xm, x2, f1, fr, f2, right, eps / 2
-        )
-
-    if b <= a:
-        return 0.0, 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return rec(a, b, fa, fm, fb, whole, tol), tol
+def sqrt_rule(cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w with sum w f(x) = int_0^cap f(x) dx / sqrt(x):
+    48-node Gauss-Legendre in u = sqrt(x) on [0, sqrt(cap)], where
+    dx / sqrt(x) = 2 du.  Exact for f a polynomial of degree <= 47 in x;
+    the analytic integrands here converge to machine precision."""
+    c = math.sqrt(cap)
+    xs, ws = _legendre_nodes()
+    u = 0.5 * c * (xs + 1.0)
+    return u * u, c * ws
 
 
 def base_integral_sq(beta: float, k: int, method: str = "closed_form") -> FunctionalValue:
     """I2 = int_0^(beta/k) dt / (sqrt(t) (1 + kt/beta)^2) = (pi+2)/4 sqrt(beta/k)."""
     if method == "closed_form":
-        return FunctionalValue((math.pi + 2) / 4 * math.sqrt(beta / k), method, 0.0)
-    c = math.sqrt(beta / k)
-    val, tol = adaptive_simpson(lambda u: 2.0 / (1.0 + k * u * u / beta) ** 2, 0.0, c)
-    return FunctionalValue(val, "quadrature", tol)
+        return FunctionalValue((math.pi + 2) / 4 * math.sqrt(beta / k), method)
+    x, w = sqrt_rule(beta / k)
+    return FunctionalValue(float(w @ (1.0 / (1.0 + k * x / beta) ** 2)), "quadrature")
 
 
 def base_integral_lin(beta: float, k: int, method: str = "closed_form") -> FunctionalValue:
     """I1 = int_0^(beta/k) dt / (sqrt(t) (1 + kt/beta)) = (pi/2) sqrt(beta/k)."""
     if method == "closed_form":
-        return FunctionalValue(math.pi / 2 * math.sqrt(beta / k), method, 0.0)
-    c = math.sqrt(beta / k)
-    val, tol = adaptive_simpson(lambda u: 2.0 / (1.0 + k * u * u / beta), 0.0, c)
-    return FunctionalValue(val, "quadrature", tol)
+        return FunctionalValue(math.pi / 2 * math.sqrt(beta / k), method)
+    x, w = sqrt_rule(beta / k)
+    return FunctionalValue(float(w @ (1.0 / (1.0 + k * x / beta))), "quadrature")
 
 
 def functional_value(
@@ -481,18 +455,13 @@ def functional_value(
         if not 0 <= i < spec.k:
             raise ValidationError(f"functional_value: coordinate {i} out of range")
     val = 1.0
-    tol = 0.0
     for j in range(spec.k):
         ki, bi = spec.bins[cb[j]]
         if j in special:
-            i1 = base_integral_lin(bi, ki, method)
-            val *= i1.value**2
-            tol += 2 * i1.tolerance
+            val *= base_integral_lin(bi, ki, method).value ** 2
         else:
-            i2 = base_integral_sq(bi, ki, method)
-            val *= i2.value
-            tol += i2.tolerance
-    return FunctionalValue(val, method, tol)
+            val *= base_integral_sq(bi, ki, method).value
+    return FunctionalValue(val, method)
 
 
 def factorized_functionals(
@@ -526,28 +495,18 @@ def functional_tensor_quadrature(
     kind: str,
     m: int | None = None,
     l: int | None = None,
-    nodes: int = 48,
 ) -> float:
-    """Direct multi-dimensional assembly of the functionals by tensor
-    Gauss-Legendre after x = u^2 per coordinate, treating F as a black box
-    on the grid.  Feasible for k <= 4-ish; used to check the factorised
-    closed forms."""
+    """Direct multi-dimensional assembly of the functionals on the tensor
+    grid of sqrt_rule per coordinate, treating F as a black box on the
+    grid.  Feasible for k <= 4; used to check the factorised closed forms."""
     k = spec.k
-    if nodes**k > 4e7:
+    if 48**k > 4e7:
         raise ResourceGuardError(
-            f"functional_tensor_quadrature: {nodes}^{k} grid too large",
-            cost_estimate=f"{nodes ** k:.1e} nodes",
+            f"functional_tensor_quadrature: 48^{k} grid too large",
+            cost_estimate=f"{48 ** k:.1e} nodes",
         )
-    caps = spec.caps()
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
-    coords, weights = [], []
-    for j in range(k):
-        c = math.sqrt(caps[j])
-        u = 0.5 * c * (xs + 1.0)
-        w = 0.5 * c * ws * 2.0  # du weight plus the 2 from dx/sqrt(x) = 2 du
-        coords.append(u * u)  # x = u^2
-        weights.append(w)
-    grid = spec.evaluate_grid(coords)
+    coords, weights = zip(*map(sqrt_rule, spec.caps()))
+    grid = spec.evaluate_grid(list(coords))
     special = [i for i in (m, l) if i is not None] if kind != "L" else []
     # integrate the special axes first (inner integrals), then square,
     # then integrate the rest against the squared integrand
@@ -569,10 +528,7 @@ def functional_tensor_quadrature(
 def b_constant(params: SieveParams, prime_bound: int = 10**6) -> ConstantEstimate:
     """B = (2A/pi) (phi(W3)/W3) sqrt(log R)."""
     A = landau_ramanujan_A(prime_bound)
-    phi_ratio = 1.0
-    for p, _ in trial_factorize(params.W3).pairs:
-        phi_ratio *= 1 - 1 / p
-    val = 2 * A.value / math.pi * phi_ratio * math.sqrt(math.log(params.R))
+    val = 2 * A.value / math.pi * params.phi_W3 * math.sqrt(math.log(params.R))
     return ConstantEstimate(
         val, 2 * A.truncation_bound, f"A truncated at {prime_bound}; R={params.R}"
     )
@@ -838,8 +794,8 @@ def tech_sum_check(
             fv *= Fraction(f_rule(p))
         total += float(fv) * G(math.log(dd) / logR if dd > 1 else 0.0)
     B = b_constant(params, prime_bound).value
-    integral, _ = adaptive_simpson(lambda u: 2.0 * G(u * u), 0.0, 1.0)
-    pred = B * integral
+    x, w = sqrt_rule(1.0)
+    pred = B * float(w @ np.array([G(xi) for xi in x.tolist()]))
     return CorrelationReport(
         "tech_sum",
         total,
@@ -864,20 +820,16 @@ def c_gamma_check(
     known L(1,chi4)^(-1/2) = (pi/4)^(-1/2); the regrouped factors are
     1 + O(p^-2) and the partial products converge absolutely.
     """
-    w3_primes = trial_factorize(params.W3).primes()
     ps = primes_up_to(prime_bound)
     chi = np.where(ps % 4 == 1, 1.0, -1.0)
     chi[ps == 2] = 0.0
-    on = np.flatnonzero((ps % 4 == 3) & ~np.isin(ps, w3_primes))
+    on = np.flatnonzero((ps % 4 == 3) & (ps > params.D0))  # W3 holds the primes 3 mod 4 up to D0
     gamma = np.zeros(len(ps))
     gamma[on] = 1.0 if alpha_rule is None else [1.0 + alpha_rule(p) for p in ps[on].tolist()]
     terms = -np.log1p(-gamma / ps) + 0.5 * np.log1p(-1.0 / ps) - 0.5 * np.log1p(-chi / ps)
     truncated = math.exp(-0.5 * math.log(math.pi / 4.0) + float(terms.sum()))
     A = landau_ramanujan_A(prime_bound).value
-    phi_ratio = 1.0
-    for p in w3_primes:
-        phi_ratio *= 1 - 1 / p
-    closed = A / math.sqrt(math.pi / 4.0) * phi_ratio
+    closed = A / math.sqrt(math.pi / 4.0) * params.phi_W3
     return {
         "truncated": ConstantEstimate(
             truncated,

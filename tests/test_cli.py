@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -101,8 +102,8 @@ def test_functionals_dispatch(capsys):
     assert code == 0
     rep = json.loads(out)
     kinds = {r["kind"]: r for r in rep["results"]}
-    assert kinds["L"]["abs_difference"] < 1e-6
-    assert kinds["L_ml"]["abs_difference"] < 1e-6
+    assert kinds["L"]["abs_difference"] < 1e-12
+    assert kinds["L_ml"]["abs_difference"] < 1e-12
 
 
 def test_witness_search_dispatch(capsys, tmp_path):
@@ -213,6 +214,38 @@ def test_config_file_and_flag_override(capsys, tmp_path):
     assert rep["config"]["N"] == 4000
 
 
+def test_config_file_values_take_the_flag_type(capsys, tmp_path):
+    # a file value goes through the flag's type, as a flag value does, and
+    # null counts as unset
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 2e3, "q": None, "sum": "r"}))
+    code, out = run(capsys, ["ap-sums", "--config", str(cfg)])
+    assert code == 0
+    got = json.loads(out)["config"]
+    assert (got["N"], got["q"], got["sum"]) == (2000, 1, "r") and isinstance(got["N"], int)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "No such file or directory"),
+        ("{N: 1", "not JSON"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"N": "abc"}', "N='abc' is not valid"),
+    ],
+    ids=["missing", "not-json", "list", "bad-value"],
+)
+def test_bad_config_file_exit_code(capsys, tmp_path, content, message):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    code, out = run(capsys, ["build-table", "--config", str(path)])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "validation"
+    assert err["message"].startswith(f"--config {path}: ") and message in err["message"]
+
+
 def test_output_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code = cli.main(["functionals", "--k", "2", "--output", str(out_path)])
@@ -272,6 +305,36 @@ def test_build_table_dispatch(capsys):
     code, out = run(capsys, ["build-table", "--N", "1e4"])
     assert code == 0
     assert json.loads(out)["results"][0]["primes_below_limit"] == 1229
+
+
+# a tiny run of every subcommand
+TINY_ARGV = {
+    "build-table": ["--N", "100"],
+    "ap-sums": ["--sum", "r", "--N", "100"],
+    "aux-sums": ["--v", "100", "--prime-bound", "1e3"],
+    "functionals": ["--k", "2"],
+    "sieve-run": ["--N", "1e4"],
+    "tech-sum": ["--N", "1e4", "--prime-bound", "1e3"],
+    "c-gamma": ["--prime-bound", "1e3"],
+    "certificate": ["--N", "1e4", "--mu", "1.5,2.5", "--t", "1,2"],
+    "witness-search": ["--N", "1e4", "--limit", "1.1e4"],
+    "pigeonhole": ["--rows", "5;5,7"],
+    "quantum": ["--what", "shell"],
+    "constants": ["--prime-bound", "1e3"],
+}
+
+
+@pytest.mark.parametrize("command", list(TINY_ARGV))
+def test_subcommand_report_contract(capsys, command):
+    # the report names its subcommand and echoes exactly the flags it declares
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(TINY_ARGV)
+    declared = {a.dest for a in sub.choices[command]._actions} - {"help", "config", "output"}
+    code, out = run(capsys, [command, *TINY_ARGV[command]])
+    assert code == 0
+    rep = json.loads(out)
+    assert set(rep) == {"experiment", "config", "results", "diagnostics", "timestamp"}
+    assert rep["experiment"] == command and set(rep["config"]) == declared
 
 
 def traced_peak(fn):
@@ -364,7 +427,7 @@ BTABLE_ARGV = {
 @pytest.mark.parametrize("family", list(BTABLE_ARGV))
 def test_btable_report_matches_dict_encoding(capsys, tmp_path, family, to_file):
     argv = ["quantum", "--what", "btable", *BTABLE_ARGV[family]]
-    report = cli.cmd_quantum(cli.build_parser().parse_args(argv))
+    report = cli.report(cli.build_parser().parse_args(argv))
     assert isinstance(report["results"][0]["b_tau"], quantum.BTauTable)
     path = tmp_path / "btable.json"
     code, out = run(capsys, argv + ["--output", str(path)] if to_file else argv)
@@ -445,7 +508,7 @@ def test_btable_writer_mark_must_be_unique(capsys, tmp_path, monkeypatch):
     assert not path.exists()
     with pytest.raises(errors.InternalError):
         cli._emit({"results": [{"note": cli._TABLE_MARK}]}, str(path))
-    monkeypatch.setattr(cli, "cmd_quantum", lambda args: report)
+    monkeypatch.setattr(cli, "cmd_quantum", lambda cfg: (report["results"], []))
     code, _ = run(capsys, ["quantum", "--what", "btable", "--output", str(path)])
     assert code == 4
     assert json.loads(path.read_text())["error"]["type"] == "internal"
@@ -457,7 +520,7 @@ def test_btable_writer_peak_below_dict_encoding(tmp_path):
     # per entry it peaked at 5.3 MB, and the dict, its rounded copy and the
     # encoder's chunks at 22.1 MB
     argv = ["quantum", "--what", "btable", "--rule", "ql_ii", "--dim", "5", "--k", "3"]
-    report = cli.cmd_quantum(cli.build_parser().parse_args(argv))
+    report = cli.report(cli.build_parser().parse_args(argv))
     old_peak = traced_peak(lambda: (tmp_path / "old.json").write_text(old_encoding(report)))
     peak = traced_peak(lambda: cli._emit(report, str(tmp_path / "new.json")))
     assert peak < old_peak / 2

@@ -24,7 +24,6 @@ from twosquares.sieve import (
     AdmissibleTuple,
     SieveParams,
     WeightTable,
-    adaptive_simpson,
     b_constant,
     base_integral_lin,
     base_integral_sq,
@@ -260,19 +259,14 @@ def test_y_from_lambda_rejects_keys_off_the_support(component):
 # -- functionals ---------------------------------------------------------------
 
 
-def test_adaptive_simpson_basic():
-    v, _ = adaptive_simpson(lambda u: 2.0, 0.0, math.sqrt(0.3))
-    assert v == pytest.approx(2 * math.sqrt(0.3), abs=1e-12)
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("beta", [1.0, 0.5, 0.25])
 def test_base_integrals_closed_vs_quadrature(k, beta):
     assert base_integral_sq(beta, k, "quadrature").value == pytest.approx(
-        (math.pi + 2) / 4 * math.sqrt(beta / k), abs=1e-6
+        (math.pi + 2) / 4 * math.sqrt(beta / k), rel=1e-12
     )
     assert base_integral_lin(beta, k, "quadrature").value == pytest.approx(
-        math.pi / 2 * math.sqrt(beta / k), abs=1e-6
+        math.pi / 2 * math.sqrt(beta / k), rel=1e-12
     )
 
 
@@ -283,12 +277,12 @@ def test_functional_ratios(k, beta):
     L = functional_value(spec, "L", "quadrature").value
     Lm = functional_value(spec, "L_m", "quadrature", m=0).value
     assert Lm / L == pytest.approx(
-        math.pi**2 / (math.pi + 2) * math.sqrt(beta / k), abs=1e-6
+        math.pi**2 / (math.pi + 2) * math.sqrt(beta / k), rel=1e-12
     )
     if k >= 2:
         Lml = functional_value(spec, "L_ml", "quadrature", m=0, l=1).value
         assert Lml / L == pytest.approx(
-            (math.pi**2 / (math.pi + 2)) ** 2 * beta / k, abs=1e-6
+            (math.pi**2 / (math.pi + 2)) ** 2 * beta / k, rel=1e-12
         )
 
 
@@ -303,12 +297,12 @@ def test_spec_validation():
 def test_factorized_vs_tensor_quadrature(sizes):
     spec = geometric_bin_spec(sizes)
     fac = factorized_functionals(spec, 0, 0, 1)
-    assert fac["L"] == pytest.approx(functional_tensor_quadrature(spec, "L"), abs=1e-6)
+    assert fac["L"] == pytest.approx(functional_tensor_quadrature(spec, "L"), rel=1e-12)
     assert fac["L_m"] == pytest.approx(
-        functional_tensor_quadrature(spec, "L_m", m=0), abs=1e-6
+        functional_tensor_quadrature(spec, "L_m", m=0), rel=1e-12
     )
     assert fac["L_ml"] == pytest.approx(
-        functional_tensor_quadrature(spec, "L_ml", m=0, l=1), abs=1e-6
+        functional_tensor_quadrature(spec, "L_ml", m=0, l=1), rel=1e-12
     )
 
 
@@ -500,7 +494,7 @@ def test_tech_sum_constant_G():
     p = relaxed(10**4, 0.1, 1.2, 10)
     rep = tech_sum_check(p, lambda q: Fraction(1, q), lambda x: 1.0)
     B = b_constant(p).value
-    assert rep.predicted_main == pytest.approx(2 * B, rel=1e-6)
+    assert rep.predicted_main == pytest.approx(2 * B, rel=1e-12)
     # d = 1 contributes G(0) = 1
     assert rep.empirical >= 1.0
 
