@@ -36,8 +36,8 @@ print("lambda -> y roundtrip exact:", roundtrip)
 print("\nfunctionals, closed form vs quadrature (k = 3, beta = 1/2):")
 spec3 = single_bin_spec(3, 0.5)
 for kind, m, l in (("L", None, None), ("L_m", 0, None), ("L_ml", 0, 1)):
-    c = functional_value(spec3, kind, "closed_form", m=m, l=l).value
-    q = functional_value(spec3, kind, "quadrature", m=m, l=l).value
+    c = functional_value(spec3, kind, "closed_form", m=m, l=l)
+    q = functional_value(spec3, kind, "quadrature", m=m, l=l)
     print(f"  {kind:5s}: {c:.10f} vs {q:.10f}   |diff| {abs(c - q):.1e}")
 
 tup = AdmissibleTuple((0, 4))

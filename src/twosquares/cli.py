@@ -124,24 +124,26 @@ def _emit(report: dict, out_path: str | None, runtime_ms: float | None = None) -
         sys.stdout.writelines(pieces)
 
 
-def _numbers(text: str, flag: str, parse) -> list:
+def num(text) -> int:
+    """An integer that may be written as a float, e.g. 1e6.  inf and 1e400
+    raise ValueError, so argparse reports them as a usage error."""
+    try:
+        return int(float(text))
+    except OverflowError:
+        raise ValueError(f"{text!r} is not finite") from None
+
+
+def _numbers(text: str, flag: str, parse=num) -> tuple:
+    """The entries of a comma list, each through parse; empty ones are skipped."""
     out = []
     for x in text.split(","):
         if x == "":
             continue
         try:
             out.append(parse(x))
-        except (ValueError, OverflowError):
+        except ValueError:
             raise ValidationError(f"{flag}: entry {x!r} is not a number") from None
-    return out
-
-
-def _ints(text: str, flag: str) -> list[int]:
-    return _numbers(text, flag, lambda x: int(float(x)))
-
-
-def _floats(text: str, flag: str) -> list[float]:
-    return _numbers(text, flag, float)
+    return tuple(out)
 
 
 def _bin_sizes(text: str) -> tuple[int, ...]:
@@ -176,41 +178,23 @@ def _config_file(path: str) -> dict:
 def _resolve(args: argparse.Namespace) -> dict:
     """Every flag the subcommand declares: its command-line value, else the
     --config file's through the flag's type (null counts as unset), else
-    its default."""
+    the default its declaration gives."""
     file_cfg = _config_file(args.config) if args.config else {}
     cfg = {}
-    for flag, typ in args.flags:
+    for flag, typ, default in args.flags:
         value = getattr(args, flag)
         if value is None and file_cfg.get(flag) is not None:
             try:
                 value = typ(file_cfg[flag])
             except (TypeError, ValueError, OverflowError):
                 raise ValidationError(f"--config {args.config}: {flag}={file_cfg[flag]!r} is not valid") from None
-        cfg[flag] = _DEFAULTS.get(flag) if value is None else value
+        cfg[flag] = default if value is None else value
     return cfg
 
 
-_DEFAULTS = {
-    "N": 10**4,
-    "q": 1,
-    "a": 1,
-    "d": 1,
-    "d1": 1,
-    "d2": 1,
-    "h": 4,
-    "D0": 1,
-    "theta1": 0.1,
-    "theta2": 1.0,
-    "v": 10**4,
-    "k": 2,
-    "beta": 1.0,
-    "prime_bound": 10**6,
-}
-
-
 def report(args: argparse.Namespace) -> dict:
-    """The report of subcommand args.command on its resolved config, which
-    echoes the defaults the command filled in."""
+    """The report of subcommand args.command, which echoes the resolved
+    config the command ran with."""
     cfg = _resolve(args)
     results, diagnostics = args.func(cfg)
     return {"experiment": args.command, "config": cfg, "results": results, "diagnostics": diagnostics}
@@ -223,7 +207,7 @@ def report(args: argparse.Namespace) -> dict:
 
 
 def cmd_build_table(cfg):
-    table = build_factor_table(int(cfg["N"]))
+    table = build_factor_table(cfg["N"])
     # a composite n has spf[n] <= isqrt(limit), so no index array is needed
     root = math.isqrt(table.limit)
     n_primes = int(np.count_nonzero(table.spf[2:] > root)) + len(primes_up_to(root))
@@ -234,19 +218,9 @@ def cmd_ap_sums(cfg):
     name = {"r": "ap_r", "rr": "ap_rr", "r2": "ap_r2"}.get(cfg["sum"])
     if name is None:
         raise ValidationError(f"ap-sums: unknown --sum {cfg['sum']!r}")
-    ns = _ints(cfg["trend"], "--trend") if cfg["trend"] else [int(cfg["N"])]
-    results = []
-    for n in ns:
-        q = ap_sums.APQuery(
-            N=n,
-            q=int(cfg["q"]),
-            a=int(cfg["a"]),
-            d=int(cfg["d"]),
-            d1=int(cfg["d1"]),
-            d2=int(cfg["d2"]),
-            h=int(cfg["h"]),
-        )
-        results.append(ap_sums.run_experiment(name, q).as_dict())
+    ns = [cfg["N"]] if cfg["trend"] is None else _numbers(cfg["trend"], "--trend")
+    query = {key: cfg[key] for key in ("q", "a", "d", "d1", "d2", "h")}
+    results = [ap_sums.run_experiment(name, ap_sums.APQuery(N=n, **query)).as_dict() for n in ns]
     if cfg["csv"]:
         with open(cfg["csv"], "w") as fh:
             fh.write("N,empirical,predicted_main,rel_error\n")
@@ -258,9 +232,7 @@ def cmd_ap_sums(cfg):
 
 
 def cmd_aux_sums(cfg):
-    which = (cfg["which"] or "x").split(",")
-    params = aux_sums.AuxParams(v=int(cfg["v"]), D0=int(cfg["D0"]))
-    pb = int(cfg["prime_bound"])
+    params = aux_sums.AuxParams(v=cfg["v"], D0=cfg["D0"])
     table = {
         "x": (aux_sums.x_direct, aux_sums.x_predicted),
         "y": (aux_sums.y_direct, aux_sums.y_predicted),
@@ -268,12 +240,12 @@ def cmd_aux_sums(cfg):
         "z2": (aux_sums.z2_direct, aux_sums.z2_predicted),
     }
     results = []
-    for w in which:
+    for w in cfg["which"].split(","):
         if w not in table:
             raise ValidationError(f"aux-sums: unknown sum {w!r}")
         direct_fn, pred_fn = table[w]
         direct = direct_fn(params)
-        pred = pred_fn(params, pb)
+        pred = pred_fn(params, cfg["prime_bound"])
         results.append(
             {
                 "sum": w,
@@ -286,7 +258,7 @@ def cmd_aux_sums(cfg):
 
 
 def cmd_functionals(cfg):
-    spec = sieve.single_bin_spec(int(cfg["k"]), float(cfg["beta"]))
+    spec = sieve.single_bin_spec(cfg["k"], cfg["beta"])
     results = []
     for kind, m, l in (("L", None, None), ("L_m", 0, None), ("L_ml", 0, 1)):
         if kind == "L_ml" and spec.k < 2:
@@ -296,37 +268,29 @@ def cmd_functionals(cfg):
         results.append(
             {
                 "kind": kind,
-                "closed_form": closed.value,
-                "quadrature": quad.value,
-                "abs_difference": abs(closed.value - quad.value),
+                "closed_form": closed,
+                "quadrature": quad,
+                "abs_difference": abs(closed - quad),
             }
         )
     return results, []
 
 
 def _sieve_params(cfg) -> sieve.SieveParams:
-    return sieve.SieveParams(
-        N=int(cfg["N"]),
-        theta1=float(cfg["theta1"]),
-        theta2=float(cfg["theta2"]),
-        D0=int(cfg["D0"]),
-        strict=False,
-    )
+    return sieve.SieveParams(cfg["N"], cfg["theta1"], cfg["theta2"], cfg["D0"], strict=False)
 
 
-def _sieve_setup(cfg, default_tuple: str):
-    cfg["tuple"] = cfg["tuple"] or default_tuple
+def _sieve_setup(cfg):
     params = _sieve_params(cfg)
-    return params, sieve.AdmissibleTuple(tuple(_ints(cfg["tuple"], "--tuple")))
+    return params, sieve.AdmissibleTuple(_numbers(cfg["tuple"], "--tuple"))
 
 
 def cmd_sieve_run(cfg):
-    params, tup = _sieve_setup(cfg, "0,4")
-    spec = sieve.single_bin_spec(tup.k, float(cfg["beta"]))
+    params, tup = _sieve_setup(cfg)
+    spec = sieve.single_bin_spec(tup.k, cfg["beta"])
     table = sieve.lambda_from_F(params, spec)
-    which = (cfg["which"] or "S1").split(",")
-    m = 0 if cfg["m"] is None else int(cfg["m"])
-    l = (1 if tup.k > 1 else 0) if cfg["l"] is None else int(cfg["l"])
+    which, m = cfg["which"].split(","), cfg["m"]
+    l = (1 if tup.k > 1 else 0) if cfg["l"] is None else cfg["l"]
     results = []
     diagnostics = list(params.warnings)
     for w, direct in zip(which, sieve.s_direct_sums(which, params, tup, table, m=m, l=l)):
@@ -351,16 +315,15 @@ def cmd_tech_sum(cfg):
     params = _sieve_params(cfg)
     f_rules = {"reciprocal": lambda p: Fraction(1, p)}
     g_rules = {"one": lambda x: 1.0, "linear": lambda x: 1.0 - x}
-    fr = f_rules.get(cfg["f_rule"] or "reciprocal")
-    gr = g_rules.get(cfg["G_rule"] or "one")
+    fr, gr = f_rules.get(cfg["f_rule"]), g_rules.get(cfg["G_rule"])
     if fr is None or gr is None:
         raise ValidationError("tech-sum: unknown rule")
-    rep = sieve.tech_sum_check(params, fr, gr, int(cfg["prime_bound"]))
+    rep = sieve.tech_sum_check(params, fr, gr, cfg["prime_bound"])
     return [rep.as_dict()], list(params.warnings)
 
 
 def cmd_c_gamma(cfg):
-    res = sieve.c_gamma_check(_sieve_params(cfg), None, int(cfg["prime_bound"]))
+    res = sieve.c_gamma_check(_sieve_params(cfg), None, cfg["prime_bound"])
     return [
         {
             "truncated": res["truncated"].value,
@@ -372,17 +335,16 @@ def cmd_c_gamma(cfg):
 
 
 def cmd_certificate(cfg):
-    cfg["bins"] = cfg["bins"] or "1:1,2:2"
-    params, tup = _sieve_setup(cfg, "0,4,16")
+    params, tup = _sieve_setup(cfg)
     sizes = _bin_sizes(cfg["bins"])
-    if cfg["mu"] and cfg["t"]:
-        mu, t = tuple(_floats(cfg["mu"], "--mu")), tuple(_floats(cfg["t"], "--t"))
-        warn = []
-    else:
+    if cfg["mu"] is None or cfg["t"] is None:
         # the defaults come from regime-legal exponents; desk-scale thetas
         # fall outside the domain of the certificate constants
         mu, t, warn = bins.default_mu_t(sizes, 1 / 40, 1 / 40)
         warn = [f"mu/t defaulted from exponents 1/40, 1/40: mu={mu}, t={t}"] + warn
+    else:
+        mu, t = _numbers(cfg["mu"], "--mu", float), _numbers(cfg["t"], "--t", float)
+        warn = []
     part = bins.BinPartition(sizes=sizes, mu=mu, t=t)
     table = sieve.lambda_from_F(params, part.spec())
     res = bins.second_moment_lhs(params, tup, part, table)
@@ -401,9 +363,8 @@ def cmd_certificate(cfg):
 
 
 def cmd_witness_search(cfg):
-    cfg["bins"] = cfg["bins"] or "1:1,2:2"
-    params, tup = _sieve_setup(cfg, "0,4,16")
-    n_limit = 2 * params.N if cfg["limit"] is None else int(float(cfg["limit"]))
+    params, tup = _sieve_setup(cfg)
+    n_limit = 2 * params.N if cfg["limit"] is None else cfg["limit"]
     part = bins.BinPartition(sizes=_bin_sizes(cfg["bins"]))
     found = bins.witness_search(params, tup, part, n_limit)
     verified = bins.verify_witness(found)
@@ -417,7 +378,7 @@ def cmd_witness_search(cfg):
 def cmd_pigeonhole(cfg):
     if not cfg["rows"]:
         raise ValidationError("pigeonhole: --rows required, e.g. '5;5,7;5,7,9'")
-    rows = [tuple(_ints(r, "--rows")) for r in cfg["rows"].split(";") if r]
+    rows = [_numbers(r, "--rows") for r in cfg["rows"].split(";") if r]
     res = bins.pigeonhole_extract(rows)
     return [
         {
@@ -429,10 +390,10 @@ def cmd_pigeonhole(cfg):
 
 
 def cmd_quantum(cfg):
-    what = cfg["what"] or "shell"
+    what, rule, k, M = cfg["what"], cfg["rule"], cfg["k"], cfg["M"]
     results = []
     if what == "shell":
-        shell = quantum.enumerate_shell(int(cfg["n"] or 5), int(cfg["dim"] or 2))
+        shell = quantum.enumerate_shell(cfg["n"], 2 if cfg["dim"] is None else cfg["dim"])
         if cfg["csv"]:
             with open(cfg["csv"], "w") as fh:
                 fh.write(",".join(f"x{i + 1}" for i in range(shell.d)) + "\n")
@@ -442,11 +403,8 @@ def cmd_quantum(cfg):
             {"n": shell.n, "d": shell.d, "count": len(shell.points), "points": [list(p) for p in shell.points[:50]]}
         )
     else:
-        rule = cfg["rule"] or "main"
-        a = tuple(_ints(cfg["a_list"] or "2,19,46,67,74,86,109,122", "--a-list"))
-        M = int(cfg["M"] or 32045)
-        k = int(cfg["k"] or 2)
-        d = int(cfg["dim"] or {"main": 3, "ql_i": 4}.get(rule, 5))
+        a = _numbers(cfg["a_list"], "--a-list")
+        d = {"main": 3, "ql_i": 4}.get(rule, 5) if cfg["dim"] is None else cfg["dim"]
         fam = quantum.build_family(rule, quantum.FamilyInputs(k=k, M=M, a=a, d=d))
         if what == "family":
             if cfg["csv"]:
@@ -467,7 +425,7 @@ def cmd_quantum(cfg):
         elif what == "btable":
             results.append({"rule": rule, "k": k, "b_tau": quantum.all_btau(fam)})
         elif what == "btau":
-            tau = tuple(_ints(cfg["tau"] or "0,0,0", "--tau"))
+            tau = _numbers(cfg["tau"], "--tau")
             coef = quantum.b_tau(fam, tau)
             results.append(
                 {
@@ -477,7 +435,7 @@ def cmd_quantum(cfg):
                 }
             )
         elif what == "limits":
-            tau = tuple(_ints(cfg["tau"] or "0,0,0", "--tau"))
+            tau = _numbers(cfg["tau"], "--tau")
             lim = quantum.ctau_limit(
                 rule, quantum.constant_M_inputs(M, a, k, d), tau, k
             )
@@ -489,17 +447,15 @@ def cmd_quantum(cfg):
                 }
             )
         elif what == "bounds":
-            eps = float(cfg["epsilon"] or 0.5)
             for i in range(1, k + 1):
-                results.append({"i": i, **quantum.mass_lower_bound(fam, i, eps)})
+                results.append({"i": i, **quantum.mass_lower_bound(fam, i, cfg["epsilon"])})
         else:
             raise ValidationError(f"quantum: unknown --what {what!r}")
     return results, []
 
 
 def cmd_constants(cfg):
-    pb = int(cfg["prime_bound"])
-    out = {"A": landau_ramanujan_A(pb)}
+    out = {"A": landau_ramanujan_A(cfg["prime_bound"])}
     out.update(special_constants())
     results = [
         {
@@ -518,42 +474,49 @@ def cmd_constants(cfg):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per subcommand.  Its (flag, type) list is the one record
-    of the config keys the command reads and its report echoes."""
+    """One subparser per subcommand.  Its (flag, type, default) list is the
+    one record of the config keys the command reads and its report echoes;
+    a default of None is worked out by the command, or means unset."""
     p = argparse.ArgumentParser(
         prog="twosquares",
         description="Empirical toolkit for sums-of-two-squares sieve experiments",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    num = lambda s: int(float(s))
-    window = [("N", num), ("theta1", float), ("theta2", float), ("D0", int)]
+    # flags that several subcommands share
+    N, D0, beta = ("N", num, 10**4), ("D0", int, 1), ("beta", float, 1.0)
+    pb, csv = ("prime_bound", num, 10**6), ("csv", str, None)
+    window = [N, ("theta1", float, 0.1), ("theta2", float, 1.0), D0]
+    bin_flags = [("tuple", str, "0,4,16"), ("bins", str, "1:1,2:2")]
     commands = [
-        ("build-table", cmd_build_table, [("N", num)]),
+        ("build-table", cmd_build_table, [N]),
         (
             "ap-sums",
             cmd_ap_sums,
-            [("sum", str), ("N", num), ("q", int), ("a", int), ("d", int), ("d1", int), ("d2", int), ("h", int), ("trend", str), ("csv", str)],
+            [("sum", str, None), N, ("q", int, 1), ("a", int, 1), ("d", int, 1), ("d1", int, 1), ("d2", int, 1), ("h", int, 4), ("trend", str, None), csv],
         ),
-        ("aux-sums", cmd_aux_sums, [("v", num), ("D0", int), ("which", str), ("prime_bound", num)]),
-        ("functionals", cmd_functionals, [("k", int), ("beta", float)]),
-        ("sieve-run", cmd_sieve_run, [*window, ("tuple", str), ("beta", float), ("which", str), ("m", int), ("l", int)]),
-        ("tech-sum", cmd_tech_sum, [*window, ("f_rule", str), ("G_rule", str), ("prime_bound", num)]),
-        ("c-gamma", cmd_c_gamma, [*window, ("prime_bound", num)]),
-        ("certificate", cmd_certificate, [*window, ("tuple", str), ("bins", str), ("mu", str), ("t", str)]),
-        ("witness-search", cmd_witness_search, [*window, ("limit", num), ("tuple", str), ("bins", str), ("csv", str)]),
-        ("pigeonhole", cmd_pigeonhole, [("rows", str)]),
+        ("aux-sums", cmd_aux_sums, [("v", num, 10**4), D0, ("which", str, "x"), pb]),
+        ("functionals", cmd_functionals, [("k", int, 2), beta]),
+        ("sieve-run", cmd_sieve_run, [*window, ("tuple", str, "0,4"), beta, ("which", str, "S1"), ("m", int, 0), ("l", int, None)]),
+        ("tech-sum", cmd_tech_sum, [*window, ("f_rule", str, "reciprocal"), ("G_rule", str, "one"), pb]),
+        ("c-gamma", cmd_c_gamma, [*window, pb]),
+        ("certificate", cmd_certificate, [*window, *bin_flags, ("mu", str, None), ("t", str, None)]),
+        ("witness-search", cmd_witness_search, [*window, ("limit", num, None), *bin_flags, csv]),
+        ("pigeonhole", cmd_pigeonhole, [("rows", str, None)]),
         (
             "quantum",
             cmd_quantum,
-            [("what", str), ("n", num), ("dim", int), ("rule", str), ("M", num), ("a_list", str), ("k", int), ("tau", str), ("epsilon", float), ("csv", str)],
+            [
+                ("what", str, "shell"), ("n", num, 5), ("dim", int, None), ("rule", str, "main"), ("M", num, 32045),
+                ("a_list", str, "2,19,46,67,74,86,109,122"), ("k", int, 2), ("tau", str, "0,0,0"), ("epsilon", float, 0.5), csv,
+            ],
         ),
-        ("constants", cmd_constants, [("prime_bound", num)]),
+        ("constants", cmd_constants, [pb]),
     ]
     for name, fn, flags in commands:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file; flags override it")
         sp.add_argument("--output", help="write the JSON report here instead of stdout")
-        for flag, typ in flags:
+        for flag, typ, _ in flags:
             sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=typ)
         sp.set_defaults(func=fn, flags=flags)
     return p

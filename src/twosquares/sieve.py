@@ -122,14 +122,16 @@ def check_admissible(h: Sequence[int]) -> AdmissibilityCertificate:
 
 @dataclass(frozen=True)
 class AdmissibleTuple:
-    """Sorted distinct shifts, each divisible by 4, with residues mod every
-    prime p <= k missing at least one class."""
+    """One or more sorted distinct shifts, each divisible by 4, with residues
+    mod every prime p <= k missing at least one class."""
 
     h: tuple[int, ...]
     certificate: AdmissibilityCertificate = field(init=False, compare=False)
 
     def __post_init__(self):
         hs = tuple(sorted(self.h))
+        if not hs:
+            raise ValidationError("AdmissibleTuple: need at least one shift")
         if any(x % 4 != 0 for x in hs):
             raise ValidationError("AdmissibleTuple: every element must be divisible by 4")
         cert = check_admissible(hs)
@@ -279,10 +281,7 @@ class WeightTable:
         return {d: float(v) for d, v in self.entries.items()}
 
     def common_denominator(self) -> int:
-        den = 1
-        for v in self.entries.values():
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        return den
+        return math.lcm(*(v.denominator for v in self.entries.values()))
 
     def export_rows(self) -> list[str]:
         """Text rows "d1,...,dk,num,den" for external inspection."""
@@ -388,12 +387,6 @@ def y_from_lambda(table: WeightTable) -> dict[tuple[int, ...], Fraction]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctionalValue:
-    value: float
-    method: str  # closed_form | quadrature
-
-
 @cache
 def _legendre_nodes() -> tuple[np.ndarray, np.ndarray]:
     # built on first use: leggauss imports numpy.polynomial
@@ -411,20 +404,20 @@ def sqrt_rule(cap: float) -> tuple[np.ndarray, np.ndarray]:
     return u * u, c * ws
 
 
-def base_integral_sq(beta: float, k: int, method: str = "closed_form") -> FunctionalValue:
+def base_integral_sq(beta: float, k: int, method: str = "closed_form") -> float:
     """I2 = int_0^(beta/k) dt / (sqrt(t) (1 + kt/beta)^2) = (pi+2)/4 sqrt(beta/k)."""
     if method == "closed_form":
-        return FunctionalValue((math.pi + 2) / 4 * math.sqrt(beta / k), method)
+        return (math.pi + 2) / 4 * math.sqrt(beta / k)
     x, w = sqrt_rule(beta / k)
-    return FunctionalValue(float(w @ (1.0 / (1.0 + k * x / beta) ** 2)), "quadrature")
+    return float(w @ (1.0 / (1.0 + k * x / beta) ** 2))
 
 
-def base_integral_lin(beta: float, k: int, method: str = "closed_form") -> FunctionalValue:
+def base_integral_lin(beta: float, k: int, method: str = "closed_form") -> float:
     """I1 = int_0^(beta/k) dt / (sqrt(t) (1 + kt/beta)) = (pi/2) sqrt(beta/k)."""
     if method == "closed_form":
-        return FunctionalValue(math.pi / 2 * math.sqrt(beta / k), method)
+        return math.pi / 2 * math.sqrt(beta / k)
     x, w = sqrt_rule(beta / k)
-    return FunctionalValue(float(w @ (1.0 / (1.0 + k * x / beta))), "quadrature")
+    return float(w @ (1.0 / (1.0 + k * x / beta)))
 
 
 def functional_value(
@@ -433,7 +426,7 @@ def functional_value(
     method: str = "closed_form",
     m: int | None = None,
     l: int | None = None,
-) -> FunctionalValue:
+) -> float:
     """L (plain), L_m, or L_ml for the product test function.
 
     The support is a product of intervals, so each functional is a product
@@ -458,10 +451,10 @@ def functional_value(
     for j in range(spec.k):
         ki, bi = spec.bins[cb[j]]
         if j in special:
-            val *= base_integral_lin(bi, ki, method).value ** 2
+            val *= base_integral_lin(bi, ki, method) ** 2
         else:
-            val *= base_integral_sq(bi, ki, method).value
-    return FunctionalValue(val, method)
+            val *= base_integral_sq(bi, ki, method)
+    return val
 
 
 def factorized_functionals(
@@ -474,7 +467,7 @@ def factorized_functionals(
         raise ValidationError("factorized_functionals: bad bin index")
     per_bin = []
     for ki, bi in spec.bins:
-        per_bin.append(base_integral_sq(bi, ki).value ** ki)
+        per_bin.append(base_integral_sq(bi, ki) ** ki)
     lk = float(np.prod(per_bin))
     kj, bj = spec.bins[j]
     ratio = math.pi**2 / (math.pi + 2) * math.sqrt(bj / kj)
@@ -558,16 +551,16 @@ def s_predicted(
     N, W = params.N, params.W
     logR, logv = math.log(params.R), math.log(params.v)
     if which == "S1":
-        L = functional_value(spec, "L").value
+        L = functional_value(spec, "L")
         return B**k * N / (4 * W) * L
     if which == "S2":
-        L = functional_value(spec, "L_m", m=m).value
+        L = functional_value(spec, "L_m", m=m)
         return 4 * math.sqrt(logR / logv) * B**k * N / (math.pi * W) * L
     if which == "S3":
-        L = functional_value(spec, "L_ml", m=m, l=l).value
+        L = functional_value(spec, "L_ml", m=m, l=l)
         return 64 * (logR / logv) * B**k * N / (math.pi**2 * W) * L
     if which == "S4":
-        L = functional_value(spec, "L_m", m=m).value
+        L = functional_value(spec, "L_m", m=m)
         return (
             2
             * math.sqrt(logR / logv)

@@ -150,17 +150,17 @@ def test_criterion_04_functional_closed_forms():
     worst = 0.0
     for k in range(1, 6):
         for beta in (1.0, 0.5, 0.25):
-            base = base_integral_sq(beta, k, "quadrature").value
+            base = base_integral_sq(beta, k, "quadrature")
             worst = max(worst, abs(base - (math.pi + 2) / 4 * math.sqrt(beta / k)))
             spec = single_bin_spec(k, beta)
-            L = functional_value(spec, "L", "quadrature").value
-            Lm = functional_value(spec, "L_m", "quadrature", m=0).value
+            L = functional_value(spec, "L", "quadrature")
+            Lm = functional_value(spec, "L_m", "quadrature", m=0)
             worst = max(
                 worst,
                 abs(Lm / L - math.pi**2 / (math.pi + 2) * math.sqrt(beta / k)),
             )
             if k >= 2:
-                Lml = functional_value(spec, "L_ml", "quadrature", m=0, l=1).value
+                Lml = functional_value(spec, "L_ml", "quadrature", m=0, l=1)
                 worst = max(
                     worst,
                     abs(Lml / L - (math.pi**2 / (math.pi + 2)) ** 2 * beta / k),

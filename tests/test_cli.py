@@ -215,14 +215,22 @@ def test_config_file_and_flag_override(capsys, tmp_path):
 
 
 def test_config_file_values_take_the_flag_type(capsys, tmp_path):
-    # a file value goes through the flag's type, as a flag value does, and
-    # null counts as unset
+    # a file value goes through the flag's type, as a flag value does; null
+    # counts as unset, so the echo shows the declared default, or null where
+    # the command works the value out
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": 2e3, "q": None, "sum": "r"}))
     code, out = run(capsys, ["ap-sums", "--config", str(cfg)])
     assert code == 0
     got = json.loads(out)["config"]
     assert (got["N"], got["q"], got["sum"]) == (2000, 1, "r") and isinstance(got["N"], int)
+    # a zero in the file is used as given
+    cfg.write_text(json.dumps({"what": "shell", "n": 0.0, "dim": None}))
+    code, out = run(capsys, ["quantum", "--config", str(cfg)])
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["config"]["n"], rep["config"]["dim"], rep["config"]["epsilon"]) == (0, None, 0.5)
+    assert rep["results"][0]["count"] == 1
 
 
 @pytest.mark.parametrize(
@@ -232,8 +240,9 @@ def test_config_file_values_take_the_flag_type(capsys, tmp_path):
         ("{N: 1", "not JSON"),
         ("[1, 2]", "not a JSON object"),
         ('{"N": "abc"}', "N='abc' is not valid"),
+        ('{"N": Infinity}', "N=inf is not valid"),
     ],
-    ids=["missing", "not-json", "list", "bad-value"],
+    ids=["missing", "not-json", "list", "bad-value", "infinite"],
 )
 def test_bad_config_file_exit_code(capsys, tmp_path, content, message):
     path = tmp_path / "cfg.json"
@@ -244,6 +253,15 @@ def test_bad_config_file_exit_code(capsys, tmp_path, content, message):
     err = json.loads(out)["error"]
     assert err["type"] == "validation"
     assert err["message"].startswith(f"--config {path}: ") and message in err["message"]
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400"])
+def test_integer_flag_past_the_floats_is_a_usage_error(capsys, value):
+    # int(float("inf")) raises OverflowError, which argparse would not catch
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["build-table", "--N", value])
+    assert exc.value.code == 2
+    assert f"argument --N: invalid num value: '{value}'" in capsys.readouterr().err
 
 
 def test_output_file(capsys, tmp_path):
@@ -324,9 +342,15 @@ TINY_ARGV = {
 }
 
 
+# the flags that have no default, or whose default the command works out
+# from other inputs: only these may echo null
+UNSET_OR_WORKED_OUT = {"csv", "trend", "sum", "limit", "dim", "l", "mu", "t", "rows"}
+
+
 @pytest.mark.parametrize("command", list(TINY_ARGV))
 def test_subcommand_report_contract(capsys, command):
-    # the report names its subcommand and echoes exactly the flags it declares
+    # the report names its subcommand and echoes exactly the flags it
+    # declares, each with the value that ran
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) == set(TINY_ARGV)
     declared = {a.dest for a in sub.choices[command]._actions} - {"help", "config", "output"}
@@ -335,6 +359,7 @@ def test_subcommand_report_contract(capsys, command):
     rep = json.loads(out)
     assert set(rep) == {"experiment", "config", "results", "diagnostics", "timestamp"}
     assert rep["experiment"] == command and set(rep["config"]) == declared
+    assert {flag for flag, value in rep["config"].items() if value is None} <= UNSET_OR_WORKED_OUT
 
 
 def traced_peak(fn):
@@ -371,6 +396,7 @@ def test_bin_sizes_positions(capsys):
         (["witness-search", "--N", "1e4", "--bins", "1:x"], "--bins", "1:x"),
         (["witness-search", "--N", "1e4", "--tuple", "0,a"], "--tuple", "a"),
         (["quantum", "--what", "btau", "--tau", "0,x,0"], "--tau", "x"),
+        (["witness-search", "--N", "1e4", "--tuple", "0,1e400"], "--tuple", "1e400"),
     ],
 )
 def test_non_numeric_list_entry_is_a_validation_error(capsys, argv, flag, entry):
@@ -600,3 +626,36 @@ def test_sieve_run_explicit_zero_index(capsys):
     code, swapped = run(capsys, base + ["--m", "0", "--l", "1"])
     assert code == 0
     assert json.loads(out)["results"][0]["direct"] == json.loads(swapped)["results"][0]["direct"]
+
+
+@pytest.mark.parametrize(
+    "argv, key, want",
+    [
+        # the class-1 bound at epsilon = 0 is (4/3)^2 / 4, not the 1.0887 of epsilon = 0.5
+        (["quantum", "--what", "bounds", "--rule", "ql_i", "--k", "2", "--epsilon", "0"], "rhs", (4 / 3) ** 2 / 4),
+        (["quantum", "--what", "shell", "--n", "0", "--dim", "2"], "count", 1),
+        (["quantum", "--what", "shell", "--dim", "0"], None, 2),
+        (["quantum", "--what", "family", "--M", "0"], None, 2),
+        (["quantum", "--what", "family", "--k", "0"], None, 2),
+        (["quantum", "--what", "family", "--a-list="], None, 2),
+        (["quantum", "--what="], None, 2),
+        (["sieve-run", "--N", "1e4", "--tuple="], None, 2),
+        (["sieve-run", "--N", "1e4", "--which="], None, 2),
+        (["aux-sums", "--v", "300", "--which="], None, 2),
+        (["certificate", "--N", "1e4", "--bins="], None, 2),
+        (["quantum", "--what", "btau", "--tau="], None, 2),
+    ],
+    ids=[
+        "epsilon-0", "n-0", "dim-0", "M-0", "k-0", "a-list-empty", "what-empty",
+        "tuple-empty", "which-empty", "aux-which-empty", "bins-empty", "tau-empty",
+    ],
+)
+def test_zero_or_empty_value_is_used_as_given(capsys, argv, key, want):
+    # a zero or empty flag value is the value that runs: it is not swapped
+    # for the default, and one the command cannot use exits 2
+    code, out = run(capsys, argv)
+    rep = json.loads(out)
+    if key is None:
+        assert code == want and rep["error"]["type"] == "validation"
+    else:
+        assert code == 0 and rep["results"][0][key] == pytest.approx(want, rel=1e-11)

@@ -92,6 +92,11 @@ def test_admissible_tuple_validation():
         AdmissibleTuple((0, 4, 8))  # covers mod 3
 
 
+def test_admissible_tuple_needs_a_shift():
+    with pytest.raises(ValidationError, match="AdmissibleTuple: need at least one shift"):
+        AdmissibleTuple(())
+
+
 def test_find_v0_examples():
     assert find_v0(relaxed(10**4, 0.1, 1.0, 10), AdmissibleTuple((0, 4, 16))) == 13
     assert find_v0(relaxed(10**4, 0.1, 1.0, 3), AdmissibleTuple((0, 4))) == 1
@@ -262,10 +267,10 @@ def test_y_from_lambda_rejects_keys_off_the_support(component):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("beta", [1.0, 0.5, 0.25])
 def test_base_integrals_closed_vs_quadrature(k, beta):
-    assert base_integral_sq(beta, k, "quadrature").value == pytest.approx(
+    assert base_integral_sq(beta, k, "quadrature") == pytest.approx(
         (math.pi + 2) / 4 * math.sqrt(beta / k), rel=1e-12
     )
-    assert base_integral_lin(beta, k, "quadrature").value == pytest.approx(
+    assert base_integral_lin(beta, k, "quadrature") == pytest.approx(
         math.pi / 2 * math.sqrt(beta / k), rel=1e-12
     )
 
@@ -274,13 +279,13 @@ def test_base_integrals_closed_vs_quadrature(k, beta):
 @pytest.mark.parametrize("beta", [1.0, 0.5, 0.25])
 def test_functional_ratios(k, beta):
     spec = single_bin_spec(k, beta)
-    L = functional_value(spec, "L", "quadrature").value
-    Lm = functional_value(spec, "L_m", "quadrature", m=0).value
+    L = functional_value(spec, "L", "quadrature")
+    Lm = functional_value(spec, "L_m", "quadrature", m=0)
     assert Lm / L == pytest.approx(
         math.pi**2 / (math.pi + 2) * math.sqrt(beta / k), rel=1e-12
     )
     if k >= 2:
-        Lml = functional_value(spec, "L_ml", "quadrature", m=0, l=1).value
+        Lml = functional_value(spec, "L_ml", "quadrature", m=0, l=1)
         assert Lml / L == pytest.approx(
             (math.pi**2 / (math.pi + 2)) ** 2 * beta / k, rel=1e-12
         )
@@ -309,13 +314,13 @@ def test_factorized_vs_tensor_quadrature(sizes):
 def test_factorized_single_bin_reduces():
     spec = single_bin_spec(2, 0.5)
     fac = factorized_functionals(spec, 0, 0, 1)
-    assert fac["L"] == pytest.approx(functional_value(spec, "L").value)
-    assert fac["L_m"] == pytest.approx(functional_value(spec, "L_m", m=0).value)
+    assert fac["L"] == pytest.approx(functional_value(spec, "L"))
+    assert fac["L_m"] == pytest.approx(functional_value(spec, "L_m", m=0))
     # two bins of size 1: L = L1(F1) L1(F2)
     spec2 = geometric_bin_spec([1, 1])
     fac2 = factorized_functionals(spec2, 0, 0)
     assert fac2["L"] == pytest.approx(
-        base_integral_sq(0.5, 1).value * base_integral_sq(0.25, 1).value
+        base_integral_sq(0.5, 1) * base_integral_sq(0.25, 1)
     )
 
 
@@ -350,6 +355,16 @@ def test_s1_collapses_to_progression_count():
     wt = lambda_from_F(p, single_bin_spec(1, 1.0))
     res = s_direct("S1", p, tup, wt)
     assert res.value == sum(1 for n in range(1000, 2000) if n % 4 == 1)
+
+
+def test_common_denominator():
+    wt = lambda_from_F(relaxed(10**4, 0.1, 1.2, 1), single_bin_spec(2, 1.0))
+    den = wt.common_denominator()
+    assert all((v * den).denominator == 1 for v in wt.entries.values())
+    # the least such integer: dropping any one prime factor breaks one entry
+    for p in {p for v in wt.entries.values() for p, _ in trial_factorize(v.denominator).pairs}:
+        assert any((v * (den // p)).denominator != 1 for v in wt.entries.values())
+    assert WeightTable(wt.k, wt.R, wt.W, wt.spec, {}, {}).common_denominator() == 1
 
 
 def s1_pair_loop(params, tup, table):
@@ -478,10 +493,10 @@ def test_s_predicted_relations():
     assert s4 / s2 == pytest.approx((math.log(p.N) / math.log(p.v) + 1) / 2)
     s1 = s_predicted("S1", p, tup, spec)
     B = b_constant(p).value
-    L = functional_value(spec, "L").value
+    L = functional_value(spec, "L")
     assert s1 == pytest.approx(B**2 * p.N / (4 * p.W) * L)
     s3 = s_predicted("S3", p, tup, spec, m=0, l=1)
-    Lml = functional_value(spec, "L_ml", m=0, l=1).value
+    Lml = functional_value(spec, "L_ml", m=0, l=1)
     assert s3 == pytest.approx(
         64 * (math.log(p.R) / math.log(p.v)) * B**2 * p.N / (math.pi**2 * p.W) * Lml
     )
@@ -578,7 +593,7 @@ def test_sJ_tracks_prediction():
         wt = lambda_from_F(p, single_bin_spec(2, 1.0))
         s = sJ_direct(p, wt, (), 1, 1, 0, lambda q: Fraction(1, q))
         B = b_constant(p).value
-        L = functional_value(single_bin_spec(2, 1.0), "L").value
+        L = functional_value(single_bin_spec(2, 1.0), "L")
         ratios.append(float(s) / (B**2 * L))
     assert abs(ratios[1] - 1) < abs(ratios[0] - 1) or abs(ratios[1] - 1) < 0.5
 
