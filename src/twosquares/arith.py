@@ -60,6 +60,7 @@ class FactorTable:
     Sieved one _SEGMENT at a time: in each segment every prime p <= sqrt
     (limit) writes p onto its multiples from p^2 on, in descending order
     of p, so the least prime factor writes last; what stays 0 is prime.
+    prime_count is the number of primes <= limit, counted from those zeros.
     """
 
     def __init__(self, limit: int):
@@ -69,6 +70,7 @@ class FactorTable:
         self.limit = limit
         spf = np.zeros(limit + 1, dtype=np.uint32)
         primes = primes_up_to(math.isqrt(limit))[::-1].tolist()
+        count = -2  # 0 and 1 stay 0 too
         for lo in range(0, limit + 1, _SEGMENT):
             seg = spf[lo : lo + _SEGMENT]
             hi = lo + len(seg)
@@ -77,8 +79,9 @@ class FactorTable:
                     seg[max(p * p - lo, -lo % p) :: p] = p
             rest = np.flatnonzero(seg == 0)
             seg[rest] = rest + lo
+            count += len(rest)
         spf[:2] = 0  # 0 and 1 have no prime factor
-        self.spf = spf
+        self.spf, self.prime_count = spf, count
         self.spf.setflags(write=False)
 
     def factorize(self, n: int) -> Factorization:

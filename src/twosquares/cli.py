@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from . import ap_sums, aux_sums, bins, quantum, sieve
-from .arith import build_factor_table, primes_up_to
+from .arith import build_factor_table
 from .constants import landau_ramanujan_A, special_constants
 from .errors import InternalError, ResourceGuardError, ValidationError
 
@@ -208,10 +208,7 @@ def report(args: argparse.Namespace) -> dict:
 
 def cmd_build_table(cfg):
     table = build_factor_table(cfg["N"])
-    # a composite n has spf[n] <= isqrt(limit), so no index array is needed
-    root = math.isqrt(table.limit)
-    n_primes = int(np.count_nonzero(table.spf[2:] > root)) + len(primes_up_to(root))
-    return [{"limit": table.limit, "primes_below_limit": n_primes}], []
+    return [{"limit": table.limit, "primes_below_limit": table.prime_count}], []
 
 
 def cmd_ap_sums(cfg):
@@ -337,7 +334,9 @@ def cmd_c_gamma(cfg):
 def cmd_certificate(cfg):
     params, tup = _sieve_setup(cfg)
     sizes = _bin_sizes(cfg["bins"])
-    if cfg["mu"] is None or cfg["t"] is None:
+    if (cfg["mu"] is None) != (cfg["t"] is None):
+        raise ValidationError("certificate: --mu and --t go together; give both or neither")
+    if cfg["mu"] is None:
         # the defaults come from regime-legal exponents; desk-scale thetas
         # fall outside the domain of the certificate constants
         mu, t, warn = bins.default_mu_t(sizes, 1 / 40, 1 / 40)
@@ -404,7 +403,10 @@ def cmd_quantum(cfg):
         )
     else:
         a = _numbers(cfg["a_list"], "--a-list")
-        d = {"main": 3, "ql_i": 4}.get(rule, 5) if cfg["dim"] is None else cfg["dim"]
+        fixed = {"main": 3, "ql_i": 4}.get(rule)
+        d = (fixed or 5) if cfg["dim"] is None else cfg["dim"]
+        if fixed not in (None, d):
+            raise ValidationError(f"quantum: --rule {rule} runs in dimension {fixed}, not --dim {d}")
         fam = quantum.build_family(rule, quantum.FamilyInputs(k=k, M=M, a=a, d=d))
         if what == "family":
             if cfg["csv"]:

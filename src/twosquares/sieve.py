@@ -731,9 +731,10 @@ def s1_pair_expansion(
     """Independent S1 evaluator over lambda_d lambda_e pairs.  Key d holds the
     class c_d mod M_d = 4W prod d_i of its congruences; a pair counts the n in
     [N, 2N) where its two classes meet, if they do (gcd(M_d, M_e) | c_e - c_d).
-    Pairs run as int64 arrays, exact while 2N + max(M_d)^2 < 2^63 (checked up
-    front); the sum of scaled_d scaled_e count is in Python ints.  Nothing here
-    reads the scan's inner weights or progression slices, so agreeing with
+    Only the keys whose class has an n in [N, 2N) are paired.  Pairs run as
+    int64 arrays, exact while 2N + max(M_d)^2 < 2^63 (checked up front over
+    every key); the sum of scaled_d scaled_e count is in Python ints.  Nothing
+    here reads the scan's inner weights or progression slices, so agreeing with
     s_direct(exact=True) checks both.  Returns (exact value, numerator over
     the squared common denominator), bit-comparable with s_direct's exact path.
     """
@@ -743,6 +744,8 @@ def s1_pair_expansion(
     top = 2 * N + max((sol[1] for sol, _ in keys), default=1) ** 2
     if top >= 1 << 63:
         raise ResourceGuardError("s1_pair_expansion: int64 overflow", f"2N + max(M)^2 = {top:.2e}")
+    # a pair counts no more n than either of its classes, so a key with none in [N, 2N) adds 0
+    keys = [((c, M), s) for (c, M), s in keys if (N - 1 - c) // M < (2 * N - 1 - c) // M]
     size, bits = len(keys), max((abs(s) for _, s in keys), default=0).bit_length()
     rows = max(1, min(size, PAIR_BLOCK // max(size, 1)))
     need = (rows + 1) * size * (PAIR_BYTES + 3 * bits // 4)

@@ -174,6 +174,12 @@ def test_spf_equals_masked_sieve(limit):
     assert np.array_equal(spf, oracle_spf(limit))
 
 
+@pytest.mark.parametrize("limit", [2, 3, arith._SEGMENT - 1, arith._SEGMENT, arith._SEGMENT + 1, 10**6])
+def test_factor_table_prime_count(limit):
+    # counted from the sieve's own zeros, against the independent prime sieve
+    assert build_factor_table(limit).prime_count == len(arith.primes_up_to(limit))
+
+
 def test_primes_up_to_equals_bool_sieve():
     for n in range(-2, 501):
         got = arith.primes_up_to(n)

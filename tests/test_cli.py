@@ -160,6 +160,26 @@ def test_quantum_dispatch(capsys):
     assert res["exact"] == {"num": 4, "den": 15}
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["--what", "family", "--rule", "main", "--dim", "7"], 2),
+        (["--what", "family", "--rule", "ql_i", "--dim", "5"], 2),
+        (["--what", "limits", "--rule", "ql_i", "--dim", "3"], 2),
+        (["--what", "family", "--rule", "main", "--dim", "3"], 0),
+        (["--what", "family", "--rule", "ql_i", "--dim", "4"], 0),
+    ],
+    ids=["main-7", "ql_i-5", "ql_i-limits-3", "main-3", "ql_i-4"],
+)
+def test_quantum_fixed_rule_dimension(capsys, argv, want):
+    # main runs in dimension 3 and ql_i in 4: another --dim would be echoed
+    # without having run
+    code, out = run(capsys, ["quantum", *argv])
+    assert code == want
+    if want:
+        assert json.loads(out)["error"]["type"] == "validation"
+
+
 def test_constants_dispatch(capsys):
     code, out = run(capsys, ["constants", "--prime-bound", "1e4"])
     assert code == 0
@@ -312,6 +332,16 @@ def test_certificate_dispatch(capsys):
     assert rep["results"][0]["rel_difference"] < 1e-6
 
 
+@pytest.mark.parametrize("given", [["--mu", "1.5,2.5"], ["--t", "1,2"]], ids=["mu", "t"])
+def test_certificate_mu_without_t_exit_code(capsys, given):
+    # one of --mu and --t alone would run with the defaults for both while
+    # the report echoed the value given
+    code, out = run(capsys, ["certificate", "--N", "1e4", *given])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "validation" and "--mu and --t" in err["message"]
+
+
 def test_c_gamma_and_tech_sum(capsys):
     code, out = run(capsys, ["c-gamma", "--D0", "10", "--prime-bound", "1e4"])
     assert code == 0
@@ -372,8 +402,8 @@ def traced_peak(fn):
 
 
 def test_build_table_count_adds_under_two_bytes_per_entry(tmp_path):
-    # the prime count after the table build allocates a bool mask of the
-    # table, no index array the length of it (8 bytes per entry)
+    # the prime count comes from the table's own sieve: no index array the
+    # length of the table (8 bytes per entry) and no second pass over it
     out = tmp_path / "table.json"
     table_peak = traced_peak(lambda: arith.build_factor_table(10**6))
     peak = traced_peak(lambda: cli.main(["build-table", "--N", "1e6", "--output", str(out)]))

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from twosquares import errors
+from twosquares import errors, sieve
 from twosquares.arith import (
     build_factor_table,
     count_in_class,
@@ -413,12 +413,27 @@ def test_s1_two_evaluators_bit_for_bit(h, D0):
     assert exact.exact * den * den == scaled  # same integers, bit for bit
 
 
-def test_s1_pair_expansion_at_the_809_entry_table():
+@pytest.fixture(scope="module")
+def table_809():
     p = relaxed(10**6, 0.1, 1.6, 10)
     tup = AdmissibleTuple((0, 4))
-    wt = lambda_from_F(p, single_bin_spec(2, 1.0))
+    return p, tup, lambda_from_F(p, single_bin_spec(2, 1.0))
+
+
+def test_s1_pair_expansion_at_the_809_entry_table(table_809):
+    p, tup, wt = table_809
     assert len(wt.entries) == 809
     assert s1_pair_expansion(p, tup, wt)[0] == s_direct("S1", p, tup, wt, exact=True).exact
+
+
+def test_s1_pair_expansion_pairs_only_live_keys(monkeypatch, table_809):
+    # 306 of the 809 keys have a class member in [N, 2N); the classes of all
+    # 809 meet in 303,579 pairs, each of which would reach the inverse
+    rows = []
+    inverse = sieve._inverse_mod
+    monkeypatch.setattr(sieve, "_inverse_mod", lambda a, m: rows.append(len(a)) or inverse(a, m))
+    s1_pair_expansion(*table_809)
+    assert 0 < sum(rows) < 60_000
 
 
 @given(
@@ -438,6 +453,32 @@ def hand_table(p, tup, keys):
     """A weight table with lambda = 1/3, 2/3, ... on the given keys."""
     entries = {d: Fraction(i + 1, 3) for i, d in enumerate(keys)}
     return WeightTable(tup.k, p.R, p.W, single_bin_spec(tup.k), entries, {})
+
+
+@pytest.mark.parametrize("N", [10001, 10002], ids=["N-1mod4", "N-2mod4"])
+def test_s1_pair_expansion_prunes_at_the_window_ends(monkeypatch, N):
+    # every class is n = 1 (mod 4), so 2N is never a member.  The members
+    # nearest the ends of [N, 2N) are N, 2N - 1 (kept) and N - 4, 2N + 3
+    # (pruned) at N = 1 (mod 4), and N + 3, 2N - 3 (kept) and N - 1, 2N + 1
+    # (pruned) at N = 2 (mod 4).  Key (d,) of the tuple (0,) at W = 1 has the
+    # class t mod 4d for t = 0 (mod d); 4d > N + 4 makes t its only member
+    # within 4 of the window
+    p, tup = relaxed(N, 0.1, 1.0, 1), AdmissibleTuple((0,))
+    first, last = N + (1 - N) % 4, 2 * N - 1 - (2 * N - 2) % 4
+    keys = []
+    for t, members in [(first, 1), (last, 1), (first - 4, 0), (last + 4, 0)]:
+        d = next(d for d in range(N // 4 + 2, t + 1) if t % d == 0)
+        assert count_in_class(N, 2 * N, t % (4 * d), 4 * d) == members
+        keys.append((d,))
+    table = hand_table(p, tup, keys)
+    pairs = s1_pair_expansion(p, tup, table)
+    assert pairs == s1_pair_loop(p, tup, table)
+    assert pairs[0] == s_direct("S1", p, tup, table, exact=True).exact
+    # the byte guard's estimate names the keys that are paired
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 0)
+    with pytest.raises(ResourceGuardError) as exc:
+        s1_pair_expansion(p, tup, table)
+    assert "2 x 2 pairs" in exc.value.cost_estimate
 
 
 def test_s1_pair_expansion_int64_guard():
