@@ -10,7 +10,7 @@ that factor with v, so the ratios are printed per decade.
 
 import math
 
-from twosquares import RhoParams, rho, t_weight
+from twosquares import rho, t_weight
 from twosquares.arith import trial_factorize, primes_up_to
 from twosquares.aux_sums import (
     AuxParams,
@@ -25,11 +25,11 @@ from twosquares.aux_sums import (
 )
 from twosquares.constants import landau_ramanujan_A
 
-params = RhoParams(N=100**20, theta1=1 / 20)  # v = 100
+v = 100  # floor(N^theta1), e.g. N = 100^20 and theta1 = 1/20
 print("rho at small n (v = 100):")
 for n in (1, 2, 3, 5, 25, 65, 325):
     f = trial_factorize(n)
-    print(f"  n={n:4d}: t = {t_weight(params, f):+.4f}  rho = {rho(params, f):+.4f}")
+    print(f"  n={n:4d}: t = {t_weight(v, f):+.4f}  rho = {rho(v, f):+.4f}")
 
 print("\nX sum vs 8A sqrt(log v)/pi:")
 for v in (10**3, 10**4, 10**5, 10**6):

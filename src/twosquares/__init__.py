@@ -28,7 +28,7 @@ from .arith import (
 )
 from .constants import ConstantEstimate, landau_ramanujan_A, special_constants
 from .errors import InternalError, ResourceGuardError, ValidationError
-from .hooley import RhoParams, rho, rho_on, t_weight
+from .hooley import rho, rho_on, t_weight
 from .ap_sums import APQuery, run_experiment
 from .aux_sums import AuxParams
 from .report import CorrelationReport

@@ -30,7 +30,7 @@ from .arith import (
 )
 from .constants import ConstantEstimate, landau_ramanujan_A
 from .errors import ResourceGuardError, ValidationError, check_bytes
-from .hooley import RhoParams, rho, rho_on  # noqa: F401  (rho: perfbench/tracer.py wraps sieve.rho)
+from .hooley import rho, rho_on  # noqa: F401  (rho: perfbench/tracer.py wraps sieve.rho)
 from .report import CorrelationReport
 
 # ---------------------------------------------------------------------------
@@ -88,9 +88,6 @@ class SieveParams:
         for name, val in derived.items():
             object.__setattr__(self, name, val)
 
-    def rho_params(self) -> RhoParams:
-        return RhoParams(self.N, self.theta1, strict=self.strict)
-
 
 @dataclass(frozen=True)
 class AdmissibilityCertificate:
@@ -126,7 +123,6 @@ class AdmissibleTuple:
     mod every prime p <= k missing at least one class."""
 
     h: tuple[int, ...]
-    certificate: AdmissibilityCertificate = field(init=False, compare=False)
 
     def __post_init__(self):
         hs = tuple(sorted(self.h))
@@ -140,7 +136,6 @@ class AdmissibleTuple:
                 f"AdmissibleTuple: residues cover Z/{cert.covering_prime}"
             )
         object.__setattr__(self, "h", hs)
-        object.__setattr__(self, "certificate", cert)
 
     @property
     def k(self) -> int:
@@ -241,9 +236,18 @@ def geometric_bin_spec(sizes: Sequence[int]) -> TestFunctionSpec:
 # ---------------------------------------------------------------------------
 
 
+# tracemalloc peak per support element with W = 1: 286 bytes at bound = 10^6
+# (113,071 elements, 0.4203 bound / sqrt(log bound)) and 270 at 10^7 (1,045,069,
+# 0.4196); charged 400 (>= 1.39x) per element of 0.43 bound / sqrt(log bound) + 16
+SUPPORT_BYTES = 400
+
+
 def _support(bound: int, W: int) -> dict[int, tuple[int, tuple[int, ...]]]:
     """a -> (mu(a), primes of a) for every squarefree a <= bound coprime to W
-    whose primes are all 3 mod 4, in ascending order of a; 1 comes first."""
+    whose primes are all 3 mod 4, in ascending order of a; 1 comes first.
+    A byte guard runs before the primes are sieved."""
+    n_est = 0.43 * bound / math.sqrt(math.log(max(bound, 3))) + 16
+    check_bytes("weight support", n_est * SUPPORT_BYTES, f"~{n_est:.2e} elements up to {bound}")
     ps = [p for p in primes_up_to(bound).tolist() if p % 4 == 3 and W % p]
     return {a: (mu, primes) for a, mu, primes in sorted(squarefree_products(ps, bound))}
 
@@ -618,8 +622,7 @@ def window_rho(
     """rho(n + h) on the window ns for each shift h in hs, with the rho < 0
     cases: their count, once per (n, h) with w(n) != 0, and the first ten
     n + h in (n, h) order."""
-    rp = params.rho_params()
-    rhos = [rho_on(rp, range(ns.start + h, ns.stop + h, ns.step)) for h in hs]
+    rhos = [rho_on(params.v, range(ns.start + h, ns.stop + h, ns.step)) for h in hs]
     return rhos, *_rho_negatives(ns, w, hs, rhos)
 
 
@@ -682,8 +685,10 @@ def s_direct_sums(
     for name in which:
         if name not in ("S1", "S2", "S3", "S4"):
             raise ValidationError(f"s_direct: unknown sum {name!r}")
-        if name == "S3" and m == l:
-            raise ValidationError("s_direct: S3 needs m != l")
+        if name != "S1" and not 0 <= m < tup.k:
+            raise ValidationError(f"s_direct: {name} needs 0 <= m < k = {tup.k}, got m = {m}")
+        if name == "S3" and not (0 <= l < tup.k and l != m):
+            raise ValidationError(f"s_direct: S3 needs 0 <= l < k = {tup.k} and l != m, got l = {l}")
     if table.k != tup.k:
         raise ValidationError("s_direct: table arity != tuple size")
 
@@ -691,8 +696,7 @@ def s_direct_sums(
     w = inner_weights(tup, ns, table.float_entries(), np.float64)
     ww = w * w
     shifts = {name: [tup.h[m], tup.h[l]] if name == "S3" else [tup.h[m]] for name in which if name != "S1"}
-    rp = params.rho_params()
-    rho_at = {h: rho_on(rp, range(ns.start + h, ns.stop + h, ns.step)) for h in set().union(*shifts.values())}
+    rho_at = {h: rho_on(params.v, range(ns.start + h, ns.stop + h, ns.step)) for h in set().union(*shifts.values())}
     out = []
     for name in which:
         if name == "S1":

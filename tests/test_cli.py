@@ -659,6 +659,28 @@ def test_sieve_run_explicit_zero_index(capsys):
 
 
 @pytest.mark.parametrize(
+    "index, which, want",
+    [
+        (["--m", "5"], "S2", 2),
+        (["--m", "-1"], "S2", 2),
+        (["--m", "2"], "S4", 2),
+        (["--l", "7"], "S3", 2),
+        (["--l", "-1"], "S3", 2),
+        (["--m", "5"], "S1", 0),
+    ],
+    ids=["m-5-S2", "m-minus-1-S2", "m-2-S4", "l-7-S3", "l-minus-1-S3", "m-5-S1"],
+)
+def test_sieve_run_shift_index_out_of_range(capsys, index, which, want):
+    # m and l index the shifts of the 2-tuple, so each must be 0 or 1 where
+    # a sum reads it; S1 reads no shift and runs
+    code, out = run(capsys, ["sieve-run", "--N", "1e4", "--tuple", "0,4", "--which", which, *index])
+    assert code == want
+    if want:
+        err = json.loads(out)["error"]
+        assert err["type"] == "validation" and "< k = 2" in err["message"]
+
+
+@pytest.mark.parametrize(
     "argv, key, want",
     [
         # the class-1 bound at epsilon = 0 is (4/3)^2 / 4, not the 1.0887 of epsilon = 0.5

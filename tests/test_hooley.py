@@ -2,17 +2,17 @@ import math
 
 import pytest
 
-from twosquares.arith import build_factor_table, is_sum_of_two_squares, r2, trial_factorize
+from twosquares.arith import build_factor_table, floor_power, is_sum_of_two_squares, r2, trial_factorize
 from twosquares.errors import ValidationError
-from twosquares.hooley import RhoParams, rho, t_weight
+from twosquares.hooley import rho, rho_on, t_weight
 
 
 @pytest.fixture(scope="module")
 def p_v100():
     # v = floor(N^theta1) = 100 with a regime-legal exponent
-    params = RhoParams(N=100**20, theta1=1 / 20)
-    assert params.v == 100
-    return params
+    v = floor_power(100**20, 1 / 20)
+    assert v == 100
+    return v
 
 
 def test_t_weight_trivial_cases(p_v100):
@@ -39,11 +39,11 @@ def test_t_weight_two_primes(p_v100):
 
 
 def test_t_weight_respects_v_cutoff():
-    params = RhoParams(N=10**40, theta1=0.025)  # v = 10
-    assert params.v == 10
+    v = floor_power(10**40, 0.025)
+    assert v == 10
     # 13 > v: excluded, so t(13) = 1
-    assert t_weight(params, trial_factorize(13)) == 1.0
-    assert t_weight(params, trial_factorize(5)) != 1.0
+    assert t_weight(v, trial_factorize(13)) == 1.0
+    assert t_weight(v, trial_factorize(5)) != 1.0
 
 
 @pytest.mark.parametrize(
@@ -53,8 +53,7 @@ def test_t_weight_respects_v_cutoff():
 )
 def test_t_weight_vs_divisor_sum(N, theta1, ftab):
     """t(n) against the defining sum over every a | n, a <= v, for n <= 5000."""
-    params = RhoParams(N=N, theta1=theta1, strict=False)
-    v = params.v
+    v = floor_power(N, theta1)
     eligible = []  # (a, mu(a), g2(a)) for squarefree a <= v built from primes 1 mod 4
     for a in range(1, v + 1):
         pairs = trial_factorize(a).pairs
@@ -64,7 +63,7 @@ def test_t_weight_vs_divisor_sum(N, theta1, ftab):
         expected = sum(
             mu / g * (1 - math.log(a) / math.log(v)) for a, mu, g in eligible if n % a == 0
         )
-        got = t_weight(params, ftab.factorize(n))
+        got = t_weight(v, ftab.factorize(n))
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12), n
 
 
@@ -98,15 +97,13 @@ def test_rho_sign_violations_exist_and_are_recorded_not_clamped(p_v100):
     assert rho(p_v100, f) == pytest.approx(tw * r2(f))
 
 
-def test_params_floor_at_exact_powers():
-    assert RhoParams(N=10**6, theta1=1 / 3, strict=False).v == 100
-    assert RhoParams(N=3**12, theta1=1 / 6, strict=False).v == 9
-
-
-def test_params_validation():
+def test_v_below_two_is_rejected():
+    # log v must be positive; SieveParams never derives such a v
+    f = trial_factorize(5)
+    for v in (1, 0, -3):
+        for call in (lambda: t_weight(v, f), lambda: rho(v, f), lambda: rho_on(v, range(1, 50))):
+            with pytest.raises(ValidationError):
+                call()
+    # off the sums of two squares too, where r_2 already vanishes
     with pytest.raises(ValidationError):
-        RhoParams(N=10, theta1=0.9)  # strict mode: outside regime
-    relaxed = RhoParams(N=10**4, theta1=0.25, strict=False)
-    assert relaxed.v == 10 and relaxed.warnings
-    with pytest.raises(ValidationError):
-        RhoParams(N=100, theta1=0.01)  # v < 2 even relaxed
+        rho(1, trial_factorize(3))

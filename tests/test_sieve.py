@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -21,6 +22,7 @@ from twosquares.errors import ResourceGuardError, ValidationError
 from twosquares.sieve import TestFunctionSpec as TFSpec
 from twosquares.sieve import (
     PAIR_BYTES,
+    SUPPORT_BYTES,
     AdmissibleTuple,
     SieveParams,
     WeightTable,
@@ -69,6 +71,12 @@ def test_params_floors_at_exact_powers():
     assert relaxed(2**30, 0.1, 0.6, 1).R == 512
 
 
+def test_params_need_v_at_least_two():
+    # floor(100^0.01) = 1: t(n) divides by log v
+    with pytest.raises(ValidationError, match="v=1 < 2"):
+        relaxed(100, 0.01, 1.0, 1)
+
+
 def test_check_admissible_examples():
     c = check_admissible([0, 4, 8])
     assert not c.admissible and c.covering_prime == 3
@@ -111,6 +119,36 @@ def test_enumerate_support_examples():
     assert enumerate_support(25, 105) == [1, 11, 19, 23]
     assert enumerate_support(1) == [1]
     assert enumerate_support(21, 1) == [1, 3, 7, 11, 19, 21]
+
+
+def test_support_guard_runs_before_enumeration(monkeypatch):
+    # R = 91,201,083 at (N, theta2) = (10^8, 1.99): about 9e6 support elements,
+    # over the byte budget, so no prime may be sieved for them
+    def enumerated(*args):
+        raise AssertionError("support enumerated before its byte guard")
+
+    monkeypatch.setattr(sieve, "primes_up_to", enumerated)
+    p = relaxed(10**8, 0.1, 1.99, 1)
+    builds = [
+        lambda: lambda_from_F(p, single_bin_spec(1, 1.0)),
+        lambda: tech_sum_check(p, lambda q: Fraction(1, q), lambda x: 1.0),
+        lambda: enumerate_support(p.R),
+    ]
+    for build in builds:
+        with pytest.raises(ResourceGuardError) as exc:
+            build()
+        assert "elements up to 91201083" in exc.value.cost_estimate
+
+
+def test_support_peak_within_charge(monkeypatch):
+    charged = []
+    monkeypatch.setattr(sieve, "check_bytes", lambda what, need, workload: charged.append(need))
+    for bound, W in [(10, 1), (10**3, 1), (10**5, 1), (10**5, 105)]:
+        tracemalloc.start()
+        size = len(sieve._support(bound, W))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert size <= charged[-1] / SUPPORT_BYTES and 1.33 * peak <= charged[-1], bound
 
 
 def test_lambda_trivial_support():
@@ -511,7 +549,10 @@ def test_s_direct_validation():
         s_direct("S5", p, tup, wt)
     with pytest.raises(ValidationError):
         s_direct("S3", p, tup, wt, m=1, l=1)
-    assert s_direct("S1", p, tup, wt).value >= 0
+    for which, m, l in [("S2", 2, 1), ("S4", -1, 1), ("S3", 0, 2), ("S3", 0, -1)]:
+        with pytest.raises(ValidationError, match="< k = 2"):
+            s_direct(which, p, tup, wt, m=m, l=l)
+    assert s_direct("S1", p, tup, wt, m=5).value >= 0
 
 
 def test_s3_zero_when_rho_support_empty():

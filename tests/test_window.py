@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from twosquares import sieve
-from twosquares.arith import FactorTable, trial_factorize
+from twosquares.arith import FactorTable, floor_power, trial_factorize
 from twosquares.bins import (
     CERTIFICATE_BYTES,
     WITNESS_BYTES,
@@ -19,7 +19,7 @@ from twosquares.bins import (
     second_moment_lhs,
     witness_search,
 )
-from twosquares.hooley import RhoParams, rho, rho_on
+from twosquares.hooley import rho, rho_on
 from twosquares.sieve import (
     EXACT_S1_BYTES,
     SUM_BYTES,
@@ -141,14 +141,13 @@ def test_inner_weights_property(case):
 def test_rho_on_vs_scalar_rho(pp, shifts, ftab_2e6):
     p = relaxed(*pp)
     tup = AdmissibleTuple(shifts)
-    rp = p.rho_params()
     ns = window(p, tup, 2 * p.N, (SUM_BYTES, 0))
     for h in tup.h:
         prog = range(ns.start + h, ns.stop + h, ns.step)
-        got = rho_on(rp, prog)
+        got = rho_on(p.v, prog)
         assert len(got) == len(prog)
         for m, g in zip(prog, got.tolist()):
-            want = rho(rp, ftab_2e6.factorize(m))
+            want = rho(p.v, ftab_2e6.factorize(m))
             if want == 0.0:
                 assert g == 0.0, m
             else:
@@ -156,12 +155,12 @@ def test_rho_on_vs_scalar_rho(pp, shifts, ftab_2e6):
 
 
 def test_rho_on_steps_and_empty(ftab):
-    rp = relaxed(10**4, 0.5, 1.0, 1).rho_params()
+    v = relaxed(10**4, 0.5, 1.0, 1).v
     for prog in (range(1, 3000), range(5, 20000, 35), range(13, 30000, 210)):
-        got = rho_on(rp, prog)
-        want = [rho(rp, ftab.factorize(m)) for m in prog]
+        got = rho_on(v, prog)
+        want = [rho(v, ftab.factorize(m)) for m in prog]
         assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert len(rho_on(rp, range(100, 100, 4))) == 0
+    assert len(rho_on(v, range(100, 100, 4))) == 0
 
 
 @given(
@@ -171,9 +170,9 @@ def test_rho_on_steps_and_empty(ftab):
     count=st.integers(min_value=0, max_value=40),
 )
 def test_rho_on_property(theta1, start, step, count):
-    rp = RhoParams(N=10**6, theta1=theta1, strict=False)
+    v = floor_power(10**6, theta1)
     prog = range(start, start + count * step, step)
-    assert rho_on(rp, prog).tolist() == [rho(rp, trial_factorize(m)) for m in prog]
+    assert rho_on(v, prog).tolist() == [rho(v, trial_factorize(m)) for m in prog]
 
 
 # -- evaluator A of the certificate against a scalar evaluation ---------------------
@@ -185,7 +184,6 @@ def test_evaluator_a_vs_scalar_rho(ftab, D0):
     tup = AdmissibleTuple((0, 4, 16))
     part = BinPartition(sizes=(1, 2), mu=(1.5, 2.5), t=(1.0, 2.0))
     wt = lambda_from_F(p, part.spec())
-    rp = p.rho_params()
     lam = wt.float_entries()
     min_ratio = min(m * m / (t * t) for m, t in zip(part.mu, part.t))
     terms = []
@@ -193,7 +191,7 @@ def test_evaluator_a_vs_scalar_rho(ftab, D0):
         w = inner_weight_oracle(tup, lam, n)
         bracket = min_ratio
         for i in range(part.M):
-            s = sum(rho(rp, ftab.factorize(n + tup.h[j])) for j in part.indices(i))
+            s = sum(rho(p.v, ftab.factorize(n + tup.h[j])) for j in part.indices(i))
             bracket -= ((s - part.mu[i]) / part.t[i]) ** 2
         terms.append(bracket * w * w)
     want = math.fsum(terms)
@@ -209,9 +207,9 @@ def test_evaluator_b_reads_one_rho_per_shift(monkeypatch):
     wt = lambda_from_F(p, part.spec())
     progressions = []
 
-    def counted(rp, prog):
+    def counted(v, prog):
         progressions.append(prog)
-        return rho_on(rp, prog)
+        return rho_on(v, prog)
 
     monkeypatch.setattr(sieve, "rho_on", counted)
     res = second_moment_lhs(p, tup, part, wt)
