@@ -54,8 +54,7 @@ class APQuery:
 def _check_odd_squarefree(n: int, name: str) -> None:
     if n < 1 or n % 2 == 0:
         raise ValidationError(f"{name}={n} must be odd and positive")
-    f = trial_factorize(n)
-    if not f.is_squarefree():
+    if not trial_factorize(n).is_squarefree():
         raise ValidationError(f"{name}={n} must be squarefree")
 
 
@@ -87,10 +86,7 @@ def validate_pair(query: APQuery) -> None:
         raise ValidationError(f"h={query.h} must be positive and divisible by 4")
     if math.gcd(query.a, query.q) != 1 or math.gcd(query.a + query.h, query.q) != 1:
         raise ValidationError("(a,q) and (a+h,q) must both be 1")
-    hh = query.h
-    while hh % 2 == 0:
-        hh //= 2
-    for p, _ in trial_factorize(hh).pairs:
+    for p in trial_factorize(query.h // (query.h & -query.h)).primes():  # the odd part of h
         if (2 * query.q) % p != 0:
             raise ValidationError(f"prime {p} | h does not divide 2q")
     if query.N < 0:

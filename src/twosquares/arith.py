@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -530,27 +530,46 @@ def convolution_transform(
 # ---------------------------------------------------------------------------
 
 
-def squarefree_products(
-    primes: Sequence[int], bound: int
-) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+def squarefree_table(primes: Sequence[int], bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every squarefree product a <= bound of distinct primes from the
-    ascending sequence `primes`, as (a, mu(a), primes of a ascending).
+    ascending sequence `primes`, as int64 arrays (a, mu(a), P) in ascending
+    order of a: row i of P holds the primes of a[i] ascending, padded with 1
+    to the largest omega, the number of leading primes whose product is at
+    most bound.  Built a level at a time: level omega + 1 is each a of level
+    omega times every prime above its largest with a * p <= bound, so primes
+    that can no longer fit are never read."""
+    primes = np.asarray(primes, dtype=np.int64)
+    width = 0
+    while width < len(primes) and math.prod(primes[: width + 1].tolist()) <= bound:
+        width += 1
+    levels = [(np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.ones((1, width), dtype=np.int64))]
+    for w in range(width):
+        a, nxt, P = levels[-1]
+        count = np.maximum(np.searchsorted(primes, bound // a, side="right") - nxt, 0)
+        parent = np.repeat(np.arange(len(a)), count)
+        nxt = nxt[parent] + np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count)
+        P = P[parent]
+        P[:, w] = primes[nxt]
+        levels.append((a[parent] * P[:, w], nxt + 1, P))
+    mus = np.repeat([(-1) ** w for w in range(width + 1)], [len(a) for a, _, _ in levels])
+    vals, P = np.concatenate([a for a, _, _ in levels]), np.concatenate([P for _, _, P in levels])
+    order = np.argsort(vals)
+    return vals[order], mus[order], P[order]
 
-    a = 1 comes first, then DFS pre-order: each a is followed by its
-    extensions a*p by primes p above its own.  Iterative, and a branch
-    stops at the first prime that overshoots the bound, so primes that
-    can no longer fit are never read.
-    """
-    yield 1, 1, ()
-    stack = [(0, 1, 1, ())]  # (next prime index, a, mu(a), primes of a)
-    while stack:
-        j, a, mu, ps = stack.pop()
-        if j < len(primes) and a * primes[j] <= bound:
-            p = primes[j]
-            stack.append((j + 1, a, mu, ps))
-            child = (a * p, -mu, ps + (p,))
-            yield child
-            stack.append((j + 1, *child))
+
+def divisor_incidence(vals: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (element, divisor) pairs of a squarefree_table (vals, _, P), as
+    index arrays (i, j) with one pair for each divisor vals[j] of vals[i];
+    every divisor of an element is an element.  The pairs are grouped by the
+    subset of an element's primes that makes the divisor, one bitmask
+    m < 2^omega per subset."""
+    omega = (P > 1).sum(axis=1)
+    elem, div = [], []
+    for m in range(1 << P.shape[1]):
+        elem.append(np.flatnonzero(omega >= m.bit_length()))
+        subset = P[np.ix_(elem[-1], [j for j in range(P.shape[1]) if m >> j & 1])]
+        div.append(np.searchsorted(vals, np.prod(subset, axis=1)))
+    return np.concatenate(elem), np.concatenate(div)
 
 
 def w_split(D0: int) -> tuple[int, int, int, float, float]:

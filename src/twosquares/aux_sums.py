@@ -1,12 +1,13 @@
 """Direct evaluation of the auxiliary sums X, Y, Z(1), Z(2) over integers
 composed of primes 1 mod 4, against their predicted leading terms.
 
-The elements a come from arith.squarefree_products in its fixed DFS
-pre-order, after a byte guard estimated from v.  X is one numpy sum over
-them.  Each pair sum Y, Z(1), Z(2) weighs a pair (a,b) by h((a,b)); by
-Moebius inversion over the gcd it is a sum over single elements d of
-(h * mu)(d) times divisor sums, built once per v from the 2^omega(a)
-divisors of each a, so the work is linear in the elements, not quadratic.
+The elements a come from arith.squarefree_table in ascending order, after
+a byte guard estimated from v.  X is one numpy sum over them.  Each pair
+sum Y, Z(1), Z(2) weighs a pair (a,b) by h((a,b)); by Moebius inversion
+over the gcd it is a sum over single elements d of (h * mu)(d) times
+divisor sums, built once per v from the 2^omega(a) divisors of each a that
+arith.divisor_incidence lists, so the work is linear in the elements, not
+quadratic.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import landau_ramanujan_A
-from .arith import primes_up_to, squarefree_products, w_split
+from .arith import divisor_incidence, primes_up_to, squarefree_table, w_split
 from .errors import ValidationError, check_bytes
 
-_BYTES_PER_ELEMENT = 500  # tracemalloc peak per element: 374 for the pair sums, 261 for X (v = 10^6)
+# tracemalloc peak of X and the pair sums per element of the estimate below:
+# 228, 235 and 255 bytes at v = 10^5, 10^6 and 10^7; charged 350 (>= 1.37x)
+_BYTES_PER_ELEMENT = 350
 
 
 @dataclass(frozen=True)
@@ -45,25 +48,24 @@ class AuxParams:
 
 
 @lru_cache(maxsize=1)
-def _smooth_rows(params: AuxParams) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
-    """enumerate_smooth with the primes of each a, after a byte guard: there
-    are at most 0.35 v / sqrt(log v) elements (0.307 at v = 10^7).  Cached,
+def _smooth_rows(params: AuxParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """enumerate_smooth with the prime matrix of squarefree_table, after a
+    byte guard: there are at most 0.35 v / sqrt(log v) elements (0.307 at
+    v = 10^7), and 64 more stand for the fixed cost of the sort.  Cached,
     so that X and the pair sums of one v enumerate once; the arrays are
     read-only, because every caller gets the same ones."""
-    n_est = 0.35 * params.v / math.sqrt(math.log(params.v)) + 16
+    n_est = 0.35 * params.v / math.sqrt(math.log(params.v)) + 64
     check_bytes("aux sums", n_est * _BYTES_PER_ELEMENT, f"~{n_est:.2e} elements at v = {params.v}")
     ps = primes_up_to(params.v)
-    eligible = [int(p) for p in ps[ps % 4 == 1] if params.W % int(p) != 0]
-    vals, mus, primes = zip(*squarefree_products(eligible, params.v))
-    vals, mus = np.array(vals, dtype=np.int64), np.array(mus, dtype=np.int64)
-    vals.setflags(write=False)
-    mus.setflags(write=False)
-    return vals, mus, primes
+    rows = squarefree_table(ps[(ps % 4 == 1) & (ps > params.D0)], params.v)  # W holds the odd primes <= D0
+    for row in rows:
+        row.setflags(write=False)
+    return rows
 
 
 def enumerate_smooth(params: AuxParams) -> tuple[np.ndarray, np.ndarray]:
     """All squarefree a <= v with every prime factor 1 mod 4 and (a, W) = 1,
-    in DFS pre-order over ascending primes.  Returns (values, mobius)."""
+    in ascending order.  Returns (values, mobius)."""
     return _smooth_rows(params)[:2]
 
 
@@ -80,12 +82,11 @@ def _divisor_sums(params: AuxParams) -> tuple[np.ndarray, ...]:
     mu, S_y, S_z, S_{z g6}, phi_w = w * mu and psi = (w g6) * mu, where
     S_f(d) = sum_{d | a} f(a) and h * mu (d) = mu(d) sum_{e | d} mu(e) h(e).
     Each pair sum is sum_{a,b} f(a)f(b) h((a,b)) = sum_d (h * mu)(d) S_f(d)^2,
-    because every divisor of an element is an element.  The divisors of an
-    element are the products of subsets of its primes, one per mask m < 2^omega.
+    because every divisor of an element is an element; divisor_incidence
+    gives the 2^omega divisors of each.
     """
-    vals, mus, primes = _smooth_rows(params)
-    n, k = len(vals), max(map(len, primes))
-    P = np.array([ps + (1,) * (k - len(ps)) for ps in primes], dtype=np.int64).reshape(n, k)
+    vals, mus, P = _smooth_rows(params)
+    n = len(vals)
     p = P.astype(np.float64)  # the padding p = 1 is neutral in every factor but g7's
     g2 = np.prod(2 - 1 / p, axis=1)
     g4 = np.prod((4 * p * p - 3 * p + 1) / (p * (p + 1)), axis=1)
@@ -93,12 +94,7 @@ def _divisor_sums(params: AuxParams) -> tuple[np.ndarray, ...]:
     g6 = np.sum((p - 1) ** 2 * (2 * p + 1) / ((p + 1) * (4 * p * p - 3 * p + 1)) * np.log(p), axis=1)
     L = math.log(params.v) - np.log(vals.astype(np.float64))
 
-    # the (element, divisor) incidence, 2^omega rows per element
-    n_div = 1 << (P > 1).sum(axis=1)
-    elem = [np.nonzero(n_div > m)[0] for m in range(1 << k)]
-    div = [np.prod(P[np.ix_(e, [j for j in range(k) if m >> j & 1])], axis=1) for m, e in enumerate(elem)]
-    order = np.argsort(vals)
-    elem, div = np.concatenate(elem), order[np.searchsorted(vals[order], np.concatenate(div))]
+    elem, div = divisor_incidence(vals, P)
 
     def S(f):
         return np.bincount(div, weights=f[elem], minlength=n)

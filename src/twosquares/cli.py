@@ -216,6 +216,8 @@ def cmd_ap_sums(cfg):
     if name is None:
         raise ValidationError(f"ap-sums: unknown --sum {cfg['sum']!r}")
     ns = [cfg["N"]] if cfg["trend"] is None else _numbers(cfg["trend"], "--trend")
+    if not ns:
+        raise ValidationError("ap-sums: --trend needs at least one N")
     query = {key: cfg[key] for key in ("q", "a", "d", "d1", "d2", "h")}
     results = [ap_sums.run_experiment(name, ap_sums.APQuery(N=n, **query)).as_dict() for n in ns]
     if cfg["csv"]:

@@ -11,27 +11,28 @@ violations instead of clamping (see bins.second_moment_lhs diagnostics).
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .arith import Factorization, primes_up_to, progression_slice, r2, r2_on
-from .arith import squarefree_products
+from .arith import Factorization, primes_up_to, progression_slice, r2, r2_on, squarefree_table
 from .errors import ValidationError
 
 
-def _t_terms(primes: Sequence[int], v: int) -> Iterator[tuple[int, float]]:
+def _t_terms(primes: Sequence[int], v: int) -> tuple[np.ndarray, np.ndarray]:
     """(a, mu(a)/g2(a) * (1 - log a / log v)) for every squarefree a <= v
-    built from the ascending `primes`, in `squarefree_products` order.
+    built from the ascending `primes`, as arrays in ascending order of a;
+    g2(a) multiplies 2 - 1/p over the primes of a in ascending order.
     v >= 2, so that log v > 0."""
     if v < 2:
         raise ValidationError(f"t(n): v={v} < 2")
-    logv = math.log(v)
-    for a, mu, ps in squarefree_products(primes, v):
-        g2a = 1.0
-        for p in ps:
-            g2a *= 2.0 - 1.0 / p
-        yield a, mu / g2a * (1.0 - math.log(a) / logv)
+    vals, mus, P = squarefree_table(primes, v)
+    g2 = np.ones(len(vals))
+    for column in (2.0 - 1.0 / P).T:  # a column at a time: ascending p at every width of P
+        g2 *= column
+    log_a = np.array(list(map(math.log, vals.tolist())))  # libm's log, as the float terms always took
+    return vals, mus / g2 * (1.0 - log_a / math.log(v))
 
 
 def t_weight(v: int, f: Factorization) -> float:
@@ -40,9 +41,16 @@ def t_weight(v: int, f: Factorization) -> float:
 
     Equals 1 whenever n has no prime factor p = 1 mod 4 with p <= v.
     """
-    ps = [p for p, _ in f.pairs if p % 4 == 1 and p <= v]
+    return _t_sum(tuple(p for p, _ in f.pairs if p % 4 == 1 and p <= v), v)
+
+
+@lru_cache(maxsize=1 << 12)
+def _t_sum(primes: tuple[int, ...], v: int) -> float:
+    """t(n) from the primes of n that t reads: its terms added one by one in
+    ascending order of a, as rho_on adds them at one m.  Cached, because
+    the n of a window share few such prime sets."""
     total = 0.0
-    for _, term in _t_terms(ps, v):
+    for term in _t_terms(primes, v)[1].tolist():
         total += term
     return total
 
@@ -58,8 +66,9 @@ def rho_on(v: int, progression: range) -> np.ndarray:
     term of t goes onto the multiples of its a, in the order t_weight adds
     them at one m, times r_2 from `r2_on` over the same progression."""
     t = np.zeros(len(progression))
-    ps = [int(p) for p in primes_up_to(v) if p % 4 == 1]
-    for a, term in _t_terms(ps, v):
+    ps = primes_up_to(v)
+    vals, terms = _t_terms(ps[ps % 4 == 1], v)
+    for a, term in zip(vals.tolist(), terms.tolist()):
         hits = progression_slice(progression, [0], [a])
         if hits is not None:
             t[hits] += term

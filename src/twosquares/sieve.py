@@ -21,10 +21,11 @@ import numpy as np
 
 from .arith import (
     crt,
+    divisor_incidence,
     floor_power,
     primes_up_to,
     progression_slice,
-    squarefree_products,
+    squarefree_table,
     trial_factorize,
     w_split,
 )
@@ -107,9 +108,7 @@ def check_admissible(h: Sequence[int]) -> AdmissibilityCertificate:
         raise ValidationError("check_admissible: elements must be distinct")
     k = len(hs)
     uncovered: dict[int, int] = {}
-    for p in map(int, primes_up_to(max(k, 2))):
-        if p > k:
-            break
+    for p in primes_up_to(k).tolist():
         residues = {x % p for x in hs}
         if len(residues) == p:
             return AdmissibilityCertificate(False, uncovered, covering_prime=p)
@@ -181,44 +180,31 @@ class TestFunctionSpec:
         return sum(ki for ki, _ in self.bins)
 
     def coordinate_bins(self) -> list[int]:
-        out = []
-        for i, (ki, _) in enumerate(self.bins):
-            out += [i] * ki
-        return out
+        return [i for i, (ki, _) in enumerate(self.bins) for _ in range(ki)]
 
     def caps(self) -> list[float]:
         """Per-coordinate support cap beta_i / k_i."""
-        return [b / ki for i, (ki, b) in enumerate(self.bins) for _ in range(ki)]
+        return [b / ki for ki, b in self.bins for _ in range(ki)]
 
     def evaluate(self, t: Sequence[float]) -> float:
         if len(t) != self.k:
             raise ValidationError("TestFunctionSpec.evaluate: wrong arity")
         out = 1.0
-        j = 0
-        for ki, bi in self.bins:
-            for _ in range(ki):
-                u = ki * t[j]
-                if u > bi or t[j] < 0:
-                    return 0.0
-                out /= 1.0 + u / bi
-                j += 1
+        for tj, i in zip(t, self.coordinate_bins()):
+            ki, bi = self.bins[i]
+            if ki * tj > bi or tj < 0:
+                return 0.0
+            out /= 1.0 + ki * tj / bi
         return out
 
     def evaluate_grid(self, coords: list[np.ndarray]) -> np.ndarray:
         """F on a tensor grid given per-coordinate sample arrays (broadcast)."""
-        k = self.k
-        out = None
-        j = 0
-        for ki, bi in self.bins:
-            for _ in range(ki):
-                t = coords[j]
-                u = ki * t
-                fac = np.where((u <= bi) & (t >= 0), 1.0 / (1.0 + u / bi), 0.0)
-                shape = [1] * k
-                shape[j] = -1
-                fac = fac.reshape(shape)
-                out = fac if out is None else out * fac
-                j += 1
+        out = 1.0
+        for j, (t, i) in enumerate(zip(coords, self.coordinate_bins())):
+            ki, bi = self.bins[i]
+            u = ki * t
+            fac = np.where((u <= bi) & (t >= 0), 1.0 / (1.0 + u / bi), 0.0)
+            out = out * fac.reshape([-1 if axis == j else 1 for axis in range(self.k)])
         return out
 
 
@@ -236,25 +222,33 @@ def geometric_bin_spec(sizes: Sequence[int]) -> TestFunctionSpec:
 # ---------------------------------------------------------------------------
 
 
-# tracemalloc peak per support element with W = 1: 286 bytes at bound = 10^6
-# (113,071 elements, 0.4203 bound / sqrt(log bound)) and 270 at 10^7 (1,045,069,
-# 0.4196); charged 400 (>= 1.39x) per element of 0.43 bound / sqrt(log bound) + 16
-SUPPORT_BYTES = 400
+# tracemalloc peak of the support table with W = 1, per element of 0.43 bound /
+# sqrt(log bound): 127, 143, 158 and 158 bytes at bound = 10^5, 10^6, 10^7 and
+# 3 * 10^7 (1,045,069 elements at 10^7, 0.4196 bound / sqrt(log bound));
+# charged 240 (>= 1.51x) per element of that estimate plus 64, which stand for
+# the fixed cost of the sort (about 8 KB)
+SUPPORT_BYTES = 240
 
 
-def _support(bound: int, W: int) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """a -> (mu(a), primes of a) for every squarefree a <= bound coprime to W
-    whose primes are all 3 mod 4, in ascending order of a; 1 comes first.
-    A byte guard runs before the primes are sieved."""
-    n_est = 0.43 * bound / math.sqrt(math.log(max(bound, 3))) + 16
+def _support(bound: int, W: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The squarefree_table (a, mu(a), primes of a) of every squarefree
+    a <= bound coprime to W whose primes are all 3 mod 4, ascending, so 1
+    comes first.  A byte guard runs before the primes are sieved."""
+    n_est = 0.43 * bound / math.sqrt(math.log(max(bound, 3))) + 64
     check_bytes("weight support", n_est * SUPPORT_BYTES, f"~{n_est:.2e} elements up to {bound}")
-    ps = [p for p in primes_up_to(bound).tolist() if p % 4 == 3 and W % p]
-    return {a: (mu, primes) for a, mu, primes in sorted(squarefree_products(ps, bound))}
+    return squarefree_table([p for p in primes_up_to(bound).tolist() if p % 4 == 3 and W % p], bound)
 
 
-def _divisor_lists(support: dict[int, tuple[int, tuple[int, ...]]]) -> dict[int, list[int]]:
-    """The ascending divisors of every support element, from its primes."""
-    return {a: sorted(d for d, _, _ in squarefree_products(ps, a)) for a, (_, ps) in support.items()}
+def _support_maps(vals: np.ndarray, mus: np.ndarray, P: np.ndarray) -> tuple[dict, dict, dict]:
+    """mu, phi and the ascending divisors of every element of a support
+    table, each a dict keyed by the element in ascending order."""
+    elem, div = divisor_incidence(vals, P)
+    flat = vals[div[np.lexsort((div, elem))]].tolist()
+    ends = np.cumsum(np.bincount(elem)).tolist()
+    keys = vals.tolist()
+    phi = np.prod(np.where(P > 1, P - 1, 1), axis=1)
+    divisors = {a: flat[lo:hi] for a, lo, hi in zip(keys, [0, *ends], ends)}
+    return dict(zip(keys, mus.tolist())), dict(zip(keys, phi.tolist())), divisors
 
 
 def enumerate_support(R: int, W: int = 1) -> list[int]:
@@ -262,7 +256,7 @@ def enumerate_support(R: int, W: int = 1) -> list[int]:
     1 is always included."""
     if R < 1:
         raise ValidationError(f"enumerate_support: R={R} < 1")
-    return list(_support(R, W))
+    return _support(R, W)[0].tolist()
 
 
 @dataclass
@@ -336,18 +330,17 @@ def lambda_from_F(params: SieveParams, spec: TestFunctionSpec) -> WeightTable:
         min(params.R, int(math.floor(params.R**c * (1 + 1e-12)))) for c in spec.caps()
     ]
     support = _support(max(caps_vals), params.W)
-    est = math.prod(max(1, sum(1 for s in support if s <= cv)) for cv in caps_vals)
+    est = math.prod(max(1, int(np.searchsorted(support[0], cv, side="right"))) for cv in caps_vals)
     if est > 5e6:
         raise ResourceGuardError(
             f"lambda_from_F: ~{est:.2e} r-tuples exceed the 5e6 guard",
-            cost_estimate=f"k={k}, |support up to the caps|={len(support)}",
+            cost_estimate=f"k={k}, |support up to the caps|={len(support[0])}",
         )
 
-    phi = {s: math.prod(p - 1 for p in ps) for s, (_, ps) in support.items()}
-    divisors = _divisor_lists(support)
+    mu, phi, divisors = _support_maps(*support)
     y_entries: dict[tuple[int, ...], Fraction] = {}
     lam_tilde: dict[tuple[int, ...], Fraction] = {}
-    for r in _support_tuples(list(support), k, params.R, caps_vals):
+    for r in _support_tuples(list(mu), k, params.R, caps_vals):
         t = [math.log(ri) / logR if ri > 1 else 0.0 for ri in r]
         fval = spec.evaluate(t)
         if fval == 0.0:
@@ -359,7 +352,7 @@ def lambda_from_F(params: SieveParams, spec: TestFunctionSpec) -> WeightTable:
 
     entries: dict[tuple[int, ...], Fraction] = {}
     for d, val in lam_tilde.items():
-        lam = math.prod(support[di][0] * di for di in d) * val
+        lam = math.prod(mu[di] * di for di in d) * val
         if lam != 0:
             entries[d] = lam
     return WeightTable(k, params.R, params.W, spec, entries, y_entries)
@@ -368,19 +361,18 @@ def lambda_from_F(params: SieveParams, spec: TestFunctionSpec) -> WeightTable:
 def y_from_lambda(table: WeightTable) -> dict[tuple[int, ...], Fraction]:
     """Recover y_r = (prod mu(r_i) phi(r_i)) sum_{d: r_i | d_i} lambda_d / prod d_i.
     Every key component must lie on the support; ValidationError otherwise."""
-    support = _support(min(table.R, max(map(max, table.entries), default=1)), table.W)
-    divisors = _divisor_lists(support)
+    mu, phi, divisors = _support_maps(*_support(min(table.R, max(map(max, table.entries), default=1)), table.W))
     acc: dict[tuple[int, ...], Fraction] = {}
     for d, lam in table.entries.items():
         for di in d:
-            if di not in support:
+            if di not in mu:
                 raise ValidationError(f"y_from_lambda: key component {di} of {d} is off the support")
         contrib = lam / math.prod(d)
         for r in iproduct(*(divisors[di] for di in d)):
             acc[r] = acc.get(r, 0) + contrib
     out: dict[tuple[int, ...], Fraction] = {}
     for r, val in acc.items():
-        val *= math.prod(mu * math.prod(p - 1 for p in ps) for mu, ps in map(support.get, r))
+        val *= math.prod(mu[ri] * phi[ri] for ri in r)
         if val != 0:
             out[r] = val
     return out
@@ -565,15 +557,7 @@ def s_predicted(
         return 64 * (logR / logv) * B**k * N / (math.pi**2 * W) * L
     if which == "S4":
         L = functional_value(spec, "L_m", m=m)
-        return (
-            2
-            * math.sqrt(logR / logv)
-            * (math.log(N) / logv + 1)
-            * B**k
-            * N
-            / (math.pi * W)
-            * L
-        )
+        return 2 * math.sqrt(logR / logv) * (math.log(N) / logv + 1) * B**k * N / (math.pi * W) * L
     raise ValidationError(f"s_predicted: unknown sum {which!r}")
 
 
@@ -594,9 +578,12 @@ class SieveSumResult:
 def window(params: SieveParams, tup: AdmissibleTuple, end: int, cost: tuple[int, int]) -> range:
     """n in [N, end) with n = v0 (mod W) and n = 1 (mod 4) (W is odd), after
     a byte guard for the scan over it, which names its own peak cost: a
-    bytes per point plus b per point and shift, for cost = (a, b)."""
+    bytes per point plus b per point and shift, for cost = (a, b).  A
+    non-empty window whose least n + h is below 1 is a ValidationError."""
     r, mod = crt([find_v0(params, tup), 1], [params.W, 4])
     ns = range(params.N + (r - params.N) % mod, end, mod)
+    if ns and ns.start + min(tup.h) < 1:
+        raise ValidationError(f"window: n + h = {ns.start + min(tup.h)} < 1 at N = {params.N}, shift h = {min(tup.h)}")
     need = len(ns) * (cost[0] + tup.k * cost[1])
     check_bytes("window scan", need, f"{len(ns)} points x {tup.k} shifts")
     return ns
@@ -788,10 +775,9 @@ def tech_sum_check(
     the predicted B * int_0^1 G(x) dx/sqrt(x)."""
     logR = math.log(params.R) if params.R > 1 else 1.0
     total = 0.0
-    for dd, (_, ps) in _support(params.R, params.W).items():
-        fv = Fraction(1)
-        for p in ps:
-            fv *= Fraction(f_rule(p))
+    vals, _, P = _support(params.R, params.W)
+    for dd, ps in zip(vals.tolist(), P.tolist()):
+        fv = math.prod((Fraction(f_rule(p)) for p in ps if p > 1), start=Fraction(1))
         total += float(fv) * G(math.log(dd) / logR if dd > 1 else 0.0)
     B = b_constant(params, prime_bound).value
     x, w = sqrt_rule(1.0)
@@ -881,10 +867,7 @@ def sJ_direct(
         )
 
     def mult_eval(rule, n: int) -> Fraction:
-        out = Fraction(1)
-        for p, _ in trial_factorize(n).pairs:
-            out *= Fraction(rule(p))
-        return out
+        return math.prod((Fraction(rule(p)) for p in trial_factorize(n).primes()), start=Fraction(1))
 
     total = Fraction(0)
     for d in keys:
@@ -895,15 +878,7 @@ def sJ_direct(
             if e[m] % p2 != 0:
                 continue
             lcms = [di * ei // math.gcd(di, ei) for di, ei in zip(d, e)]
-            ok = True
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if math.gcd(lcms[i], lcms[j]) > 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+            if any(math.gcd(lcms[i], lcms[j]) > 1 for i in range(k) for j in range(i + 1, k)):
                 continue
             term = lam_d * table.entries[e]
             for i in range(k):

@@ -35,12 +35,15 @@ from twosquares.arith import (
     rd_bruteforce,
     rd_square_identity,
     sigma,
-    squarefree_products,
+    divisor_incidence,
+    squarefree_table,
     tau_k,
     trial_factorize,
 )
 from twosquares.bins import WITNESS_LIMIT
 from twosquares.errors import ResourceGuardError, ValidationError
+
+from oracles import squarefree_products
 
 
 # -- independent oracles used only here ------------------------------------
@@ -507,8 +510,10 @@ def test_convolution_examples():
     ],
 )
 def test_squarefree_products_vs_trial_division(primes, bound):
-    """Values, mu, prime tuples and order against brute force: DFS pre-order
-    over ascending primes is the lexicographic order of the prime tuples."""
+    """Values, mu, prime tuples and order against brute force, for the DFS
+    oracle and for squarefree_table.  DFS pre-order over ascending primes is
+    the lexicographic order of the prime tuples; the table is in ascending
+    order of a, each prime row padded with 1 to the largest omega."""
     allowed = set(primes)
     expected = []
     for a in range(1, bound + 1):
@@ -518,12 +523,34 @@ def test_squarefree_products_vs_trial_division(primes, bound):
             expected.append((a, (-1) ** len(ps), ps))
     expected.sort(key=lambda row: row[2])
     assert list(squarefree_products(primes, bound)) == expected
+    vals, mus, P = squarefree_table(primes, bound)
+    width = max(len(ps) for _, _, ps in expected)
+    assert vals.dtype == mus.dtype == P.dtype == np.int64 and P.shape == (len(expected), width)
+    expected.sort()
+    assert vals.tolist() == [a for a, _, _ in expected]
+    assert mus.tolist() == [mu for _, mu, _ in expected]
+    assert P.tolist() == [list(ps) + [1] * (width - len(ps)) for _, _, ps in expected]
 
 
 def test_squarefree_products_stops_at_the_bound():
     # None * int raises, so reading the entry past 23 would fail the test
     got = [a for a, _, _ in squarefree_products([3, 5, 7, 11, 23, None], 20)]
     assert got == [1, 3, 15, 5, 7, 11]
+
+
+@given(
+    st.sets(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]), max_size=8),
+    st.integers(1, 4000),
+)
+def test_divisor_incidence_vs_trial_division(prime_set, bound):
+    """Each element's incidence rows are exactly its divisors, each once."""
+    vals, _, P = squarefree_table(sorted(prime_set), bound)
+    elem, div = divisor_incidence(vals, P)
+    got = [[] for _ in vals]
+    for i, j in zip(elem.tolist(), div.tolist()):
+        got[i].append(int(vals[j]))
+    for a, divs in zip(vals.tolist(), got):
+        assert sorted(divs) == [d for d in range(1, a + 1) if a % d == 0], a
 
 
 # -- CRT helpers -----------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twosquares import aux_sums, cli
-from twosquares.arith import g2, g4, g6, g7, mobius, primes_up_to, squarefree_products, trial_factorize
+from twosquares.arith import g2, g4, g6, g7, mobius, primes_up_to, squarefree_table, trial_factorize
 from twosquares.aux_sums import (
     AuxParams,
     enumerate_smooth,
@@ -21,6 +21,8 @@ from twosquares.aux_sums import (
     z2_predicted,
 )
 from twosquares.errors import ResourceGuardError, ValidationError
+
+from oracles import squarefree_products
 
 
 # brute-force pair-sum oracles straight from the displayed definitions
@@ -146,14 +148,30 @@ def test_one_enumeration_per_v(monkeypatch, tmp_path):
 
     def counted(primes, bound):
         calls.append(bound)
-        return squarefree_products(primes, bound)
+        return squarefree_table(primes, bound)
 
-    monkeypatch.setattr(aux_sums, "squarefree_products", counted)
+    monkeypatch.setattr(aux_sums, "squarefree_table", counted)
     aux_sums._smooth_rows.cache_clear()
     aux_sums._divisor_sums.cache_clear()
     argv = ["aux-sums", "--v", "3001", "--which", "x,y,z1,z2", "--output", str(tmp_path / "aux.json")]
     assert cli.main(argv) == 0
     assert calls == [3001]
+
+
+def test_aux_peak_within_charge(monkeypatch):
+    charged = []
+    monkeypatch.setattr(aux_sums, "check_bytes", lambda what, need, workload: charged.append(need))
+    for v in (30, 10**5, 10**6):
+        p = AuxParams(v=v)
+        aux_sums._smooth_rows.cache_clear()
+        aux_sums._divisor_sums.cache_clear()
+        tracemalloc.start()
+        for direct in (x_direct, y_direct, z1_direct, z2_direct):
+            direct(p)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        size = len(enumerate_smooth(p)[0])
+        assert size <= charged[-1] / aux_sums._BYTES_PER_ELEMENT and 1.33 * peak <= charged[-1], v
 
 
 def test_trivial_small_v():

@@ -40,6 +40,14 @@ def test_ap_sums_r2_at_zero(capsys, argv):
     assert (first["N"], first["empirical"], first["predicted_main"], first["rel_error"]) == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("trend", ["", ","], ids=["empty", "comma"])
+def test_ap_sums_empty_trend_exit_code(capsys, trend):
+    code, out = run(capsys, ["ap-sums", "--sum", "r", f"--trend={trend}"])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "validation" and "--trend" in err["message"]
+
+
 def test_ap_sums_guard_exit_code(capsys, monkeypatch):
     # 2.5e8 progression terms are over the byte budget: exit 3 before r2_on
     def unreachable(*args, **kwargs):
@@ -632,21 +640,32 @@ def test_window_guard_is_per_scan(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, want",
+    "argv",
     [
-        (["sieve-run", "--N", "1e4", "--tuple=-20000,0", "--which", "S2"], 2),
-        (["certificate", "--N", "1e4", "--tuple=-20000,0,4", "--mu", "1.5,2.5", "--t", "1,2"], 2),
-        (["sieve-run", "--N", "1e4", "--tuple=-20000,0", "--which", "S1"], 0),
+        ["sieve-run", "--N", "1e4", "--tuple=-20000,0", "--which", "S2"],
+        ["certificate", "--N", "1e4", "--tuple=-20000,0,4", "--mu", "1.5,2.5", "--t", "1,2"],
+        ["sieve-run", "--N", "1e4", "--tuple=-20000,0", "--which", "S1"],
+        ["witness-search", "--N", "1e4", "--tuple=-20000,0", "--bins", "1,1"],
     ],
-    ids=["sieve-run", "certificate", "sieve-run-S1"],
+    ids=["sieve-run", "certificate", "sieve-run-S1", "witness-search"],
 )
-def test_window_below_one_exit_code(capsys, argv, want):
-    # n + h < 1 has no r_2, so the scans that read rho reject it as invalid
-    # input; S1 reads no rho and runs
+def test_window_below_one_exit_code(capsys, argv):
+    # every window scan rejects a window that reaches n + h < 1 as invalid
+    # input, naming N and the shift, S1 too, although it reads no rho
     code, out = run(capsys, argv)
-    assert code == want
-    if want:
-        assert json.loads(out)["error"]["type"] == "validation"
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "validation"
+    assert "N = 10000" in err["message"] and "h = -20000" in err["message"], err["message"]
+
+
+def test_window_reaching_one_runs(capsys):
+    # the window starts at n = 10001, so its least n + h is 1: in range; one
+    # step of 4 further down is out
+    code, _ = run(capsys, ["sieve-run", "--N", "1e4", "--tuple=-10000,0", "--which", "S1,S2"])
+    assert code == 0
+    code, _ = run(capsys, ["sieve-run", "--N", "1e4", "--tuple=-10004,0", "--which", "S1"])
+    assert code == 2
 
 
 def test_sieve_run_explicit_zero_index(capsys):

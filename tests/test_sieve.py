@@ -14,7 +14,6 @@ from twosquares.arith import (
     euler_phi,
     mobius,
     primes_up_to,
-    squarefree_products,
     trial_factorize,
 )
 from twosquares.constants import landau_ramanujan_A
@@ -46,6 +45,8 @@ from twosquares.sieve import (
     tech_sum_check,
     y_from_lambda,
 )
+
+from oracles import squarefree_products
 
 
 def relaxed(N, t1, t2, D0):
@@ -145,7 +146,7 @@ def test_support_peak_within_charge(monkeypatch):
     monkeypatch.setattr(sieve, "check_bytes", lambda what, need, workload: charged.append(need))
     for bound, W in [(10, 1), (10**3, 1), (10**5, 1), (10**5, 105)]:
         tracemalloc.start()
-        size = len(sieve._support(bound, W))
+        size = len(sieve._support(bound, W)[0])
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert size <= charged[-1] / SUPPORT_BYTES and 1.33 * peak <= charged[-1], bound
