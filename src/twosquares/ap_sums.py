@@ -237,7 +237,7 @@ def predicted_sum_r2(query: APQuery) -> float:
         return 0.0
     fq, fd = trial_factorize(query.q), trial_factorize(query.d)
     a2 = a2_constant().value
-    bracket = math.log(query.N) + a2 + 2 * g5(fq).value() - 2 * g6(fd).value()
+    bracket = math.log(query.N) + a2 + 2 * g5(fq) - 2 * g6(fd)
     return float(g3(fq)) * float(g4(fd)) / (query.q * query.d) * bracket * query.N
 
 

@@ -2,9 +2,10 @@
 representation counts r_d(n), and the g_1..g_7 prime-rule functions.
 
 Everything here is a pure function of its inputs.  Values that must stay
-exact (g-function values, convolution transforms) are fractions.Fraction;
-values involving log p are kept as formal sums of (rational, prime) pairs
-and only materialised to float on demand.
+exact (g-function values, convolution transforms) are fractions.Fraction.
+Each g rule's per-prime formula is written once, in _G_RULES, and read by
+two evaluators: g_function, exact over the primes of one n, and g_rows, in
+float64 over every row of a squarefree_table prime matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -370,113 +372,68 @@ def rd_square_identity(n: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormalLogSum:
-    """Sum of c_i * log(p_i) with exact rational c_i, materialised on demand."""
-
-    terms: tuple[tuple[Fraction, int], ...]
-
-    def __add__(self, other: "FormalLogSum") -> "FormalLogSum":
-        return FormalLogSum(self.terms + other.terms)
-
-    def value(self) -> float:
-        return math.fsum(float(c) * math.log(p) for c, p in self.terms)
-
-    @staticmethod
-    def zero() -> "FormalLogSum":
-        return FormalLogSum(())
+# Each g rule by id: whether g(n) adds c(p) log p over the primes p of n (g5,
+# g6) or multiplies c(p) (the rest), and c(p) by p mod 4, each written once for
+# a Fraction p and a float64 array p alike.  A rule without class 2 takes odd
+# n only.
+_G_RULES = {
+    1: (False, {1: lambda p: 1 - 1 / p, 2: lambda p: 1, 3: lambda p: 1 + 1 / p}),  # 1 - chi4(p)/p
+    2: (False, {1: lambda p: 2 - 1 / p, 3: lambda p: 1 / p}),
+    3: (False, {1: lambda p: (p - 1) ** 2 / (p * (p + 1)), 3: lambda p: 1 + 1 / p}),
+    4: (False, {1: lambda p: (4 * p * p - 3 * p + 1) / (p * (p + 1)), 3: lambda p: 1 / p}),
+    5: (True, {1: lambda p: (2 * p + 1) / (p * p - 1), 3: lambda p: 1 / (p * p - 1)}),
+    6: (True, {1: lambda p: (p - 1) ** 2 * (2 * p + 1) / ((p + 1) * (4 * p * p - 3 * p + 1)), 3: lambda p: 1}),
+    7: (False, dict.fromkeys((1, 2, 3), lambda p: p + 1)),
+}
 
 
-def _require_squarefree_odd(f: Factorization, name: str, odd: bool = True) -> None:
-    if not f.is_squarefree():
-        raise ValidationError(f"{name}: argument {f.n} is not squarefree")
-    if odd and any(p == 2 for p, _ in f.pairs):
-        raise ValidationError(f"{name}: argument {f.n} must be odd")
+def multiplicative(rule: Callable[[int], Fraction], primes: Iterable[int]) -> Fraction:
+    """The product of rule(p) over `primes`, exactly; a padding 1 (a row of
+    a squarefree_table prime matrix) is neutral."""
+    return math.prod((Fraction(rule(p)) for p in primes if p > 1), start=Fraction(1))
 
 
-def g1(f: Factorization) -> Fraction:
-    """g1(p) = 1 - chi4(p)/p, extended multiplicatively over squarefree n."""
-    _require_squarefree_odd(f, "g1", odd=False)
-    out = Fraction(1)
-    for p, _ in f.pairs:
-        out *= 1 - Fraction(chi4(p), p)
-    return out
-
-
-def g2(f: Factorization) -> Fraction:
-    """g2(p) = 2 - 1/p for p = 1 mod 4, 1/p for p = 3 mod 4 (odd squarefree n)."""
-    _require_squarefree_odd(f, "g2")
-    out = Fraction(1)
-    for p, _ in f.pairs:
-        out *= 2 - Fraction(1, p) if p % 4 == 1 else Fraction(1, p)
-    return out
-
-
-def g3(f: Factorization) -> Fraction:
-    """g3(p) = (p-1)^2/(p(p+1)) for p = 1 mod 4, else g1(p) = 1 + 1/p."""
-    _require_squarefree_odd(f, "g3")
-    out = Fraction(1)
-    for p, _ in f.pairs:
-        if p % 4 == 1:
-            out *= Fraction((p - 1) ** 2, p * (p + 1))
-        else:
-            out *= 1 + Fraction(1, p)
-    return out
-
-
-def g4(f: Factorization) -> Fraction:
-    """g4(p) = (4p^2-3p+1)/(p(p+1)) for p = 1 mod 4, else g2(p) = 1/p."""
-    _require_squarefree_odd(f, "g4")
-    out = Fraction(1)
-    for p, _ in f.pairs:
-        if p % 4 == 1:
-            out *= Fraction(4 * p * p - 3 * p + 1, p * (p + 1))
-        else:
-            out *= Fraction(1, p)
-    return out
-
-
-def g5(f: Factorization) -> FormalLogSum:
-    """g5(p) = (2p+1)log p/(p^2-1) [p=1 mod 4] or log p/(p^2-1) [p=3 mod 4],
-    extended additively over the prime parts."""
-    _require_squarefree_odd(f, "g5")
-    terms = []
-    for p, _ in f.pairs:
-        c = Fraction(2 * p + 1, p * p - 1) if p % 4 == 1 else Fraction(1, p * p - 1)
-        terms.append((c, p))
-    return FormalLogSum(tuple(terms))
-
-
-def g6(f: Factorization) -> FormalLogSum:
-    """g6(p) = (p-1)^2(2p+1)log p/((p+1)(4p^2-3p+1)) [p=1 mod 4] or log p [p=3]."""
-    _require_squarefree_odd(f, "g6")
-    terms = []
-    for p, _ in f.pairs:
-        if p % 4 == 1:
-            c = Fraction((p - 1) ** 2 * (2 * p + 1), (p + 1) * (4 * p * p - 3 * p + 1))
-        else:
-            c = Fraction(1)
-        terms.append((c, p))
-    return FormalLogSum(tuple(terms))
-
-
-def g7(f: Factorization) -> Fraction:
-    """g7(p) = p + 1, extended multiplicatively over squarefree n."""
-    _require_squarefree_odd(f, "g7", odd=False)
-    out = Fraction(1)
-    for p, _ in f.pairs:
-        out *= p + 1
-    return out
-
-
-_G_DISPATCH = {1: g1, 2: g2, 3: g3, 4: g4, 5: g5, 6: g6, 7: g7}
-
-
-def g_function(gid: int, f: Factorization):
-    """Dispatch to g1..g7.  g5 and g6 return FormalLogSum, the rest Fraction."""
-    if gid not in _G_DISPATCH:
+def g_function(gid: int, f: Factorization) -> Fraction | float:
+    """g_gid(n) for squarefree n (odd n unless the rule has p = 2): a
+    Fraction, or for g5 and g6 the float math.fsum of float(c(p)) log p
+    over the exact c(p).  g1 ... g7 are its bindings."""
+    if gid not in _G_RULES:
         raise ValidationError(f"g_function: id {gid} not in 1..7")
-    return _G_DISPATCH[gid](f)
+    log, rule = _G_RULES[gid]
+    if not f.is_squarefree():
+        raise ValidationError(f"g{gid}: argument {f.n} is not squarefree")
+    if any(p % 4 not in rule for p in f.primes()):
+        raise ValidationError(f"g{gid}: argument {f.n} must be odd")
+    c = lambda p: rule[p % 4](Fraction(p))
+    if log:
+        return math.fsum(float(c(p)) * math.log(p) for p in f.primes())
+    return multiplicative(c, f.primes())
+
+
+g1, g2, g3, g4, g5, g6, g7 = (partial(g_function, gid) for gid in _G_RULES)
+
+
+def g_rows(gid: int, P: np.ndarray) -> np.ndarray:
+    """g_gid in float64 at every row of a squarefree_table prime matrix P, a
+    column at a time, so that each row takes its primes in ascending order;
+    the padding 1 is neutral."""
+    log, rule = _G_RULES[gid]
+    out = np.zeros(len(P)) if log else np.ones(len(P))
+    for column in P.T:
+        live = np.flatnonzero(column > 1)
+        r = column[live] & 3
+        p = column[live].astype(np.float64)
+        c = np.full(len(p), np.nan)
+        for cls, formula in rule.items():
+            at = r == cls
+            c[at] = formula(p[at])
+        if np.isnan(c).any():
+            raise ValidationError(f"g_rows: g{gid} is not defined at a prime of P")
+        if log:
+            out[live] += c * np.log(p)
+        else:
+            out[live] *= c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +469,18 @@ def convolution_transform(
     """
     if kind not in ("f_star", "g_star", "f_dstar", "g_dstar"):
         raise ValidationError(f"convolution_transform: unknown kind {kind!r}")
-    _require_squarefree_odd(f, "convolution_transform", odd=False)
-    out = Fraction(1)
-    for p, _ in f.pairs:
+    if not f.is_squarefree():
+        raise ValidationError(f"convolution_transform: argument {f.n} is not squarefree")
+
+    def transform(p: int) -> Fraction:
         bp = Fraction(base(p))
-        if kind in ("f_star", "g_star"):
-            if bp == 0:
-                raise ValidationError(f"convolution_transform: base({p}) = 0")
-            out *= (1 - bp) / bp
-        else:
-            out *= 1 - p * bp
-    return out
+        if kind in ("f_dstar", "g_dstar"):
+            return 1 - p * bp
+        if bp == 0:
+            raise ValidationError(f"convolution_transform: base({p}) = 0")
+        return (1 - bp) / bp
+
+    return multiplicative(transform, f.primes())
 
 
 # ---------------------------------------------------------------------------

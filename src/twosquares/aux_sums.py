@@ -19,12 +19,12 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import landau_ramanujan_A
-from .arith import divisor_incidence, primes_up_to, squarefree_table, w_split
+from .arith import divisor_incidence, g_rows, primes_up_to, squarefree_table, w_split
 from .errors import ValidationError, check_bytes
 
 # tracemalloc peak of X and the pair sums per element of the estimate below:
-# 228, 235 and 255 bytes at v = 10^5, 10^6 and 10^7; charged 350 (>= 1.37x)
-_BYTES_PER_ELEMENT = 350
+# 199, 207 and 220 bytes at v = 10^5, 10^6 and 10^7; charged 300 (>= 1.36x)
+_BYTES_PER_ELEMENT = 300
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,7 @@ def _divisor_sums(params: AuxParams) -> tuple[np.ndarray, ...]:
     """
     vals, mus, P = _smooth_rows(params)
     n = len(vals)
-    p = P.astype(np.float64)  # the padding p = 1 is neutral in every factor but g7's
-    g2 = np.prod(2 - 1 / p, axis=1)
-    g4 = np.prod((4 * p * p - 3 * p + 1) / (p * (p + 1)), axis=1)
-    g7 = np.prod(np.where(P > 1, p + 1, 1.0), axis=1)
-    g6 = np.sum((p - 1) ** 2 * (2 * p + 1) / ((p + 1) * (4 * p * p - 3 * p + 1)) * np.log(p), axis=1)
+    g2, g4, g6, g7 = (g_rows(gid, P) for gid in (2, 4, 6, 7))
     L = math.log(params.v) - np.log(vals.astype(np.float64))
 
     elem, div = divisor_incidence(vals, P)

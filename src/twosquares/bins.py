@@ -23,6 +23,7 @@ from .sieve import (
     WeightTable,
     inner_weights,
     s_direct,  # noqa: F401  (not called here; perfbench/tracer.py wraps bins.s_direct)
+    s_term,
     window,
     window_rho,
 )
@@ -158,9 +159,9 @@ def second_moment_lhs(
     - 2 mu_i sum_h S2 + mu_i^2 S1] from the S-sums (evaluator B).
 
     Both read the same w and the same rho array per shift, and B reduces
-    them exactly as s_direct does, so its components equal s_direct's bit
-    for bit.  Their agreement checks the expansion algebra; the two floats
-    should match to ~1e-12 relative.
+    them with s_direct's own sieve.s_term, so its components equal
+    s_direct's bit for bit.  Their agreement checks the expansion algebra;
+    the two floats should match to ~1e-12 relative.
     """
     if partition.k != tup.k:
         raise ValidationError("second_moment_lhs: partition arity != tuple size")
@@ -188,11 +189,9 @@ def second_moment_lhs(
     lhs_b = min_ratio * s1
     for i in range(partition.M):
         idx = partition.indices(i)
-        s3_sum = sum(
-            (float((ww * (rhos[a] * rhos[b])).sum()) for a in idx for b in idx if a != b), 0.0
-        )
-        s4_sum = sum(float((ww * (rhos[a] * rhos[a])).sum()) for a in idx)
-        s2_sum = sum(float((ww * rhos[a]).sum()) for a in idx)
+        s3_sum = sum((s_term(ww, rhos[a], rhos[b]) for a in idx for b in idx if a != b), 0.0)
+        s4_sum = sum(s_term(ww, rhos[a], rhos[a]) for a in idx)
+        s2_sum = sum(s_term(ww, rhos[a]) for a in idx)
         comps[f"bin{i}"] = {"S3": s3_sum, "S4": s4_sum, "S2": s2_sum}
         lhs_b -= (s3_sum + s4_sum - 2 * mu[i] * s2_sum + mu[i] ** 2 * s1) / t[i] ** 2
 

@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from datetime import datetime, timezone
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 
@@ -125,12 +126,20 @@ def _emit(report: dict, out_path: str | None, runtime_ms: float | None = None) -
 
 
 def num(text) -> int:
-    """An integer that may be written as a float, e.g. 1e6.  inf and 1e400
-    raise ValueError, so argparse reports them as a usage error."""
-    try:
-        return int(float(text))
-    except OverflowError:
-        raise ValueError(f"{text!r} is not finite") from None
+    """An integer, read exactly; a float spelling such as 1e6 or 2.5e3 is
+    taken when its value is whole.  100.9, inf, nan and 1e400 raise
+    ValueError, so argparse and --config report them as usage errors."""
+    if not isinstance(text, float):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    if not math.isfinite(float(text)):
+        raise ValueError(f"{text!r} is not finite")
+    value = Decimal(text if isinstance(text, str) else float(text))  # exact, unlike float(text)
+    if value != value.to_integral_value():
+        raise ValueError(f"{text!r} is not a whole number")
+    return int(value)
 
 
 def _numbers(text: str, flag: str, parse=num) -> tuple:
@@ -142,7 +151,7 @@ def _numbers(text: str, flag: str, parse=num) -> tuple:
         try:
             out.append(parse(x))
         except ValueError:
-            raise ValidationError(f"{flag}: entry {x!r} is not a number") from None
+            raise ValidationError(f"{flag}: entry {x!r} is not {'an integer' if parse is num else 'a number'}") from None
     return tuple(out)
 
 

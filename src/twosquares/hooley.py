@@ -16,23 +16,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import Factorization, primes_up_to, progression_slice, r2, r2_on, squarefree_table
+from .arith import Factorization, g_rows, primes_up_to, progression_slice, r2, r2_on, squarefree_table
 from .errors import ValidationError
 
 
 def _t_terms(primes: Sequence[int], v: int) -> tuple[np.ndarray, np.ndarray]:
     """(a, mu(a)/g2(a) * (1 - log a / log v)) for every squarefree a <= v
     built from the ascending `primes`, as arrays in ascending order of a;
-    g2(a) multiplies 2 - 1/p over the primes of a in ascending order.
-    v >= 2, so that log v > 0."""
+    g2(a) comes from arith.g_rows, which multiplies over the primes of a
+    in ascending order at every width.  v >= 2, so that log v > 0."""
     if v < 2:
         raise ValidationError(f"t(n): v={v} < 2")
     vals, mus, P = squarefree_table(primes, v)
-    g2 = np.ones(len(vals))
-    for column in (2.0 - 1.0 / P).T:  # a column at a time: ascending p at every width of P
-        g2 *= column
     log_a = np.array(list(map(math.log, vals.tolist())))  # libm's log, as the float terms always took
-    return vals, mus / g2 * (1.0 - log_a / math.log(v))
+    return vals, mus / g_rows(2, P) * (1.0 - log_a / math.log(v))
 
 
 def t_weight(v: int, f: Factorization) -> float:

@@ -23,6 +23,7 @@ from .arith import (
     crt,
     divisor_incidence,
     floor_power,
+    multiplicative,
     primes_up_to,
     progression_slice,
     squarefree_table,
@@ -239,6 +240,18 @@ def _support(bound: int, W: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return squarefree_table([p for p in primes_up_to(bound).tolist() if p % 4 == 3 and W % p], bound)
 
 
+# tracemalloc peak of _support_maps per support element: 349, 525, 539, 561 and
+# 523 bytes at bound 10^3, 10^4, 10^5, 10^6 and 3 * 10^6 (W = 1), 451 at 10^5
+# with W = 105; charged 800 (>= 1.42x) per element plus 64 for the fixed ~9 KB
+MAPS_BYTES = 800
+
+
+def _charge_maps(vals: np.ndarray) -> None:
+    """The byte guard of _support_maps on a support table's values; its
+    callers run it before they build the maps."""
+    check_bytes("support maps", (len(vals) + 64) * MAPS_BYTES, f"{len(vals)} support elements")
+
+
 def _support_maps(vals: np.ndarray, mus: np.ndarray, P: np.ndarray) -> tuple[dict, dict, dict]:
     """mu, phi and the ascending divisors of every element of a support
     table, each a dict keyed by the element in ascending order."""
@@ -337,6 +350,7 @@ def lambda_from_F(params: SieveParams, spec: TestFunctionSpec) -> WeightTable:
             cost_estimate=f"k={k}, |support up to the caps|={len(support[0])}",
         )
 
+    _charge_maps(support[0])
     mu, phi, divisors = _support_maps(*support)
     y_entries: dict[tuple[int, ...], Fraction] = {}
     lam_tilde: dict[tuple[int, ...], Fraction] = {}
@@ -361,7 +375,9 @@ def lambda_from_F(params: SieveParams, spec: TestFunctionSpec) -> WeightTable:
 def y_from_lambda(table: WeightTable) -> dict[tuple[int, ...], Fraction]:
     """Recover y_r = (prod mu(r_i) phi(r_i)) sum_{d: r_i | d_i} lambda_d / prod d_i.
     Every key component must lie on the support; ValidationError otherwise."""
-    mu, phi, divisors = _support_maps(*_support(min(table.R, max(map(max, table.entries), default=1)), table.W))
+    support = _support(min(table.R, max(map(max, table.entries), default=1)), table.W)
+    _charge_maps(support[0])
+    mu, phi, divisors = _support_maps(*support)
     acc: dict[tuple[int, ...], Fraction] = {}
     for d, lam in table.entries.items():
         for di in d:
@@ -692,9 +708,15 @@ def s_direct_sums(
         rhos = [rho_at[h] for h in shifts[name]]
         negatives = _rho_negatives(ns, w, shifts[name], rhos)
         # S2: rho_m; S3: rho_m rho_l; S4: rho_m^2
-        terms = ww * (rhos[0] if name == "S2" else rhos[0] * rhos[-1])
-        out.append(SieveSumResult(float(terms.sum()), None, len(ns), *negatives))
+        total = s_term(ww, rhos[0], None if name == "S2" else rhos[-1])
+        out.append(SieveSumResult(total, None, len(ns), *negatives))
     return out
+
+
+def s_term(ww: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray | None = None) -> float:
+    """The S-sum reduction over a window: sum ww rho_a (S2), or sum ww
+    (rho_a rho_b), which is S3 for two shifts and S4 for rho_b = rho_a."""
+    return float((ww * (rho_a if rho_b is None else rho_a * rho_b)).sum())
 
 
 def _inverse_mod(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -777,8 +799,7 @@ def tech_sum_check(
     total = 0.0
     vals, _, P = _support(params.R, params.W)
     for dd, ps in zip(vals.tolist(), P.tolist()):
-        fv = math.prod((Fraction(f_rule(p)) for p in ps if p > 1), start=Fraction(1))
-        total += float(fv) * G(math.log(dd) / logR if dd > 1 else 0.0)
+        total += float(multiplicative(f_rule, ps)) * G(math.log(dd) / logR if dd > 1 else 0.0)
     B = b_constant(params, prime_bound).value
     x, w = sqrt_rule(1.0)
     pred = B * float(w @ np.array([G(xi) for xi in x.tolist()]))
@@ -866,9 +887,6 @@ def sJ_direct(
             cost_estimate=f"{len(keys) ** 2:.1e} pairs",
         )
 
-    def mult_eval(rule, n: int) -> Fraction:
-        return math.prod((Fraction(rule(p)) for p in trial_factorize(n).primes()), start=Fraction(1))
-
     total = Fraction(0)
     for d in keys:
         if d[m] % p1 != 0:
@@ -884,6 +902,6 @@ def sJ_direct(
             for i in range(k):
                 if lcms[i] == 1:
                     continue
-                term *= mult_eval(g_rule if i in Jset else f_rule, lcms[i])
+                term *= multiplicative(g_rule if i in Jset else f_rule, trial_factorize(lcms[i]).primes())
             total += term
     return total

@@ -103,10 +103,10 @@ def test_predicted_r2_bracket_terms():
     # q = 3 adds 2 g5(3) = log(3)/4 inside the bracket
     n = 1000
     a2 = a2_constant().value
-    base = math.log(n) + a2 + 2 * g5(trial_factorize(3)).value()
+    base = math.log(n) + a2 + 2 * g5(trial_factorize(3))
     expected = float(g3(trial_factorize(3))) / 3 * base * n
     assert predicted_sum_r2(APQuery(N=n, q=3, a=1)) == pytest.approx(expected)
-    assert 2 * g5(trial_factorize(3)).value() == pytest.approx(math.log(3) / 4)
+    assert 2 * g5(trial_factorize(3)) == pytest.approx(math.log(3) / 4)
     # q = d = 1: (log N + A2) N as displayed
     assert predicted_sum_r2(APQuery(N=n)) == pytest.approx((math.log(n) + a2) * n)
 

@@ -25,6 +25,7 @@ from twosquares.arith import (
     g6,
     g7,
     g_function,
+    g_rows,
     is_sum_of_two_squares,
     mobius,
     progression_slice,
@@ -422,11 +423,12 @@ def test_g_examples():
     assert g3(f(5)) == Fraction(8, 15)
     assert g4(f(5)) == Fraction(43, 15)
     assert g7(f(15)) == 24
-    assert g5(f(3)).terms == ((Fraction(1, 8), 3),)
-    assert g6(f(3)).terms == ((Fraction(1), 3),)
-    assert g6(f(5)).value() == pytest.approx(
+    assert g5(f(3)) == math.log(3) / 8
+    assert g6(f(3)) == math.log(3)
+    assert g6(f(5)) == pytest.approx(
         (16 * 11) / (6 * 86) * math.log(5)
     )
+    assert g5(f(15)) == math.fsum([math.log(3) / 8, float(Fraction(11, 24)) * math.log(5)])
     assert g_function(2, f(5)) == Fraction(9, 5)
 
 
@@ -437,6 +439,8 @@ def test_g_rejects_bad_arguments():
         g2(trial_factorize(2))  # even
     with pytest.raises(ValidationError):
         g_function(8, trial_factorize(3))
+    with pytest.raises(ValidationError):
+        g_rows(2, np.array([[1], [2]]))  # even
 
 
 def test_g_multiplicativity():
@@ -450,9 +454,30 @@ def test_g_multiplicativity():
     for a, b in pairs:
         fa, fb, fab = trial_factorize(a), trial_factorize(b), trial_factorize(a * b)
         for g in (g1, g2, g3, g4, g7):
-            assert g(fab) == g(fa) * g(fb), (g.__name__, a, b)
+            assert g(fab) == g(fa) * g(fb), (g, a, b)
         for g in (g5, g6):
-            assert sorted((g(fa) + g(fb)).terms) == sorted(g(fab).terms)
+            assert g(fab) == pytest.approx(g(fa) + g(fb), rel=1e-15, abs=0)
+
+
+ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 97, 101, 65537, 999983]
+
+
+@given(
+    st.lists(st.sets(st.sampled_from(ODD_PRIMES), max_size=6), min_size=1, max_size=12),
+    st.booleans(),
+)
+def test_g_rows_vs_exact(rows, with_two):
+    """Each rule's float64 row evaluator against float(g_function) within
+    1e-15 relative, on rows of distinct ascending primes padded with 1; g1
+    and g7 also take p = 2."""
+    width = max(map(len, rows)) + 1
+    for gid in range(1, 8):
+        even = with_two and gid in (1, 7)
+        ps = [sorted(row | {2}) if even else sorted(row) for row in rows]
+        P = np.array([row + [1] * (width - len(row)) for row in ps], dtype=np.int64)
+        got = g_rows(gid, P)
+        want = [float(g_function(gid, Factorization(tuple((p, 1) for p in row)))) for row in ps]
+        assert got.tolist() == pytest.approx(want, rel=1e-15, abs=0), gid
 
 
 # -- Ramanujan sums ------------------------------------------------------------

@@ -76,7 +76,7 @@ def brute_z(v, W=1, with_g6=False):
                 * math.log(v / b)
             )
             if with_g6:
-                term *= g6(fl).value() if l > 1 else 0.0
+                term *= g6(fl) if l > 1 else 0.0
             tot += term
     return tot
 

@@ -269,8 +269,10 @@ def test_config_file_values_take_the_flag_type(capsys, tmp_path):
         ("[1, 2]", "not a JSON object"),
         ('{"N": "abc"}', "N='abc' is not valid"),
         ('{"N": Infinity}', "N=inf is not valid"),
+        ('{"N": 100.9}', "N=100.9 is not valid"),
+        ('{"N": "100.9"}', "N='100.9' is not valid"),
     ],
-    ids=["missing", "not-json", "list", "bad-value", "infinite"],
+    ids=["missing", "not-json", "list", "bad-value", "infinite", "fractional", "fractional-string"],
 )
 def test_bad_config_file_exit_code(capsys, tmp_path, content, message):
     path = tmp_path / "cfg.json"
@@ -283,13 +285,42 @@ def test_bad_config_file_exit_code(capsys, tmp_path, content, message):
     assert err["message"].startswith(f"--config {path}: ") and message in err["message"]
 
 
-@pytest.mark.parametrize("value", ["inf", "1e400"])
+@pytest.mark.parametrize("value", ["inf", "1e400", "100.9", "2.5e-1", "1e-400"])
 def test_integer_flag_past_the_floats_is_a_usage_error(capsys, value):
-    # int(float("inf")) raises OverflowError, which argparse would not catch
+    # int(float("inf")) raises OverflowError, which argparse would not catch;
+    # a value that is not whole is not rounded to one
     with pytest.raises(SystemExit) as exc:
         cli.main(["build-table", "--N", value])
     assert exc.value.code == 2
     assert f"argument --N: invalid num value: '{value}'" in capsys.readouterr().err
+
+
+BIG = 12345678901234567891  # float(BIG) is 12345678901234567168
+
+
+@pytest.mark.parametrize(
+    "source, text, value",
+    [
+        ("flag", "12345678901234567891", BIG),
+        ("flag", "1.2345678901234567891e19", BIG),
+        ("flag", "2.5e3", 2500),
+        ("config", "12345678901234567891", BIG),  # a JSON int
+        ("config", '"1.2345678901234567891e19"', BIG),
+        ("config", "2.5e3", 2500),  # a JSON float whose value is whole
+        ("list", "12345678901234567891", BIG),
+        ("list", "1.2345678901234567891e19", BIG),
+    ],
+)
+def test_integers_are_read_exactly(tmp_path, source, text, value):
+    if source == "list":
+        assert cli._numbers(f"0,{text}", "--tuple") == (0, value)
+        return
+    argv = ["aux-sums", "--v", text]
+    if source == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"v": %s}' % text)
+        argv = ["aux-sums", "--config", str(cfg)]
+    assert cli._resolve(cli.build_parser().parse_args(argv))["v"] == value
 
 
 def test_output_file(capsys, tmp_path):
@@ -435,6 +466,7 @@ def test_bin_sizes_positions(capsys):
         (["witness-search", "--N", "1e4", "--tuple", "0,a"], "--tuple", "a"),
         (["quantum", "--what", "btau", "--tau", "0,x,0"], "--tau", "x"),
         (["witness-search", "--N", "1e4", "--tuple", "0,1e400"], "--tuple", "1e400"),
+        (["witness-search", "--N", "1e4", "--tuple", "0,4.5"], "--tuple", "4.5"),
     ],
 )
 def test_non_numeric_list_entry_is_a_validation_error(capsys, argv, flag, entry):

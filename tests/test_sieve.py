@@ -152,6 +152,39 @@ def test_support_peak_within_charge(monkeypatch):
         assert size <= charged[-1] / SUPPORT_BYTES and 1.33 * peak <= charged[-1], bound
 
 
+def test_support_maps_guard_runs_before_the_maps(monkeypatch):
+    # at R = 10^4 the support (1,381 elements) is charged 3.6e5 bytes and its
+    # maps 1.2e6, so a budget between the two stops both weight maps before
+    # they build the maps
+    p = relaxed(10**8, 0.1, 1.0, 1)
+    table = lambda_from_F(p, single_bin_spec(1, 1.0))
+
+    def built(*args):
+        raise AssertionError("support maps built before their byte guard")
+
+    monkeypatch.setattr(sieve, "_support_maps", built)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 6 * 10**5)
+    for build in (lambda: lambda_from_F(p, single_bin_spec(1, 1.0)), lambda: y_from_lambda(table)):
+        with pytest.raises(ResourceGuardError) as exc:
+            build()
+        assert str(exc.value) == "support maps over the byte budget"
+        assert "1381 support elements" in exc.value.cost_estimate
+
+
+def test_support_maps_peak_within_charge(monkeypatch):
+    charged = {}
+    monkeypatch.setattr(sieve, "check_bytes", lambda what, need, workload: charged.__setitem__(what, need))
+    for bound, W in [(10, 1), (10**3, 1), (10**5, 1), (10**5, 105)]:
+        support = sieve._support(bound, W)
+        # y_from_lambda builds its maps over the support up to its largest key
+        y_from_lambda(WeightTable(1, bound, W, single_bin_spec(1), {(int(support[0][-1]),): Fraction(1)}, {}))
+        tracemalloc.start()
+        sieve._support_maps(*support)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert 1.33 * peak <= charged["support maps"], (bound, W)
+
+
 def test_lambda_trivial_support():
     p = relaxed(16, 0.25, 0.5, 1)  # R = 2
     wt = lambda_from_F(p, single_bin_spec(1, 1.0))

@@ -1,10 +1,14 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+module-level name of the package goes unread.
 
-A name counts as used when it is read anywhere in the module.  The one
-exception is an imported name whose line carries the noqa marker of the
-benchmark tracer (perfbench/tracer.py wraps such a name by its module
-attribute, so the module must hold it even though it never calls it).
-`__init__.py` re-exports, so it is not checked.
+An imported name counts as used when it is read anywhere in the module.
+The one exception is an imported name whose line carries the noqa marker
+of the benchmark tracer (perfbench/tracer.py wraps such a name by its
+module attribute, so the module must hold it even though it never calls
+it).  `__init__.py` re-exports, so its imports are not checked.  A private
+name (one leading underscore) that a module defines at its top level by
+def, class or assignment counts as read when any module of the package
+loads it, by name or as an attribute.
 """
 
 import ast
@@ -51,3 +55,38 @@ def test_checker_sees_unused_and_marked_imports():
         "x = math.pi * crt\n"
     )
     assert unused_imports(src) == ["Fraction (line 2)", "g1 (line 6)"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    defined, read = {}, set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                bound = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [n.id for t in bound for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                targets = []
+            for target in targets:
+                if target.startswith("_") and not target.startswith("__"):
+                    defined[target] = name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}: {target}" for target, module in defined.items() if target not in read)
+
+
+def test_package_reads_every_private_name():
+    assert unread_private_names({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_checker_sees_unread_private_names():
+    sources = {
+        "a.py": "_A, _B = 1, 2\n_C: int = 3\ndef _f():\n    return _A\nclass _K:\n    pass\n__all__ = []\n",
+        "b.py": "import a\nx = a._C + a._f()\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _B", "a.py: _K"]
