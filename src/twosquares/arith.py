@@ -226,23 +226,35 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
     return np.sqrt(v).astype(np.int64)
 
 
-# rows per block of two_squares: its per-step temporaries stay at 64 KiB, which
-# malloc reuses.  Unblocked, or at 2^14 rows, a witness search's 37,232
-# certificates left 1-2 MB more resident after the call.
-_TWO_SQUARES_BLOCK = 1 << 13
-# primes 3 (mod 4) whose odd powers two_squares rejects before its walk
+# (run, x) pairs, and lattice points, per block of the two_squares sweep: its
+# temporaries stay a few 64 KiB arrays whatever the batch.
+_SWEEP_BLOCK = 1 << 13
+# primes 3 (mod 4) whose odd powers two_squares rejects before its sweep
 _SMALL_3MOD4 = (3, 7, 11, 19, 23)
+_BIT = (1 << np.arange(8)).astype(np.uint8)
+
+
+def _below(t: np.ndarray) -> np.ndarray:
+    """The largest y >= 0 with y^2 <= t, elementwise; -1 where t < 0."""
+    return _isqrt(np.maximum(t, 0)) - (t < 0)
 
 
 def two_squares(ms) -> np.ndarray:
     """For every m in ms the lexicographically least (x, y) with x >= y >= 0
     and x^2 + y^2 = m, as int64[n, 2]; (-1, -1) where m is not a sum of two
-    squares.  Every row starts at x = ceil(sqrt(m/2)), and the rows still
-    open step x forward together until m - x^2 is a square or x^2 > m.  A
-    row whose odd part is 3 (mod 4), or that a prime 3, 7, 11, 19 or 23
-    divides to an odd power, is no sum and is rejected before the walk; a
-    non-sum whose primes 3 (mod 4) are all larger (31 * 43 * 2^a, say)
-    still costs about 0.3 sqrt(m) steps.  Needs 0 <= m < 2^52."""
+    squares.  Needs 0 <= m < 2^52.
+
+    A row whose odd part is 3 (mod 4), or that a prime 3, 7, 11, 19 or 23
+    divides to an odd power, is rejected first.  The rest are sorted and cut
+    into runs wherever the gap to the next value exceeds floor(sqrt(m))/2.
+    Each run [lo, hi] sweeps x up from ceil(sqrt(lo/2)) and lists every
+    lattice point with y <= x and lo <= x^2 + y^2 <= hi, its y bounds from
+    the exact float square root; x ascends, so a value's first point has
+    its least x.  A run retires once its values are all found or x passes
+    sqrt(hi): nearby values share their x steps, and a non-sum whose primes
+    3 (mod 4) are all larger (31 * 43 * 2^a) keeps its run to the end.  The
+    blocks of x grow geometrically up to _SWEEP_BLOCK (run, x) pairs and as
+    many points; a pair cut short resumes at the y it reached."""
     try:
         ms = np.asarray(ms, dtype=np.int64).reshape(-1)
     except OverflowError:
@@ -250,30 +262,101 @@ def two_squares(ms) -> np.ndarray:
     if ms is None or (ms.size and (ms.min() < 0 or ms.max() >= TWO_SQUARES_LIMIT)):
         raise ValidationError("two_squares: every m must satisfy 0 <= m < 2^52")
     out = np.full((len(ms), 2), -1, dtype=np.int64)
-    for lo in range(0, len(ms), _TWO_SQUARES_BLOCK):
-        m = ms[lo : lo + _TWO_SQUARES_BLOCK]
-        x = _isqrt(m // 2)
-        x += 2 * x * x < m
-        odd = np.maximum(m, 1) // np.maximum(m & -m, 1)  # m over its largest power of 2; 1 for m = 0
-        sum_ok = (x * x <= m) & (odd % 4 != 3)
-        for p in _SMALL_3MOD4:  # strip p^2 while it divides: an odd power leaves p
-            at = np.flatnonzero(odd % p == 0)
-            rest = odd[at]
-            while (square := rest % (p * p) == 0).any():
-                rest[square] //= p * p
-            sum_ok[at[rest % p == 0]] = False
-        rows = np.flatnonzero(sum_ok)
-        m, x = m[rows], x[rows]
-        rows += lo
-        while rows.size:
-            y2 = m - x * x
-            y = _isqrt(y2)
-            hit = y * y == y2
-            out[rows[hit]] = np.stack([x[hit], y[hit]], axis=1)
-            x += 1
-            go = ~hit & (x * x <= m)
-            rows, m, x = rows[go], m[go], x[go]
+    ok = ms & 2 * (ms & -ms) == 0  # bit 1 of the odd part is clear: it is 1 (mod 4), or m = 0
+    for p in _SMALL_3MOD4:  # strip p^2 while it divides: an odd power leaves p
+        at = np.flatnonzero((ms % p == 0) & (ms > 0))
+        rest = ms[at]
+        while (square := rest % (p * p) == 0).any():
+            rest[square] //= p * p
+        ok[at[rest % p == 0]] = False
+    rows = np.argsort(ms)
+    rows = rows[ok[rows]].astype(np.min_scalar_type(len(ms)))  # held through the sweep
+    if rows.size:
+        u = ms[rows]
+        _sweep(u, rows, out)
+        dup = np.flatnonzero(u[1:] == u[:-1]) + 1  # a repeated value copies its first
+        out[rows[dup]] = out[rows[np.searchsorted(u, u[dup])]]
     return out
+
+
+def _residue_bits(u: np.ndarray, mask: int) -> np.ndarray:
+    """The set {m & mask : m in u} as a bitmap of uint8 words, filled a
+    block at a time."""
+    bits = np.zeros(mask // 8 + 1, dtype=np.uint8)
+    for c in range(0, len(u), _SWEEP_BLOCK):
+        r = u[c : c + _SWEEP_BLOCK] & mask
+        np.bitwise_or.at(bits, r >> 3, _BIT[r & 7])
+    return bits
+
+
+def _sweep(u: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """two_squares' sweep: for the sorted values u, write each sum's least
+    (x, y) into out[rows[i]], i the first position of its value."""
+    gap = np.diff(u)
+    np.minimum(gap, 1 << 26, out=gap)  # 4 * 2^52 exceeds every m
+    gap *= gap
+    gap <<= 2
+    start = np.flatnonzero(gap > u[1:]) + 1  # 4 gap^2 > m: gap > floor(sqrt(m))/2
+    del gap  # not held through the sweep
+    bounds = np.r_[0, start, len(u)]
+    lo, hi = u[bounds[:-1]], u[bounds[1:] - 1]
+    x = _isqrt(lo // 2)
+    x += 2 * x * x < lo
+    distinct = np.add.reduceat(np.r_[True, u[1:] != u[:-1]], bounds[:-1], dtype=np.int64)
+    # per run: hi, lo - 1, the next x, the last x, the last y done at x, the values left
+    runs = np.stack([hi, lo - 1, x, _isqrt(hi), np.full_like(x, -1), distinct])
+    # one bit per residue mod 2^k, 2^k >= 16 len(u) and 2^20 (a 128 KiB map),
+    # screens the points before the exact search
+    mask = (1 << max(20, (16 * len(u)).bit_length())) - 1
+    bits = _residue_bits(u, mask)
+    b = 1  # x values per run in the next block
+    while runs.shape[1]:
+        runs, b = _sweep_block(u, rows, out, bits, mask, runs, b)
+
+
+def _sweep_block(u, rows, out, bits, mask, runs, b):
+    """One block of the sweep: the next b values of x of every open run.
+    Returns the runs still open and the next block's b, which doubles
+    while the block keeps under _SWEEP_BLOCK pairs and points."""
+    hi, lo1, x, xend, ydone, left = runs
+    xs = x[:, None] + np.arange(b)
+    x2 = xs * xs
+    top = np.minimum(xs, _below(hi[:, None] - x2))
+    bot = _below(lo1[:, None] - x2)
+    np.maximum(bot[:, 0], ydone, out=bot[:, 0])
+    cnt = (top - bot).ravel()  # the points of each (run, x): y in (bot, top]
+    end = np.cumsum(cnt)
+    total = int(end[-1])
+    take = cnt if total <= _SWEEP_BLOCK else np.clip(_SWEEP_BLOCK - end + cnt, 0, cnt)
+    pair = np.repeat(np.arange(cnt.size), take)
+    end -= top.ravel()  # point k of a pair has y = k + 1 - end
+    v = end[pair]
+    v -= np.arange(1, pair.size + 1)  # -y
+    v *= v
+    v += x2.ravel()[pair]
+    maybe = np.flatnonzero(bits[(v & mask) >> 3] & _BIT[v & 7])
+    maybe = maybe[np.argsort(v[maybe], kind="stable")]  # x still ascends within a value
+    v = v[maybe]
+    i = np.searchsorted(u, v)
+    new = (u[i] == v) & (out[rows[i], 0] < 0)
+    new[1:] &= v[1:] != v[:-1]  # a value's first point has its least x
+    k, i = maybe[new], i[new]
+    pair = pair[k]
+    out[rows[i]] = np.column_stack((xs.ravel()[pair], k + 1 - end[pair]))
+    left -= np.bincount(pair // b, minlength=len(left))
+    if total <= _SWEEP_BLOCK:
+        x += b
+        ydone.fill(-1)
+    else:  # a run resumes at its first pair not taken whole, past the y it reached
+        done = (take == cnt).reshape(-1, b)
+        j = np.where(done.all(axis=1), b, done.argmin(axis=1))
+        cut = np.flatnonzero(j < b)
+        ydone.fill(-1)
+        ydone[cut] = (bot.ravel() + take)[cut * b + j[cut]]
+        x += j
+    runs = runs.take(np.flatnonzero((left > 0) & (x <= xend)), axis=1)
+    a = max(runs.shape[1], 1)
+    return runs, max(1, min(2 * b, _SWEEP_BLOCK // a, _SWEEP_BLOCK * cnt.size // (a * max(total, 1))))
 
 
 def rd_bruteforce(

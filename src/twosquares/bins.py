@@ -207,14 +207,17 @@ def second_moment_lhs(
 
 
 # tracemalloc peak per window point, for k = 1, 2, 3, 5 shifts in one bin
-# (most hits) at N = 10^7, 10^6, 10^5, 10^4: 24-50-65, 40-66-102, 49-74-118,
-# 59-83-132 bytes (bins (1, 2): 26-80, (1, 2, 2): 28-93), charged 88 + 24k
-# (>= 1.33x).  Below 2^13 hits every hit's two_squares temporaries coexist
+# (most hits) at N = 10^7 and 10^6, 10^5, 10^4: 30-42-70, 53-63-89, 68-73-100,
+# 84-85-108 bytes (bins (1, 2): 31-76, (1, 2, 2): 31-83), charged 88 + 24k
+# (>= 1.5x).  two_squares holds its sorted values and their rows through the
+# sweep, 10-12 bytes per accepted n + h; below 2^13 hits its blocks of up to
+# 2^13 lattice points outweigh them, hence the peaks at N = 10^4
 WITNESS_BYTES = (88, 24)
 
-# n + h < 2^32 caps r2_on at the primes below 2^16 and the two_squares walk at
-# 0.29 * 2^16 steps per block: just below it the CLI search over 10^5 (10^6)
-# window points takes 2.4 s (21 s) on an Intel Xeon core, shifts 0, 4, 16
+# n + h < 2^32 caps r2_on at the primes below 2^16 and a two_squares run at
+# 0.29 * 2^16 values of x: just below it the search over 10^5 (10^6) window
+# points takes 0.2-0.3 s (0.55 s) in-process and 0.4-0.5 s (0.7 s) as a CLI
+# command on an Intel Xeon vCPU, shifts 0, 4, 16; r2_on is most of it
 WITNESS_LIMIT = 1 << 32
 
 

@@ -186,17 +186,20 @@ def _config_file(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Every flag the subcommand declares: its command-line value, else the
-    --config file's through the flag's type (null counts as unset), else
-    the default its declaration gives."""
+    --config file's through the flag's type (null counts as unset, and a
+    JSON true or false is not valid), else the default its declaration
+    gives."""
     file_cfg = _config_file(args.config) if args.config else {}
     cfg = {}
     for flag, typ, default in args.flags:
         value = getattr(args, flag)
-        if value is None and file_cfg.get(flag) is not None:
+        if value is None and (raw := file_cfg.get(flag)) is not None:
             try:
-                value = typ(file_cfg[flag])
+                if isinstance(raw, bool):  # no flag is boolean, and int(True) is 1
+                    raise TypeError(flag)
+                value = typ(raw)
             except (TypeError, ValueError, OverflowError):
-                raise ValidationError(f"--config {args.config}: {flag}={file_cfg[flag]!r} is not valid") from None
+                raise ValidationError(f"--config {args.config}: {flag}={raw!r} is not valid") from None
         cfg[flag] = default if value is None else value
     return cfg
 

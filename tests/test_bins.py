@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -416,6 +417,64 @@ def test_two_squares_property(ms):
     want = [list(two_square_scan(m) or (-1, -1)) for m in ms]
     got = two_squares(np.array(ms, dtype=np.int64))
     assert got.dtype == np.int64 and got.shape == (len(ms), 2)
+    assert got.tolist() == want
+
+
+def _run_gap(v):
+    """The largest gap g that keeps v + g in v's run: 2 g <= floor(sqrt(v + g))."""
+    g = math.isqrt(v) // 2
+    while 2 * (g + 1) <= math.isqrt(v + g + 1):
+        g += 1
+    return g
+
+
+@st.composite
+def _straddling_cluster(draw):
+    # consecutive gaps at the split bound, one under it, or one over it
+    v, out = draw(st.integers(1, 10**7)), []
+    for _ in range(draw(st.integers(1, 6))):
+        out.append(v)
+        v += max(_run_gap(v) + draw(st.sampled_from((-1, 0, 1))), 0)
+    return out
+
+
+@st.composite
+def _sum_cluster(draw):
+    # sums x^2 + y^2 around a random centre, where values with several
+    # representations fall in one block of x
+    c = draw(st.integers(2, 10**7))
+    x0 = math.isqrt(c // 2)
+    xs = draw(st.lists(st.integers(x0, math.isqrt(c)), min_size=1, max_size=8))
+    return [x * x + math.isqrt(max(c - x * x, 0)) ** 2 + draw(st.integers(0, 3)) ** 2 for x in xs]
+
+
+_RUN_PARTS = st.one_of(
+    _straddling_cluster(),
+    _sum_cluster(),
+    # no sum, yet no prime below 31 to an odd power: only the sweep rejects them
+    st.lists(st.builds(lambda p, q, a: p * q * 2**a, st.sampled_from([31, 43, 47]),
+                       st.sampled_from([59, 67, 71]), st.integers(0, 16)), max_size=3),
+    st.lists(st.builds(lambda x, d: x * x + (x - d) ** 2, st.integers(_C_MAX - 3000, _C_MAX),
+                       st.integers(0, 2000)), max_size=3),
+)
+
+
+@st.composite
+def _run_batches(draw):
+    ms = [m for part in draw(st.lists(_RUN_PARTS, min_size=1, max_size=5)) for m in part]
+    ms += draw(st.lists(st.sampled_from(ms), max_size=4)) if ms else []  # repeated values
+    return draw(st.permutations(ms))
+
+
+@pytest.mark.parametrize("block", [2, 64, arith._SWEEP_BLOCK])
+@given(ms=_run_batches())
+def test_two_squares_runs(block, ms):
+    # batches that stress the runs: gaps at the split bound and one either
+    # side, repeats, non-sums the prefilter lets through, values near 2^52;
+    # small blocks cut pairs short, so runs resume part way through an x
+    want = [list(two_square_scan(m) or (-1, -1)) for m in ms]
+    with mock.patch.object(arith, "_SWEEP_BLOCK", block):
+        got = two_squares(np.array(ms, dtype=np.int64))
     assert got.tolist() == want
 
 

@@ -285,6 +285,20 @@ def test_bad_config_file_exit_code(capsys, tmp_path, content, message):
     assert err["message"].startswith(f"--config {path}: ") and message in err["message"]
 
 
+@pytest.mark.parametrize("flag", ["k", "beta"])  # an int flag and a float flag
+@pytest.mark.parametrize("value", [True, False])
+def test_config_boolean_is_not_a_number(capsys, tmp_path, flag, value):
+    # no flag is boolean; int(True) is 1 and float(False) is 0.0, so a JSON
+    # true or false would otherwise run the command at 1 or 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({flag: value}))
+    code, out = run(capsys, ["functionals", "--config", str(path)])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "validation"
+    assert err["message"] == f"--config {path}: {flag}={value!r} is not valid"
+
+
 @pytest.mark.parametrize("value", ["inf", "1e400", "100.9", "2.5e-1", "1e-400"])
 def test_integer_flag_past_the_floats_is_a_usage_error(capsys, value):
     # int(float("inf")) raises OverflowError, which argparse would not catch;
