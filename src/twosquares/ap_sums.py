@@ -3,14 +3,16 @@ versus predicted main terms.
 
 Each empirical sum sieves r_2 with `r2_on` over its own CRT-combined
 residue class (no per-n modulus checks); the pair sum reads r(n) and
-r(n+h) from the class and its shift by h.  Partial sums are integers, so
+r(n+h) as `on_shifts` views of the class and its shift by h.  A trend of
+several N sieves once, up to the largest.  Partial sums are integers, so
 results are independent of any internal blocking.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,9 +25,11 @@ from .arith import (
     g4,
     g5,
     g6,
+    on_shifts,
     primes_up_to,
     r2_lattice_range,  # noqa: F401  (not called here; perfbench/tracer.py wraps it)
     r2_on,
+    shift_spans,
     trial_factorize,
 )
 from .constants import ConstantEstimate, a2_constant
@@ -93,10 +97,13 @@ def validate_pair(query: APQuery) -> None:
         raise ValidationError(f"N={query.N} must be >= 0")
 
 
-# tracemalloc peak per sieved term, int32 counts with int64 products: 10.0-13.9
-# bytes at N = 10^7, up to 19.4 at N = 10^5 (int32 terms), 14.0 above 2^31
-# (int64 terms); charged 28 (>= 1.33x)
-AP_BYTES = 28
+# tracemalloc peak of a sum over the sieved terms, int32 counts summed a block
+# at a time: 10.0-13.9 bytes per term at N = 10^7, 11.0-16.9 at 10^6, up to
+# 0.44 MB for 25,001 terms at 10^5 (int32 terms), and 14.0 per term above 2^31
+# (int64 terms); charged 1 MiB + 19 per term (>= 1.33x)
+AP_BYTES = (1 << 20, 19)
+# terms per block of a trend's checkpoint sums: the int64 products stay 512 KiB
+_SUM_BLOCK = 1 << 16
 
 
 def _class(query: APQuery, extra: list[tuple[int, int]]) -> range:
@@ -109,12 +116,28 @@ def _class(query: APQuery, extra: list[tuple[int, int]]) -> range:
 
 
 def _charge(terms: int) -> None:
-    check_bytes("AP sums: r2_on", AP_BYTES * terms, f"{terms} progression terms")
+    check_bytes("AP sums: r2_on", AP_BYTES[0] + AP_BYTES[1] * terms, f"{terms} progression terms")
 
 
-def _r2_on(terms: range) -> np.ndarray:
-    _charge(len(terms))
-    return r2_on(terms)
+def _trend(
+    validate: Callable, query: APQuery, Ns: Sequence[int], extra: list[tuple[int, int]], hs: list[int], block_sum: Callable
+) -> list[int]:
+    """For every N of Ns, the sum over the n <= N of the class (query,
+    extra) of block_sum(r_2(n + h) for h in hs): one on_shifts sieve of the
+    class up to max(Ns), then the sums between consecutive checkpoints in
+    ascending order, a _SUM_BLOCK at a time."""
+    for N in Ns:
+        validate(replace(query, N=N))
+    cls = _class(replace(query, N=max(Ns)), extra)
+    _charge(sum(len(span) for span, _ in shift_spans(cls, hs)))
+    r = on_shifts(r2_on, cls, hs)
+    at, total, done = {}, 0, 0
+    for N in sorted(set(Ns)):
+        upto = len(range(cls.start, N + 1, cls.step))
+        for i in range(done, upto, _SUM_BLOCK):
+            total += int(block_sum(*(r[h][i : min(i + _SUM_BLOCK, upto)] for h in hs)))
+        at[N], done = total, upto
+    return [at[N] for N in Ns]
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +145,12 @@ def _r2_on(terms: range) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def empirical_trend_r(query: APQuery, Ns: Sequence[int]) -> list[int]:
+    return _trend(validate_single, query, Ns, [(0, query.d)], [0], lambda r: r.sum(dtype=np.int64))
+
+
 def empirical_sum_r(query: APQuery) -> int:
-    validate_single(query)
-    return int(_r2_on(_class(query, [(0, query.d)])).sum(dtype=np.int64))
+    return empirical_trend_r(query, [query.N])[0]
 
 
 def predicted_sum_r(query: APQuery) -> float:
@@ -190,19 +216,19 @@ def gamma_direct_sum(d1: int, d2: int, q: int, r_max: int = 10**4) -> float:
     return head * total
 
 
+def empirical_trend_rr(query: APQuery, Ns: Sequence[int]) -> list[int]:
+    """r(n) and r(n + h) are on_shifts views: of one sieve of the class run
+    on to N + h when the class modulus m divides h, and otherwise of two
+    sieves, over the class and over its shift by h, since the one
+    progression holding both has step gcd(m, h), m/gcd(m, h) times as many
+    terms."""
+    extra = [(0, query.d1), (-query.h, query.d2)]
+    product = lambda a, b: np.multiply(a, b, dtype=np.int64).sum()
+    return _trend(validate_pair, query, Ns, extra, [0, query.h], product)
+
+
 def empirical_sum_rr(query: APQuery) -> int:
-    """When the class modulus m divides h, r(n) and r(n + h) are views of
-    r_2 on the class itself, run on to N + h.  Otherwise the class and its
-    shift by h are sieved apart: the one progression holding both has step
-    gcd(m, h), m/gcd(m, h) times as many terms."""
-    validate_pair(query)
-    cls = _class(query, [(0, query.d1), (-query.h, query.d2)])
-    if query.h % cls.step == 0:
-        r = _r2_on(range(cls.start, query.N + query.h + 1, cls.step))
-        return int(np.multiply(r[: len(cls)], r[query.h // cls.step :][: len(cls)], dtype=np.int64).sum())
-    shifted = range(cls.start + query.h, query.N + query.h + 1, cls.step)
-    _charge(2 * len(cls))
-    return int(np.multiply(r2_on(cls), r2_on(shifted), dtype=np.int64).sum())
+    return empirical_trend_rr(query, [query.N])[0]
 
 
 def predicted_sum_rr(query: APQuery, tail_prime_bound: int = 10**6) -> float:
@@ -217,10 +243,13 @@ def predicted_sum_rr(query: APQuery, tail_prime_bound: int = 10**6) -> float:
 # ---------------------------------------------------------------------------
 
 
+def empirical_trend_r2(query: APQuery, Ns: Sequence[int]) -> list[int]:
+    square = lambda r: np.square(r, dtype=np.int64).sum()
+    return _trend(validate_single, query, Ns, [(0, query.d)], [0], square)
+
+
 def empirical_sum_r2(query: APQuery) -> int:
-    validate_single(query)
-    r = _r2_on(_class(query, [(0, query.d)]))
-    return int(np.square(r, dtype=np.int64).sum())
+    return empirical_trend_r2(query, [query.N])[0]
 
 
 def predicted_sum_r2(query: APQuery) -> float:
@@ -246,17 +275,24 @@ def predicted_sum_r2(query: APQuery) -> float:
 # ---------------------------------------------------------------------------
 
 _RUNNERS = {
-    "ap_r": (empirical_sum_r, predicted_sum_r),
-    "ap_rr": (empirical_sum_rr, predicted_sum_rr),
-    "ap_r2": (empirical_sum_r2, predicted_sum_r2),
+    "ap_r": (empirical_trend_r, predicted_sum_r),
+    "ap_rr": (empirical_trend_rr, predicted_sum_rr),
+    "ap_r2": (empirical_trend_r2, predicted_sum_r2),
 }
 
 
-def run_experiment(name: str, query: APQuery) -> CorrelationReport:
+def run_trend(name: str, query: APQuery, Ns: Sequence[int]) -> list[CorrelationReport]:
+    """The experiment at query with N replaced by each of Ns, in that order;
+    the empirical sums come from one sieve up to max(Ns)."""
     if name not in _RUNNERS:
         raise ValidationError(f"unknown AP experiment {name!r}")
     emp_fn, pred_fn = _RUNNERS[name]
-    emp = emp_fn(query)
-    pred = pred_fn(query)
     params = {k: getattr(query, k) for k in ("q", "a", "d", "d1", "d2", "h")}
-    return CorrelationReport(name, float(emp), pred, query.N, params)
+    return [
+        CorrelationReport(name, float(emp), pred_fn(replace(query, N=N)), N, params)
+        for N, emp in zip(Ns, emp_fn(query, Ns))
+    ]
+
+
+def run_experiment(name: str, query: APQuery) -> CorrelationReport:
+    return run_trend(name, query, [query.N])[0]

@@ -656,6 +656,52 @@ def progression_slice(ns: range, residues: Sequence[int], moduli: Sequence[int])
     return slice((r - ns.start) % m // ns.step, None, m // ns.step)
 
 
+def multiples(ns: range, q: int) -> slice | None:
+    """The positions of the multiples of q >= 1 in the increasing progression
+    ns, as a slice: the first is -start / step (mod q), by one modular
+    inverse, when q is prime to the step, and otherwise progression_slice
+    solves it (None when the class of ns holds no multiple of q)."""
+    if math.gcd(q, ns.step) == 1:
+        return slice(-ns.start * pow(ns.step, -1, q) % q, None, q)
+    return progression_slice(ns, [0], [q])
+
+
+def shift_spans(ns: range, hs: Iterable[int]) -> list[tuple[range, list[int]]]:
+    """The progressions that on_shifts hands to f for the window ns and the
+    shifts hs, each with its ascending shifts: the translates ns + h grouped
+    by h mod step in order of first appearance, and within a group merged
+    while they overlap or touch, so that each n + h lies in exactly one."""
+    groups: dict[int, list[int]] = {}
+    for h in dict.fromkeys(hs):
+        groups.setdefault(h % ns.step, []).append(h)
+    width = len(ns) * ns.step
+    spans = []
+    for group in groups.values():
+        group.sort()
+        runs = [[group[0]]]
+        for h in group[1:]:
+            if h > runs[-1][-1] + width:
+                runs.append([])
+            runs[-1].append(h)
+        spans += [(range(ns.start + run[0], ns.start + run[-1] + width, ns.step), run) for run in runs]
+    return spans
+
+
+def on_shifts(f: Callable[[range], np.ndarray], ns: range, hs: Iterable[int]) -> dict[int, np.ndarray]:
+    """{h: f at n + h for every n of the window ns} for each distinct shift h
+    in hs, from one call of f per shift_spans progression, as read-only
+    views: no n + h is computed twice and none is computed unread.  f must
+    act termwise, as r2_on and rho_on do."""
+    out = {}
+    for span, run in shift_spans(ns, hs):
+        values = f(span)
+        for h in run:
+            i = (h - run[0]) // ns.step
+            out[h] = values[i : i + len(ns)]
+            out[h].flags.writeable = False
+    return out
+
+
 def r2_on(progression: range) -> np.ndarray:
     """r_2(m) at every term m >= 1 of an arithmetic progression, as int32,
     by a sieve over the progression itself.  For each prime p <= sqrt(max m)
@@ -673,10 +719,8 @@ def r2_on(progression: range) -> np.ndarray:
     m = np.arange(progression.start, progression.stop, progression.step, dtype=dtype)
     out = np.full(len(m), 4, dtype=np.int32)
     for p in primes_up_to(math.isqrt(last)).tolist():
-        q, k = p, 1
-        while q <= last and (sl := progression_slice(progression, [0], [q])) is not None:
-            if not (level := m[sl]).size:
-                break
+        q, k, sl = p, 1, (first := multiples(progression, p))
+        while sl is not None and (level := m[sl]).size:
             level //= p
             factor = out[sl]
             if p & 3 == 1:
@@ -687,8 +731,9 @@ def r2_on(progression: range) -> np.ndarray:
                 np.negative(factor, out=factor)
             q *= p
             k += 1
+            sl = multiples(progression, q) if q <= last else None
         if p & 3 == 3 and k > 1:
-            factor = out[progression_slice(progression, [0], [p])]
+            factor = out[first]
             np.maximum(factor, 0, out=factor)
     prime = m > 1
     m &= 3

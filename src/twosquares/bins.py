@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_sum_of_two_squares  # noqa: F401  (not called here; perfbench/tracer.py wraps it)
-from .arith import r2_on, two_squares
+from .arith import on_shifts, r2_on, two_squares
 from .errors import ResourceGuardError, ValidationError
 from .hooley import rho  # noqa: F401  (not called here; perfbench/tracer.py wraps bins.rho)
 from .sieve import (
@@ -216,8 +216,9 @@ WITNESS_BYTES = (88, 24)
 
 # n + h < 2^32 caps r2_on at the primes below 2^16 and a two_squares run at
 # 0.29 * 2^16 values of x: just below it the search over 10^5 (10^6) window
-# points takes 0.2-0.3 s (0.55 s) in-process and 0.4-0.5 s (0.7 s) as a CLI
-# command on an Intel Xeon vCPU, shifts 0, 4, 16; r2_on is most of it
+# points takes 0.05-0.06 s (0.26-0.38 s) in-process and 0.3-0.35 s
+# (0.58-0.76 s) as a CLI command on an Intel Xeon vCPU, shifts 0, 4, 16 in
+# one r2_on sieve; its loop over the 6,542 primes below 2^16 is most of it
 WITNESS_LIMIT = 1 << 32
 
 
@@ -266,16 +267,19 @@ def witness_search(
     which each bin holds at least one h with n + h a sum of two squares.
 
     The exact indicator r_2(n + h) > 0 comes from the r2_on sieve, never
-    from rho.  One two_squares call over all accepted n + h then finds
-    their (x, y) by its own search, so verify_witness still fails if the
-    sieve accepted a non-sum.  Every n + h must lie below WITNESS_LIMIT,
+    from rho, one sieve for the shifts that on_shifts merges.  One
+    two_squares call over all accepted n + h then finds their (x, y) by its
+    own search, so verify_witness still fails if the sieve accepted a
+    non-sum.  Every n + h must lie below WITNESS_LIMIT,
     checked before the window's byte guard."""
     if partition.k != tup.k:
         raise ValidationError("witness_search: partition arity != tuple size")
     if (top := n_limit - 1 + max(tup.h)) >= WITNESS_LIMIT:
         raise ResourceGuardError("witness_search: n + h past WITNESS_LIMIT", f"n + h up to {top}")
     ns = window(params, tup, n_limit, WITNESS_BYTES)
-    sos = np.stack([r2_on(range(ns.start + h, ns.stop + h, ns.step)) > 0 for h in tup.h])
+    r2_at = on_shifts(r2_on, ns, tup.h)
+    sos = np.stack([r2_at[h] > 0 for h in tup.h])
+    del r2_at  # one int32 count per term, not read again: freed before two_squares
     blocks = [partition.indices(i) for i in range(partition.M)]
     hits = np.nonzero(np.logical_and.reduce([sos[b].any(axis=0) for b in blocks]))[0]
     # per bin, the position of its smallest shift h with n + h a sum of two squares

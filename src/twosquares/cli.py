@@ -231,7 +231,7 @@ def cmd_ap_sums(cfg):
     if not ns:
         raise ValidationError("ap-sums: --trend needs at least one N")
     query = {key: cfg[key] for key in ("q", "a", "d", "d1", "d2", "h")}
-    results = [ap_sums.run_experiment(name, ap_sums.APQuery(N=n, **query)).as_dict() for n in ns]
+    results = [r.as_dict() for r in ap_sums.run_trend(name, ap_sums.APQuery(N=ns[0], **query), ns)]
     if cfg["csv"]:
         with open(cfg["csv"], "w") as fh:
             fh.write("N,empirical,predicted_main,rel_error\n")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import Factorization, g_rows, primes_up_to, progression_slice, r2, r2_on, squarefree_table
+from .arith import Factorization, g_rows, multiples, primes_up_to, r2, r2_on, squarefree_table
 from .errors import ValidationError
 
 
@@ -66,7 +66,7 @@ def rho_on(v: int, progression: range) -> np.ndarray:
     ps = primes_up_to(v)
     vals, terms = _t_terms(ps[ps % 4 == 1], v)
     for a, term in zip(vals.tolist(), terms.tolist()):
-        hits = progression_slice(progression, [0], [a])
+        hits = multiples(progression, a)
         if hits is not None:
             t[hits] += term
     return t * r2_on(progression)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product as iproduct
 from typing import Callable, Iterable, Sequence
 
@@ -24,6 +24,7 @@ from .arith import (
     divisor_incidence,
     floor_power,
     multiplicative,
+    on_shifts,
     primes_up_to,
     progression_slice,
     squarefree_table,
@@ -622,10 +623,11 @@ def inner_weights(tup: AdmissibleTuple, ns: range, values: dict, dtype) -> np.nd
 def window_rho(
     params: SieveParams, ns: range, w: np.ndarray, hs: Sequence[int]
 ) -> tuple[list[np.ndarray], int, tuple[int, ...]]:
-    """rho(n + h) on the window ns for each shift h in hs, with the rho < 0
-    cases: their count, once per (n, h) with w(n) != 0, and the first ten
-    n + h in (n, h) order."""
-    rhos = [rho_on(params.v, range(ns.start + h, ns.stop + h, ns.step)) for h in hs]
+    """rho(n + h) on the window ns for each shift h in hs, as views of one
+    rho_on call per on_shifts span, with the rho < 0 cases: their count,
+    once per (n, h) with w(n) != 0, and the first ten n + h in (n, h) order."""
+    rho_at = on_shifts(partial(rho_on, params.v), ns, hs)
+    rhos = [rho_at[h] for h in hs]
     return rhos, *_rho_negatives(ns, w, hs, rhos)
 
 
@@ -683,8 +685,9 @@ def s_direct_sums(
     l: int = 1,
 ) -> list[SieveSumResult]:
     """s_direct's float sums for every name in which, in that order, from
-    one window, one inner weight array and one rho array per shift that
-    the sums read (h_m, and h_l for S3); S1 alone reads no rho."""
+    one window, one inner weight array and rho at each shift that the sums
+    read (h_m, and h_l for S3), one rho_on call per on_shifts span; S1
+    alone reads no rho."""
     for name in which:
         if name not in ("S1", "S2", "S3", "S4"):
             raise ValidationError(f"s_direct: unknown sum {name!r}")
@@ -699,7 +702,7 @@ def s_direct_sums(
     w = inner_weights(tup, ns, table.float_entries(), np.float64)
     ww = w * w
     shifts = {name: [tup.h[m], tup.h[l]] if name == "S3" else [tup.h[m]] for name in which if name != "S1"}
-    rho_at = {h: rho_on(params.v, range(ns.start + h, ns.stop + h, ns.step)) for h in set().union(*shifts.values())}
+    rho_at = on_shifts(partial(rho_on, params.v), ns, [h for hs in shifts.values() for h in hs])
     out = []
     for name in which:
         if name == "S1":

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from twosquares.ap_sums import (
     predicted_sum_r2,
     predicted_sum_rr,
     run_experiment,
+    run_trend,
     validate_pair,
     validate_single,
 )
@@ -210,7 +212,30 @@ def test_rr_sieves_and_charges_only_what_it_reads(monkeypatch, query, sieves):
         assert sieved == [members + query.h // (4 * query.q)]
     else:
         assert sieved == [members, members]
-    assert charged == [sum(sieved) * ap_sums.AP_BYTES]
+    assert charged == [ap_sums.AP_BYTES[0] + sum(sieved) * ap_sums.AP_BYTES[1]]
+
+
+@pytest.mark.parametrize("name", ["ap_r", "ap_rr", "ap_r2"])
+@pytest.mark.parametrize("query", [APQuery(N=0, h=4), APQuery(N=0, q=3, a=1, h=12)], ids=["q1-h4", "q3-h12"])
+def test_trend_sieves_once(monkeypatch, name, query):
+    # one r2_on call up to the largest N (run on by h for the pair sum), and
+    # every checkpoint, unsorted and repeated, equals its own run
+    Ns = [54_321, 1_000, 0, 100_000, 1_000, 99_999]
+    alone = [run_experiment(name, replace(query, N=N)).as_dict() for N in Ns]
+    sieved = []
+    monkeypatch.setattr(ap_sums, "r2_on", lambda terms: sieved.append(terms) or r2_on(terms))
+    trend = [rep.as_dict() for rep in run_trend(name, query, Ns)]
+    assert trend == alone
+    top = 100_000 + (query.h if name == "ap_rr" else 0)
+    assert len(sieved) == 1 and top - sieved[0].step < sieved[0][-1] <= top
+    if name == "ap_rr":
+        assert [rep["empirical"] for rep in trend] == [masked_lattice_rr(replace(query, N=N)) for N in Ns]
+
+
+@pytest.mark.parametrize("name", ["r", "rr", "r2"])
+def test_trend_validates_every_checkpoint(name):
+    with pytest.raises(ValidationError, match="N=-5"):
+        getattr(ap_sums, f"empirical_trend_{name}")(APQuery(N=0), [100, -5, 7])
 
 
 @pytest.mark.parametrize(

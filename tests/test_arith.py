@@ -28,6 +28,8 @@ from twosquares.arith import (
     g_rows,
     is_sum_of_two_squares,
     mobius,
+    multiples,
+    on_shifts,
     progression_slice,
     r2,
     r2_lattice_range,
@@ -43,6 +45,7 @@ from twosquares.arith import (
 )
 from twosquares.bins import WITNESS_LIMIT
 from twosquares.errors import ResourceGuardError, ValidationError
+from twosquares.hooley import rho_on
 
 from oracles import squarefree_products
 
@@ -643,6 +646,68 @@ def test_progression_slice_property(start, count, step, congruences):
     want = [i for i, x in enumerate(ns) if all((x - r) % m == 0 for r, m in congruences)]
     hits = progression_slice(ns, residues, moduli)
     assert ([] if hits is None else list(range(len(ns)))[hits]) == want
+
+
+@given(start=st.integers(1, 10**6), count=st.integers(0, 80), step=STEPS, q=st.integers(1, 2000))
+def test_multiples_property(start, count, step, q):
+    # the modular-inverse offset when (q, step) = 1, progression_slice otherwise
+    ns = range(start, start + count * step, step)
+    hits = multiples(ns, q)
+    want = [i for i, x in enumerate(ns) if x % q == 0]
+    assert ([] if hits is None else list(range(len(ns)))[hits]) == want
+    if math.gcd(q, step) == 1:
+        assert hits is not None and 0 <= hits.start < q and hits.step == q
+
+
+@st.composite
+def shifted_windows(draw):
+    """A window ns and shifts with repeats, negative shifts, shifts in
+    different classes mod the step, and shifts of one class whose
+    translates overlap, touch or lie far apart; every n + h >= 1."""
+    step = draw(st.one_of(st.sampled_from([1, 4, 12, 420]), st.integers(1, 50)))
+    count = draw(st.integers(0, 30))
+    near = st.integers(-3 * step, 3 * step)
+    hs = draw(st.lists(st.one_of(near, st.integers(-2000, 2000)), min_size=1, max_size=4))
+    # the same class as a drawn shift, its translate a gap of 0 to 3 steps past
+    # that shift's, or far beyond
+    for h in draw(st.lists(st.sampled_from(hs), max_size=2)):
+        hs.append(h + step * (count + draw(st.one_of(st.integers(0, 3), st.integers(10, 200)))))
+    hs += draw(st.lists(st.sampled_from(hs), max_size=2))  # repeats
+    start = 1 - min(hs) + draw(st.integers(0, 10**4))
+    stop = start + count * step - draw(st.integers(0, step - 1)) if count else start
+    return range(start, stop, step), draw(st.permutations(hs))
+
+
+@given(case=shifted_windows())
+def test_on_shifts_property(case):
+    ns, hs = case
+    for f in (r2_on, lambda terms: rho_on(40, terms)):
+        spans = []
+        at = on_shifts(lambda terms: spans.append(terms) or f(terms), ns, hs)
+        assert set(at) == set(hs)
+        for h, got in at.items():
+            shifted = range(ns.start + h, ns.stop + h, ns.step)
+            want = f(shifted)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[:1] = 0
+        # every n + h is computed exactly once, and nothing else is
+        sieved = [m for span in spans for m in span]
+        assert len(sieved) == len(set(sieved))
+        assert set(sieved) == {n + h for n in ns for h in hs}
+    at = on_shifts(r2_on, ns, hs)
+    for h in hs:
+        assert at[h].tolist() == [r2(trial_factorize(n + h)) for n in ns]
+
+
+def test_on_shifts_of_an_empty_window():
+    # the translates of an empty window are empty, even below 1, and so is
+    # what f is called on
+    for ns in (range(1, 1, 4), range(5, 2)):
+        for f in (r2_on, lambda terms: rho_on(40, terms)):
+            at = on_shifts(f, ns, [-20, -4, 0, 7, -20])
+            assert sorted(at) == [-20, -4, 0, 7] and all(a.size == 0 for a in at.values())
 
 
 @st.composite

@@ -74,12 +74,19 @@ def test_ap_sums_guard_exit_code(capsys, monkeypatch):
 )
 def test_ap_sums_peak_within_charged_bytes(monkeypatch, name, query):
     # each sum's tracemalloc peak stays under what it charges the byte guard
-    # (0.61-0.62 of it at N = 10^5)
+    # (0.01-0.29 of it at N = 10^5, where the fixed 1 MiB dominates)
     charged = []
     monkeypatch.setattr(ap_sums, "check_bytes", lambda what, need, workload: charged.append(need))
     fn = getattr(ap_sums, f"empirical_sum_{name}")
     peak = traced_peak(lambda: fn(ap_sums.APQuery(N=10**5, **query)))
     assert len(charged) == 1 and peak < charged[0]
+
+
+def test_ap_sums_per_term_charge():
+    # at 10^6 terms the per-term figure alone covers the peak 1.33 times over
+    terms = 10**6
+    peak = traced_peak(lambda: ap_sums.empirical_sum_rr(ap_sums.APQuery(N=4 * terms - 3, h=4)))
+    assert 1.33 * peak < ap_sums.AP_BYTES[1] * terms
 
 
 @pytest.mark.parametrize(
@@ -373,6 +380,28 @@ def test_sieve_run_builds_one_window(capsys, monkeypatch):
     calls.clear()
     code, _ = run(capsys, argv + ["--which", "S1"])
     assert code == 0 and sorted(calls) == ["inner_weights", "window"]
+
+
+@pytest.mark.parametrize(
+    "owner, name, argv, shifts",
+    [
+        (bins, "r2_on", ["witness-search", "--N", "1e4", "--limit", "4e4"], 16),
+        (sieve, "rho_on", ["certificate", "--N", "1e4", "--mu", "1.5,2.5", "--t", "1,2"], 16),
+        (sieve, "rho_on", ["sieve-run", "--N", "3e4", "--tuple", "0,4", "--which", "S1,S2,S3,S4"], 4),
+    ],
+    ids=["witness-search", "certificate", "sieve-run"],
+)
+def test_one_sieve_for_every_shift(capsys, monkeypatch, owner, name, argv, shifts):
+    # at D0 = 1 the window steps by 4 and the shifts (0, 4, 16 or 0, 4) are
+    # all 0 (mod 4), so their translates overlap: one sieve over the window
+    # run on past its end by the largest shift
+    sieved = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: sieved.append(args[-1]) or fn(*args))
+    code, out = run(capsys, [*argv, "--D0", "1"])
+    assert code == 0 and len(sieved) == 1
+    n_terms = json.loads(out)["results"][0].get("n_terms")
+    assert sieved[0].step == 4 and n_terms in (None, len(sieved[0]) - shifts // 4)
 
 
 def test_certificate_dispatch(capsys):
