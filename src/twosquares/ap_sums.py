@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -165,10 +166,12 @@ def predicted_sum_r(query: APQuery) -> float:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=32)
 def gamma_singular_series(
     d1: int, d2: int, q: int, tail_prime_bound: int = 10**6
 ) -> ConstantEstimate:
-    """Gamma(d1,d2,q) as an Euler product.
+    """Gamma(d1,d2,q) as an Euler product, cached: it does not depend on N,
+    so a trend computes it once.
 
     The mu(r) sum has multiplicative summand, so it factors: primes p | d1 d2
     contribute the exact factor (1 - chi4(p)/p); the remaining odd primes

@@ -45,13 +45,23 @@ class Factorization:
         return all(e == 1 for _, e in self.pairs)
 
 
-# tracemalloc peak per entry of the spf sieve: 5.91, 4.62, 4.06 and 4.03 bytes
-# at limits 10^5, 10^6, 10^7 and 2 * 10^7; charged 8 (>= 1.35x)
+# tracemalloc peak per entry of the spf sieve: 5.16, 5.13, 4.12 and 4.06 bytes
+# at limits 10^5, 10^6, 10^7 and 2 * 10^7; charged 8 (>= 1.55x)
 _TABLE_BYTES = 8
-# entries per segment of the spf sieve: 1 MiB of uint32, inside a 4 MiB L2.
-# At limit 2 * 10^7 on such a Xeon, segments of 2^16 to 2^20 entries ran in
-# 0.18-0.23 s and the one-pass masked sieve over the whole table in 0.54 s.
-_SEGMENT = 1 << 18
+# bytes per segment of both range sieves: 2^17 uint32 spf entries or 2^19
+# bools, a quarter of a 2 MiB L2.  On such a Xeon, segments of 2^19 to 2^21
+# bytes ran within 15 % of each other at limits 2 * 10^7 and 10^8, and 2^18
+# or 2^22 bytes 20-40 % slower; the smallest of the fast sizes is taken.
+_SEGMENT_BYTES = 1 << 19
+
+
+def _odd_offsets(lo: int, ps: np.ndarray) -> list[int]:
+    """For a segment of odd numbers starting at odd[lo] (odd[i] standing for
+    2i + 1), the offset in it of the first odd multiple of each odd prime p
+    in ps that is >= p^2; p^2 sits at odd index p^2 // 2, and every odd
+    multiple p^2 + 2kp at a further kp."""
+    rel = ps * ps // 2 - lo
+    return np.maximum(rel, rel % ps).tolist()
 
 
 class FactorTable:
@@ -59,10 +69,16 @@ class FactorTable:
 
     Immutable after construction; safe to share between threads.  spf[n]
     is the least prime dividing n, and spf[p] == p exactly for primes.
-    Sieved one _SEGMENT at a time: in each segment every prime p <= sqrt
-    (limit) writes p onto its multiples from p^2 on, in descending order
-    of p, so the least prime factor writes last; what stays 0 is prime.
-    prime_count is the number of primes <= limit, counted from those zeros.
+    The even entries get 2 in one strided write.  The odd entries are
+    sieved a segment at a time in one contiguous uint32 buffer: each entry
+    starts as n itself, and every odd prime p <= sqrt(limit), in descending
+    order, writes p onto its odd multiples from p^2 on, so the least prime
+    writes last.  A segment is _SEGMENT_BYTES of entries, or a quarter of
+    the odd entries when that is less, so the buffers stay a small part of
+    the table.  Every written entry is <= sqrt(limit), and every entry left
+    at its seed n is 1 or an odd prime, so prime_count, the number of
+    primes <= limit, is the count of entries above sqrt(limit), plus the
+    odd primes up to it, plus 1 for 2.
     """
 
     def __init__(self, limit: int):
@@ -70,18 +86,23 @@ class FactorTable:
             raise ValidationError(f"FactorTable limit must be >= 2, got {limit}")
         check_bytes("FactorTable", _TABLE_BYTES * limit, f"limit {limit}")
         self.limit = limit
-        spf = np.zeros(limit + 1, dtype=np.uint32)
-        primes = primes_up_to(math.isqrt(limit))[::-1].tolist()
-        count = -2  # 0 and 1 stay 0 too
-        for lo in range(0, limit + 1, _SEGMENT):
-            seg = spf[lo : lo + _SEGMENT]
-            hi = lo + len(seg)
-            for p in primes:
-                if p * p < hi:
-                    seg[max(p * p - lo, -lo % p) :: p] = p
-            rest = np.flatnonzero(seg == 0)
-            seg[rest] = rest + lo
-            count += len(rest)
+        spf = np.empty(limit + 1, dtype=np.uint32)
+        spf[::2] = 2
+        odd = spf[1::2]  # odd[i] stands for 2i + 1
+        root = math.isqrt(limit)
+        ps = primes_up_to(root)[:0:-1]  # the odd primes <= root, descending
+        primes = ps.tolist()
+        step = min(_SEGMENT_BYTES // 4, len(odd) // 4 + 1)
+        seeds = np.arange(1, 2 * step, 2, dtype=np.uint32)
+        buf = np.empty(step, dtype=np.uint32)
+        count = len(primes) + 1  # the odd primes <= root, and 2
+        for lo in range(0, len(odd), step):
+            seg = buf[: len(odd) - lo]
+            np.add(seeds[: len(seg)], 2 * lo, out=seg)
+            for p, i in zip(primes, _odd_offsets(lo, ps)):
+                seg[i::p] = p
+            count += int(np.count_nonzero(seg > root))
+            odd[lo : lo + step] = seg
         spf[:2] = 0  # 0 and 1 have no prime factor
         self.spf, self.prime_count = spf, count
         self.spf.setflags(write=False)
@@ -123,22 +144,37 @@ def trial_factorize(n: int) -> Factorization:
     return Factorization(tuple(pairs))
 
 
-# tracemalloc peak per integer of the prime sieve: 1.54, 1.27, 1.13, 1.03 and
-# 0.98 bytes at n = 10^4, 10^5, 10^6, 10^7 and 5 * 10^7; charged 2 (>= 1.30x)
+# tracemalloc peak per integer of the prime sieve: 1.53, 1.27, 1.13, 1.03 and
+# 0.98 bytes at n = 10^4, 10^5, 10^6, 10^7 and 5 * 10^7; charged 2 (>= 1.57x
+# from 10^5 on, 1.30x at 10^4, where the odd flags and the int64 output
+# alone take 1.48 bytes per integer)
 _PRIME_BYTES = 2
 
 
 def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n as an int64 array, by Eratosthenes over the odd
-    numbers: odd[i] stands for 2i + 1."""
+    numbers, odd[i] standing for 2i + 1, one _SEGMENT_BYTES of bools at a
+    time.  The first segment is sieved in place by the primes it finds, as
+    one pass would; it reaches past sqrt(n) whenever n fits the byte budget,
+    and is stretched to sqrt(n) otherwise.  Its primes up to sqrt(n) then
+    sieve each later segment from their first odd multiple in it."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
     check_bytes("primes_up_to", _PRIME_BYTES * n, f"n {n}")
     odd = np.ones((n + 1) // 2, dtype=bool)
-    for i in range(1, (math.isqrt(n) + 1) // 2):
-        if odd[i]:
+    top = (math.isqrt(n) + 1) // 2  # odd[1:top] are the odd numbers <= sqrt(n)
+    head = odd[: max(_SEGMENT_BYTES, top)]
+    for i in range(1, top):
+        if head[i]:
             p = 2 * i + 1
-            odd[p * p // 2 :: p] = False
+            head[p * p // 2 :: p] = False
+    ps = 2 * np.flatnonzero(odd[1:top]) + 3  # the odd primes <= sqrt(n)
+    primes = ps.tolist()
+    for lo in range(len(head), len(odd), _SEGMENT_BYTES):
+        seg = odd[lo : lo + _SEGMENT_BYTES]
+        for p, i in zip(primes, _odd_offsets(lo, ps)):
+            seg[i::p] = False
+    del head, ps, primes  # freed before the output, which sets the peak
     out = np.flatnonzero(odd).astype(np.int64, copy=False)
     out *= 2
     out += 1

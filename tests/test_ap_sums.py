@@ -22,7 +22,7 @@ from twosquares.ap_sums import (
     validate_pair,
     validate_single,
 )
-from twosquares.arith import r2_lattice_range, r2_on, trial_factorize, g3, g5
+from twosquares.arith import primes_up_to, r2_lattice_range, r2_on, trial_factorize, g3, g5
 from twosquares.constants import a2_constant
 from twosquares.errors import ValidationError
 
@@ -230,6 +230,18 @@ def test_trend_sieves_once(monkeypatch, name, query):
     assert len(sieved) == 1 and top - sieved[0].step < sieved[0][-1] <= top
     if name == "ap_rr":
         assert [rep["empirical"] for rep in trend] == [masked_lattice_rr(replace(query, N=N)) for N in Ns]
+
+
+def test_trend_computes_gamma_once(monkeypatch):
+    # Gamma does not depend on N: a three-checkpoint pair trend builds its
+    # Euler product's prime table once and reports what each run does alone
+    query, Ns = APQuery(N=0, q=3, a=1, h=12), [1_000, 10_000, 100_000]
+    alone = [run_experiment("ap_rr", replace(query, N=N)).as_dict() for N in Ns]
+    tables = []
+    monkeypatch.setattr(ap_sums, "primes_up_to", lambda n: tables.append(n) or primes_up_to(n))
+    gamma_singular_series.cache_clear()
+    assert [rep.as_dict() for rep in run_trend("ap_rr", query, Ns)] == alone
+    assert tables == [10**6]
 
 
 @pytest.mark.parametrize("name", ["r", "rr", "r2"])

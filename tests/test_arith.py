@@ -168,7 +168,10 @@ def test_factor_table_peak_within_charge():
     assert peak < arith._TABLE_BYTES * 10**6 / 1.26
 
 
-SEGMENT_EDGES = [k * arith._SEGMENT + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+# the ends of the spf sieve's segments of 2^17 odd entries, at k * 2^18,
+# and of primes_up_to's segments of 2^19 odd numbers, at k * 2^20
+SEGMENT_EDGES = [k * 262144 + d for k in (1, 2, 3) for d in (-2, -1, 0, 1, 2)]
+SEGMENT_EDGES += [k * 1048576 + d for k in (1, 2) for d in (-2, -1, 0, 1, 2)]
 
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 5, 100, *SEGMENT_EDGES, 262147, 999983])
@@ -181,7 +184,7 @@ def test_spf_equals_masked_sieve(limit):
     assert np.array_equal(spf, oracle_spf(limit))
 
 
-@pytest.mark.parametrize("limit", [2, 3, arith._SEGMENT - 1, arith._SEGMENT, arith._SEGMENT + 1, 10**6])
+@pytest.mark.parametrize("limit", [2, 3, 262143, 262144, 262145, 10**6])
 def test_factor_table_prime_count(limit):
     # counted from the sieve's own zeros, against the independent prime sieve
     assert build_factor_table(limit).prime_count == len(arith.primes_up_to(limit))
@@ -194,6 +197,20 @@ def test_primes_up_to_equals_bool_sieve():
     # odd and even n around prime squares, and the spf segment ends
     for n in [1009**2 + d for d in (-2, -1, 0, 1, 2)] + SEGMENT_EDGES + [999983, 10**6]:
         assert np.array_equal(arith.primes_up_to(n), oracle_prime_sieve(n)), n
+
+
+@given(st.integers(2, 10**4), st.sampled_from([4, 8, 12, 24, 100]))
+def test_range_sieves_property(limit, segment_bytes):
+    # segments of a few bytes: every limit crosses many segment ends, and
+    # sqrt(limit) lies past the prime sieve's first segment
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_SEGMENT_BYTES", segment_bytes)
+        table = build_factor_table(limit)
+        primes = arith.primes_up_to(limit)
+    want = oracle_prime_sieve(limit)
+    assert table.spf.dtype == np.uint32 and np.array_equal(table.spf, oracle_spf(limit))
+    assert table.prime_count == len(want)
+    assert primes.dtype == np.int64 and np.array_equal(primes, want)
 
 
 def test_primes_up_to_peak_within_charge():
