@@ -262,12 +262,11 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
     return np.sqrt(v).astype(np.int64)
 
 
-# (run, x) pairs, and lattice points, per block of the two_squares sweep: its
-# temporaries stay a few 64 KiB arrays whatever the batch.
-_SWEEP_BLOCK = 1 << 13
-# primes 3 (mod 4) whose odd powers two_squares rejects before its sweep
+# (value, x) pairs per block of the two_squares walk, and lattice points per
+# block of two_squares_on: their temporaries stay a few 64 KiB arrays
+_LATTICE_BLOCK = 1 << 13
+# primes 3 (mod 4) whose odd powers two_squares rejects before its walk
 _SMALL_3MOD4 = (3, 7, 11, 19, 23)
-_BIT = (1 << np.arange(8)).astype(np.uint8)
 
 
 def _below(t: np.ndarray) -> np.ndarray:
@@ -278,25 +277,20 @@ def _below(t: np.ndarray) -> np.ndarray:
 def two_squares(ms) -> np.ndarray:
     """For every m in ms the lexicographically least (x, y) with x >= y >= 0
     and x^2 + y^2 = m, as int64[n, 2]; (-1, -1) where m is not a sum of two
-    squares.  Needs 0 <= m < 2^52.
+    squares.  Needs integers 0 <= m < 2^52.
 
-    A row whose odd part is 3 (mod 4), or that a prime 3, 7, 11, 19 or 23
-    divides to an odd power, is rejected first.  The rest are sorted and cut
-    into runs wherever the gap to the next value exceeds floor(sqrt(m))/2.
-    Each run [lo, hi] sweeps x up from ceil(sqrt(lo/2)) and lists every
-    lattice point with y <= x and lo <= x^2 + y^2 <= hi, its y bounds from
-    the exact float square root; x ascends, so a value's first point has
-    its least x.  A run retires once its values are all found or x passes
-    sqrt(hi): nearby values share their x steps, and a non-sum whose primes
-    3 (mod 4) are all larger (31 * 43 * 2^a) keeps its run to the end.  The
-    blocks of x grow geometrically up to _SWEEP_BLOCK (run, x) pairs and as
-    many points; a pair cut short resumes at the y it reached."""
-    try:
-        ms = np.asarray(ms, dtype=np.int64).reshape(-1)
-    except OverflowError:
-        ms = None
-    if ms is None or (ms.size and (ms.min() < 0 or ms.max() >= TWO_SQUARES_LIMIT)):
-        raise ValidationError("two_squares: every m must satisfy 0 <= m < 2^52")
+    A value whose odd part is 3 (mod 4), or that a prime 3, 7, 11, 19 or 23
+    divides to an odd power, is rejected first.  Each other value walks x up
+    from ceil(sqrt(m/2)), where y <= x begins, until m - x^2 is a square
+    (the float square root is exact below 2^52) or x passes sqrt(m), in
+    blocks of x that grow geometrically up to _LATTICE_BLOCK (value, x) pairs.
+    A sum stops at its least x, but a non-sum whose primes 3 (mod 4) are all
+    larger (31 * 43 * 2^a) walks about 0.29 sqrt(m) values of x, and nearby
+    values share nothing: a dense run of them is two_squares_on's case."""
+    ms = np.asarray(ms)
+    if ms.size and (ms.dtype.kind not in "iu" or ms.min() < 0 or ms.max() >= TWO_SQUARES_LIMIT):
+        raise ValidationError("two_squares: every m must be an integer with 0 <= m < 2^52")
+    ms = ms.astype(np.int64).reshape(-1)
     out = np.full((len(ms), 2), -1, dtype=np.int64)
     ok = ms & 2 * (ms & -ms) == 0  # bit 1 of the odd part is clear: it is 1 (mod 4), or m = 0
     for p in _SMALL_3MOD4:  # strip p^2 while it divides: an odd power leaves p
@@ -305,94 +299,25 @@ def two_squares(ms) -> np.ndarray:
         while (square := rest % (p * p) == 0).any():
             rest[square] //= p * p
         ok[at[rest % p == 0]] = False
-    rows = np.argsort(ms)
-    rows = rows[ok[rows]].astype(np.min_scalar_type(len(ms)))  # held through the sweep
-    if rows.size:
-        u = ms[rows]
-        _sweep(u, rows, out)
-        dup = np.flatnonzero(u[1:] == u[:-1]) + 1  # a repeated value copies its first
-        out[rows[dup]] = out[rows[np.searchsorted(u, u[dup])]]
-    return out
-
-
-def _residue_bits(u: np.ndarray, mask: int) -> np.ndarray:
-    """The set {m & mask : m in u} as a bitmap of uint8 words, filled a
-    block at a time."""
-    bits = np.zeros(mask // 8 + 1, dtype=np.uint8)
-    for c in range(0, len(u), _SWEEP_BLOCK):
-        r = u[c : c + _SWEEP_BLOCK] & mask
-        np.bitwise_or.at(bits, r >> 3, _BIT[r & 7])
-    return bits
-
-
-def _sweep(u: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """two_squares' sweep: for the sorted values u, write each sum's least
-    (x, y) into out[rows[i]], i the first position of its value."""
-    gap = np.diff(u)
-    np.minimum(gap, 1 << 26, out=gap)  # 4 * 2^52 exceeds every m
-    gap *= gap
-    gap <<= 2
-    start = np.flatnonzero(gap > u[1:]) + 1  # 4 gap^2 > m: gap > floor(sqrt(m))/2
-    del gap  # not held through the sweep
-    bounds = np.r_[0, start, len(u)]
-    lo, hi = u[bounds[:-1]], u[bounds[1:] - 1]
-    x = _isqrt(lo // 2)
-    x += 2 * x * x < lo
-    distinct = np.add.reduceat(np.r_[True, u[1:] != u[:-1]], bounds[:-1], dtype=np.int64)
-    # per run: hi, lo - 1, the next x, the last x, the last y done at x, the values left
-    runs = np.stack([hi, lo - 1, x, _isqrt(hi), np.full_like(x, -1), distinct])
-    # one bit per residue mod 2^k, 2^k >= 16 len(u) and 2^20 (a 128 KiB map),
-    # screens the points before the exact search
-    mask = (1 << max(20, (16 * len(u)).bit_length())) - 1
-    bits = _residue_bits(u, mask)
-    b = 1  # x values per run in the next block
-    while runs.shape[1]:
-        runs, b = _sweep_block(u, rows, out, bits, mask, runs, b)
-
-
-def _sweep_block(u, rows, out, bits, mask, runs, b):
-    """One block of the sweep: the next b values of x of every open run.
-    Returns the runs still open and the next block's b, which doubles
-    while the block keeps under _SWEEP_BLOCK pairs and points."""
-    hi, lo1, x, xend, ydone, left = runs
-    xs = x[:, None] + np.arange(b)
-    x2 = xs * xs
-    top = np.minimum(xs, _below(hi[:, None] - x2))
-    bot = _below(lo1[:, None] - x2)
-    np.maximum(bot[:, 0], ydone, out=bot[:, 0])
-    cnt = (top - bot).ravel()  # the points of each (run, x): y in (bot, top]
-    end = np.cumsum(cnt)
-    total = int(end[-1])
-    take = cnt if total <= _SWEEP_BLOCK else np.clip(_SWEEP_BLOCK - end + cnt, 0, cnt)
-    pair = np.repeat(np.arange(cnt.size), take)
-    end -= top.ravel()  # point k of a pair has y = k + 1 - end
-    v = end[pair]
-    v -= np.arange(1, pair.size + 1)  # -y
-    v *= v
-    v += x2.ravel()[pair]
-    maybe = np.flatnonzero(bits[(v & mask) >> 3] & _BIT[v & 7])
-    maybe = maybe[np.argsort(v[maybe], kind="stable")]  # x still ascends within a value
-    v = v[maybe]
-    i = np.searchsorted(u, v)
-    new = (u[i] == v) & (out[rows[i], 0] < 0)
-    new[1:] &= v[1:] != v[:-1]  # a value's first point has its least x
-    k, i = maybe[new], i[new]
-    pair = pair[k]
-    out[rows[i]] = np.column_stack((xs.ravel()[pair], k + 1 - end[pair]))
-    left -= np.bincount(pair // b, minlength=len(left))
-    if total <= _SWEEP_BLOCK:
+    rows = np.flatnonzero(ok)
+    m = ms[rows]
+    x = _isqrt(m // 2)
+    x += 2 * x * x < m
+    b = 1  # values of x per value of m in the next block
+    while rows.size:
+        xs = x[:, None] + np.arange(b)
+        t = m[:, None] - xs * xs
+        y = _below(t)
+        hit = y * y == t
+        done = hit.any(axis=1)
+        found = np.flatnonzero(done)
+        j = hit[found].argmax(axis=1)
+        out[rows[found]] = np.column_stack((xs[found, j], y[found, j]))
         x += b
-        ydone.fill(-1)
-    else:  # a run resumes at its first pair not taken whole, past the y it reached
-        done = (take == cnt).reshape(-1, b)
-        j = np.where(done.all(axis=1), b, done.argmin(axis=1))
-        cut = np.flatnonzero(j < b)
-        ydone.fill(-1)
-        ydone[cut] = (bot.ravel() + take)[cut * b + j[cut]]
-        x += j
-    runs = runs.take(np.flatnonzero((left > 0) & (x <= xend)), axis=1)
-    a = max(runs.shape[1], 1)
-    return runs, max(1, min(2 * b, _SWEEP_BLOCK // a, _SWEEP_BLOCK * cnt.size // (a * max(total, 1))))
+        left = np.flatnonzero(~done & (x * x <= m))
+        rows, m, x = rows[left], m[left], x[left]
+        b = max(1, min(2 * b, _LATTICE_BLOCK // max(rows.size, 1)))
+    return out
 
 
 def rd_bruteforce(
@@ -727,7 +652,7 @@ def on_shifts(f: Callable[[range], np.ndarray], ns: range, hs: Iterable[int]) ->
     """{h: f at n + h for every n of the window ns} for each distinct shift h
     in hs, from one call of f per shift_spans progression, as read-only
     views: no n + h is computed twice and none is computed unread.  f must
-    act termwise, as r2_on and rho_on do."""
+    act termwise, as r2_on, rho_on and two_squares_on do."""
     out = {}
     for span, run in shift_spans(ns, hs):
         values = f(span)
@@ -775,6 +700,51 @@ def r2_on(progression: range) -> np.ndarray:
     m &= 3
     out <<= (m == 1) & prime
     out *= m != 3
+    return out
+
+
+def two_squares_on(progression: range) -> np.ndarray:
+    """two_squares at every term 1 <= m < 2^52 of an increasing arithmetic
+    progression, as int64[n, 2].  When 4 step^2 <= first, so that the terms
+    lie closer than floor(sqrt(m))/2, every lattice point with y <= x and
+    first <= x^2 + y^2 <= last is listed once, in ascending rows of x and
+    blocks of _LATTICE_BLOCK points, its y bounds from the exact float
+    square root; an even step keeps only the y with x + y = first (mod 2).
+    A term keeps its first point, which has its least x.  Sparser terms
+    drop their non-sums by r2_on and walk only the sums' own circles."""
+    if progression.step < 1 or (progression and not 1 <= progression.start <= progression[-1] < TWO_SQUARES_LIMIT):
+        raise ValidationError(f"two_squares_on: {progression} must be increasing with terms in [1, 2^52)")
+    first, step = progression.start, progression.step
+    out = np.full((len(progression), 2), -1, dtype=np.int64)
+    if not progression or 4 * step * step > first:
+        sums = np.flatnonzero(r2_on(progression))
+        out[sums] = two_squares(first + step * sums)
+        return out
+    stride, xend = 2 - step % 2, math.isqrt(progression[-1]) + 1
+    x0 = math.isqrt(first // 2)
+    x0 += 2 * x0 * x0 < first
+    for row in range(x0, xend, _LATTICE_BLOCK):
+        xs = np.arange(row, min(row + _LATTICE_BLOCK, xend), dtype=np.int64)
+        x2 = xs * xs
+        lo = _below(first - 1 - x2) + 1  # the least y with x^2 + y^2 >= first
+        lo += (lo + xs + first) % stride
+        cnt = np.maximum((np.minimum(xs, _below(progression[-1] - x2)) - lo) // stride + 1, 0)
+        end = np.cumsum(cnt)
+        start = end - cnt
+        lo -= stride * start  # the k-th point of these rows has y = lo[its row] + stride k
+        for a in range(0, int(end[-1]), _LATTICE_BLOCK):
+            b = min(a + _LATTICE_BLOCK, int(end[-1]))
+            r0, r1 = np.searchsorted(end, [a, b - 1], side="right").tolist()  # the rows of points a and b - 1
+            xi = np.repeat(np.arange(r0, r1 + 1), np.minimum(end[r0 : r1 + 1], b) - np.maximum(start[r0 : r1 + 1], a))
+            y = np.arange(a, b)  # k, then y
+            y *= stride
+            y += lo[xi]
+            v = x2[xi] + y * y
+            v -= first
+            at = np.flatnonzero(v % step == 0)
+            at = at[out[v[at] // step, 0] < 0]
+            i, j = np.unique(v[at] // step, return_index=True)  # a term's first point in the block
+            out[i] = np.column_stack((xs[xi[at[j]]], y[at[j]]))
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_sum_of_two_squares  # noqa: F401  (not called here; perfbench/tracer.py wraps it)
-from .arith import on_shifts, r2_on, two_squares
+from .arith import on_shifts, two_squares_on
 from .errors import ResourceGuardError, ValidationError
 from .hooley import rho  # noqa: F401  (not called here; perfbench/tracer.py wraps bins.rho)
 from .sieve import (
@@ -207,18 +207,18 @@ def second_moment_lhs(
 
 
 # tracemalloc peak per window point, for k = 1, 2, 3, 5 shifts in one bin
-# (most hits) at N = 10^7 and 10^6, 10^5, 10^4: 30-42-70, 53-63-89, 68-73-100,
-# 84-85-108 bytes (bins (1, 2): 31-76, (1, 2, 2): 31-83), charged 88 + 24k
-# (>= 1.5x).  two_squares holds its sorted values and their rows through the
-# sweep, 10-12 bytes per accepted n + h; below 2^13 hits its blocks of up to
-# 2^13 lattice points outweigh them, hence the peaks at N = 10^4
+# (most hits) at N = 10^4 ... 10^7 and D0 = 1: 78 at 10^4, 44-69 from 10^5 on,
+# 38-44 with bins (1, 2); charged 88 + 24k (>= 1.43x).  two_squares_on holds
+# (x, y) per term, 16 bytes; below 2^13 lattice points its blocks outweigh
+# them, hence the peak at 10^4.  Sparse windows (4 step^2 > n, as at D0 = 10
+# below N = 705,600) hold about 0.5 MB of walk blocks whatever their size:
+# 0.37-0.57x of the charge at 1,667 points, 1.44x at 16,650 (D0 = 13, 10^9)
 WITNESS_BYTES = (88, 24)
 
-# n + h < 2^32 caps r2_on at the primes below 2^16 and a two_squares run at
-# 0.29 * 2^16 values of x: just below it the search over 10^5 (10^6) window
-# points takes 0.05-0.06 s (0.26-0.38 s) in-process and 0.3-0.35 s
-# (0.58-0.76 s) as a CLI command on an Intel Xeon vCPU, shifts 0, 4, 16 in
-# one r2_on sieve; its loop over the 6,542 primes below 2^16 is most of it
+# n + h < 2^32 keeps a certificate's x <= 2^16, which verify_witness relies
+# on: just below it, 10^5 (10^6) window points with shifts 0, 4, 16 list
+# the 1.9 * 10^4 rows of their annulus in 8-11 ms (90-128 ms) in-process,
+# and 0.25-0.35 s (0.34-0.39 s) as a CLI command on an Intel Xeon vCPU
 WITNESS_LIMIT = 1 << 32
 
 
@@ -266,27 +266,27 @@ def witness_search(
     """Scan n in [N, n_limit), n = v0 (W), n = 1 (4); keep every n for
     which each bin holds at least one h with n + h a sum of two squares.
 
-    The exact indicator r_2(n + h) > 0 comes from the r2_on sieve, never
-    from rho, one sieve for the shifts that on_shifts merges.  One
-    two_squares call over all accepted n + h then finds their (x, y) by its
-    own search, so verify_witness still fails if the sieve accepted a
-    non-sum.  Every n + h must lie below WITNESS_LIMIT,
+    One two_squares_on pass per on_shifts progression lists the lattice
+    points of the n + h, never reading rho: n + h is a sum exactly where
+    it has a point, and that least (x, y) is its certificate, which
+    verify_witness rechecks.  Every n + h must lie below WITNESS_LIMIT,
     checked before the window's byte guard."""
     if partition.k != tup.k:
         raise ValidationError("witness_search: partition arity != tuple size")
     if (top := n_limit - 1 + max(tup.h)) >= WITNESS_LIMIT:
         raise ResourceGuardError("witness_search: n + h past WITNESS_LIMIT", f"n + h up to {top}")
     ns = window(params, tup, n_limit, WITNESS_BYTES)
-    r2_at = on_shifts(r2_on, ns, tup.h)
-    sos = np.stack([r2_at[h] > 0 for h in tup.h])
-    del r2_at  # one int32 count per term, not read again: freed before two_squares
+    xy = on_shifts(two_squares_on, ns, tup.h)
+    sos = np.stack([xy[h][:, 0] >= 0 for h in tup.h])
     blocks = [partition.indices(i) for i in range(partition.M)]
     hits = np.nonzero(np.logical_and.reduce([sos[b].any(axis=0) for b in blocks]))[0]
     # per bin, the position of its smallest shift h with n + h a sum of two squares
     first = np.stack([b.start + sos[b][:, hits].argmax(axis=0) for b in blocks], axis=1)
-    n = ns.start + ns.step * hits
-    h = np.asarray(tup.h, dtype=np.int64)[first]
-    return Witnesses(n, h, two_squares(n[:, None] + h).reshape(len(n), partition.M, 2))
+    certificates = np.empty((*first.shape, 2), dtype=np.int64)
+    for a, h in enumerate(tup.h):
+        j, i = np.nonzero(first == a)
+        certificates[j, i] = xy[h][hits[j]]
+    return Witnesses(ns.start + ns.step * hits, np.asarray(tup.h, dtype=np.int64)[first], certificates)
 
 
 def witness_csv_rows(found: Witnesses) -> list[str]:

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from twosquares import arith
 from twosquares.arith import (
@@ -12,8 +12,10 @@ from twosquares.arith import (
     build_factor_table,
     is_sum_of_two_squares,
     primes_up_to,
+    r2_on,
     trial_factorize,
     two_squares,
+    two_squares_on,
 )
 from twosquares.bins import (
     WITNESS_LIMIT,
@@ -466,16 +468,61 @@ def _run_batches(draw):
     return draw(st.permutations(ms))
 
 
-@pytest.mark.parametrize("block", [2, 64, arith._SWEEP_BLOCK])
+@pytest.mark.parametrize("block", [2, 64, arith._LATTICE_BLOCK])
 @given(ms=_run_batches())
 def test_two_squares_runs(block, ms):
     # batches that stress the runs: gaps at the split bound and one either
     # side, repeats, non-sums the prefilter lets through, values near 2^52;
     # small blocks cut pairs short, so runs resume part way through an x
     want = [list(two_square_scan(m) or (-1, -1)) for m in ms]
-    with mock.patch.object(arith, "_SWEEP_BLOCK", block):
+    with mock.patch.object(arith, "_LATTICE_BLOCK", block):
         got = two_squares(np.array(ms, dtype=np.int64))
     assert got.tolist() == want
+
+
+_LATTICE_STEPS = st.one_of(st.sampled_from([1, 2, 3, 4, 12, 60, 420]), st.integers(1, 420))  # 4 W for W = 3, 15, 105
+
+
+@st.composite
+def _lattice_progressions(draw):
+    # starts spread over 1 ... 2^32, or first terms at the dense bound
+    # 4 step^2 and one either side; steps odd and even
+    step, count = draw(_LATTICE_STEPS), draw(st.integers(0, 2000))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, 31).flatmap(lambda e: st.integers(2**e, 2 ** (e + 1))))
+    else:
+        start = 4 * step * step + draw(st.sampled_from([-1, 0, 1]))
+    return range(start, start + count * step, step)
+
+
+def check_two_squares_on(prog, block):
+    # small blocks split rows of x and a term's points between blocks
+    with mock.patch.object(arith, "_LATTICE_BLOCK", block):
+        got = two_squares_on(prog)
+    assert got.dtype == np.int64 and got.shape == (len(prog), 2)
+    assert got.tolist() == two_squares(np.array(prog, dtype=np.int64)).tolist()
+    if prog and prog[-1] < 2**33:  # r2_on near 2^52 would sieve by the 3.9 M primes below 2^26
+        assert ((got[:, 0] >= 0) == (r2_on(prog) > 0)).all()
+
+
+@given(prog=_lattice_progressions(), block=st.sampled_from([61, arith._LATTICE_BLOCK]))
+def test_two_squares_on_property(prog, block):
+    check_two_squares_on(prog, block)
+
+
+@settings(max_examples=6)  # each takes ~0.5 s: ~2 * 10^7 rows of x, and the oracle walks each non-sum
+@given(step=_LATTICE_STEPS, count=st.integers(0, 4), below=st.integers(0, 420))
+def test_two_squares_on_near_limit(step, count, below):
+    start = arith.TWO_SQUARES_LIMIT - 1 - max(count - 1, 0) * step - below % step
+    check_two_squares_on(range(start, start + count * step, step), arith._LATTICE_BLOCK)
+
+
+def test_two_squares_on_domain():
+    assert two_squares_on(range(5, 5, 4)).shape == (0, 2)
+    assert two_squares_on(range(arith.TWO_SQUARES_LIMIT - 1, arith.TWO_SQUARES_LIMIT)).tolist() == [[-1, -1]]
+    for bad in (range(0, 9, 4), range(9, 1, -4), range(arith.TWO_SQUARES_LIMIT - 4, arith.TWO_SQUARES_LIMIT + 1)):
+        with pytest.raises(ValidationError):
+            two_squares_on(bad)
 
 
 @given(st.integers(1, 2**26 - 1))
@@ -501,3 +548,11 @@ def test_two_squares_domain():
     for bad in ([-1], [5, over], [2**70]):
         with pytest.raises(ValidationError):
             two_squares(bad)
+
+
+def test_two_squares_takes_integers_only():
+    # a float is not truncated, nor a string parsed: [2.5, 5.9] gave [[1, 1], [2, 1]]
+    for bad in ([2.5, 5.9], ["10"], np.array([5.0]), [5, 2**70]):
+        with pytest.raises(ValidationError):
+            two_squares(bad)
+    assert two_squares(np.array([5, 25], dtype=np.uint16)).tolist() == [[2, 1], [4, 3]]

@@ -153,7 +153,7 @@ def test_witness_search_limit_exit_code(capsys, monkeypatch):
         raise AssertionError("witness scan started")
 
     monkeypatch.setattr(bins, "window", unreachable)
-    monkeypatch.setattr(bins, "r2_on", unreachable)
+    monkeypatch.setattr(bins, "two_squares_on", unreachable)
     code, out = run(capsys, ["witness-search", "--N", "9e18", "--limit", "9000000000001000000"])
     assert code == 3
     assert json.loads(out)["error"]["type"] == "resource_guard"
@@ -385,7 +385,7 @@ def test_sieve_run_builds_one_window(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "owner, name, argv, shifts",
     [
-        (bins, "r2_on", ["witness-search", "--N", "1e4", "--limit", "4e4"], 16),
+        (bins, "two_squares_on", ["witness-search", "--N", "1e4", "--limit", "4e4"], 16),
         (sieve, "rho_on", ["certificate", "--N", "1e4", "--mu", "1.5,2.5", "--t", "1,2"], 16),
         (sieve, "rho_on", ["sieve-run", "--N", "3e4", "--tuple", "0,4", "--which", "S1,S2,S3,S4"], 4),
     ],
@@ -686,7 +686,7 @@ def test_window_guard_exit_code(capsys, monkeypatch, argv):
         raise AssertionError("window array built past the guard")
 
     monkeypatch.setattr(bins, "inner_weights", unreachable)
-    monkeypatch.setattr(bins, "r2_on", unreachable)
+    monkeypatch.setattr(bins, "two_squares_on", unreachable)
     monkeypatch.setattr(hooley, "r2_on", unreachable)
     monkeypatch.setattr(cli, "build_factor_table", unreachable)
     code, out = run(capsys, argv)
