@@ -196,29 +196,6 @@ def gamma_singular_series(
     return ConstantEstimate(value, bound, f"tail product truncated at p <= {tail_prime_bound}")
 
 
-def gamma_direct_sum(d1: int, d2: int, q: int, r_max: int = 10**4) -> float:
-    """Brute-force oracle: the defining mu(r) sum truncated at r <= r_max."""
-    mu = np.ones(r_max + 1, dtype=np.int64)
-    for p in primes_up_to(r_max):
-        p = int(p)
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-    r = np.arange(1, r_max + 1, dtype=np.int64)
-    mur = mu[1:]
-    mask = r % 2 == 1
-    if q > 1:
-        mask &= np.gcd(r, q) == 1
-    g1r = np.gcd(r, d1)
-    g2r = np.gcd(r, d2)
-    # for squarefree r, (d^2, r) = (d, r)
-    chi1 = np.where(g1r % 4 == 1, 1, -1)
-    chi2 = np.where(g2r % 4 == 1, 1, -1)
-    terms = mur * g1r * g2r * chi1 * chi2 / r.astype(np.float64) ** 2
-    total = float(np.sum(terms[mask]))
-    head = float(g2(trial_factorize(d1))) * float(g2(trial_factorize(d2))) / (d1 * d2)
-    return head * total
-
-
 def empirical_trend_rr(query: APQuery, Ns: Sequence[int]) -> list[int]:
     """r(n) and r(n + h) are on_shifts views: of one sieve of the class run
     on to N + h when the class modulus m divides h, and otherwise of two

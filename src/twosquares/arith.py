@@ -320,9 +320,12 @@ def two_squares(ms) -> np.ndarray:
     return out
 
 
-def rd_bruteforce(
-    n: int, d: int, *, max_dim: int = 6, max_n: int = 10**6
-) -> int:
+# the largest dimension and norm that rd_bruteforce and quantum.enumerate_shell
+# enumerate: the work grows like n^(d/2)
+SHELL_MAX_DIM, SHELL_MAX_N = 6, 10**6
+
+
+def rd_bruteforce(n: int, d: int) -> int:
     """Exact count of xi in Z^d with |xi|^2 = n by nested enumeration.
 
     This is the oracle everything else is checked against; it never uses
@@ -332,9 +335,9 @@ def rd_bruteforce(
         raise ValidationError(f"rd_bruteforce: n={n} must be >= 0")
     if d < 1:
         raise ValidationError(f"rd_bruteforce: d={d} must be >= 1")
-    if d > max_dim or n > max_n:
+    if d > SHELL_MAX_DIM or n > SHELL_MAX_N:
         raise ResourceGuardError(
-            f"rd_bruteforce guard: d={d} (max {max_dim}), n={n} (max {max_n})",
+            f"rd_bruteforce guard: d={d} (max {SHELL_MAX_DIM}), n={n} (max {SHELL_MAX_N})",
             cost_estimate=f"~n^(d/2) = {float(max(n, 1)) ** (d / 2):.2e} lattice points",
         )
 

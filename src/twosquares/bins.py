@@ -37,13 +37,12 @@ from .sieve import (
 class BinPartition:
     """Partition of tuple indices {0..k-1} into consecutive bins.
 
-    sizes[i] is k_i; betas default to 2^-(i+1) (i zero-based, so the first
-    bin gets 1/2); mu and t are the certificate centre/width parameters,
-    both required >= 1.
+    sizes[i] is k_i; bin i (zero-based) has beta_i = 2^-(i+1), so the
+    first bin gets 1/2; mu and t are the certificate centre/width
+    parameters, both required >= 1.
     """
 
     sizes: tuple[int, ...]
-    betas: tuple[float, ...] = ()
     mu: tuple[float, ...] = ()
     t: tuple[float, ...] = ()
 
@@ -51,15 +50,9 @@ class BinPartition:
         if not self.sizes or any(s < 1 for s in self.sizes):
             raise ValidationError("BinPartition: sizes must be positive")
         M = len(self.sizes)
-        betas = self.betas or tuple(2.0 ** -(i + 1) for i in range(M))
-        if len(betas) != M:
-            raise ValidationError("BinPartition: betas arity mismatch")
-        if sum(betas) > 1 + 1e-12:
-            raise ValidationError("BinPartition: sum of betas exceeds 1")
         for name, vals in (("mu", self.mu), ("t", self.t)):
             if vals and (len(vals) != M or any(x < 1 for x in vals)):
                 raise ValidationError(f"BinPartition: bad {name} (need >= 1, arity {M})")
-        object.__setattr__(self, "betas", betas)
 
     @property
     def M(self) -> int:
@@ -68,6 +61,10 @@ class BinPartition:
     @property
     def k(self) -> int:
         return sum(self.sizes)
+
+    @property
+    def betas(self) -> tuple[float, ...]:
+        return tuple(2.0 ** -(i + 1) for i in range(self.M))
 
     def indices(self, i: int) -> range:
         lo = sum(self.sizes[:i])
@@ -208,12 +205,14 @@ def second_moment_lhs(
 
 # tracemalloc peak per window point, for k = 1, 2, 3, 5 shifts in one bin
 # (most hits) at N = 10^4 ... 10^7 and D0 = 1: 78 at 10^4, 44-69 from 10^5 on,
-# 38-44 with bins (1, 2); charged 88 + 24k (>= 1.43x).  two_squares_on holds
+# 38-44 with bins (1, 2); charged 88 + 24k per point.  two_squares_on holds
 # (x, y) per term, 16 bytes; below 2^13 lattice points its blocks outweigh
 # them, hence the peak at 10^4.  Sparse windows (4 step^2 > n, as at D0 = 10
-# below N = 705,600) hold about 0.5 MB of walk blocks whatever their size:
-# 0.37-0.57x of the charge at 1,667 points, 1.44x at 16,650 (D0 = 13, 10^9)
-WITNESS_BYTES = (88, 24)
+# below N = 705,600) hold 0.5-0.6 MB of walk and r2_on blocks whatever their
+# size, so the charge has a fixed 1 MiB too: with it every window at D0 = 1
+# (N = 10^4 ... 10^6), 10 (10^4, 10^5, 7 * 10^5) and 13 (10^8, 10^9) is
+# charged 1.91x its peak or more
+WITNESS_BYTES, WITNESS_FIXED_BYTES = (88, 24), 1 << 20
 
 # n + h < 2^32 keeps a certificate's x <= 2^16, which verify_witness relies
 # on: just below it, 10^5 (10^6) window points with shifts 0, 4, 16 list
@@ -275,7 +274,7 @@ def witness_search(
         raise ValidationError("witness_search: partition arity != tuple size")
     if (top := n_limit - 1 + max(tup.h)) >= WITNESS_LIMIT:
         raise ResourceGuardError("witness_search: n + h past WITNESS_LIMIT", f"n + h up to {top}")
-    ns = window(params, tup, n_limit, WITNESS_BYTES)
+    ns = window(params, tup, n_limit, (*WITNESS_BYTES, WITNESS_FIXED_BYTES))
     xy = on_shifts(two_squares_on, ns, tup.h)
     sos = np.stack([xy[h][:, 0] >= 0 for h in tup.h])
     blocks = [partition.indices(i) for i in range(partition.M)]

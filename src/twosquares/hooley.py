@@ -17,7 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from .arith import Factorization, g_rows, multiples, primes_up_to, r2, r2_on, squarefree_table
-from .errors import ValidationError
+from .errors import ValidationError, check_bytes
+
+# tracemalloc peak of rho_on over 1,000 terms per element of the estimate
+# below: 132, 145, 144 and 164 bytes at v = 10^4, 10^5, 10^6 and 10^7;
+# charged 224 (>= 1.37x), so v up to about 10^8 fits the budget
+_T_BYTES = 224
 
 
 def _t_terms(primes: Sequence[int], v: int) -> tuple[np.ndarray, np.ndarray]:
@@ -61,7 +66,11 @@ def rho(v: int, f: Factorization) -> float:
 def rho_on(v: int, progression: range) -> np.ndarray:
     """rho(m) at every m of an arithmetic progression, as float64: each
     term of t goes onto the multiples of its a, in the order t_weight adds
-    them at one m, times r_2 from `r2_on` over the same progression."""
+    them at one m, times r_2 from `r2_on` over the same progression.  The
+    t table is charged before any prime is sieved, at the estimate of
+    aux_sums for the same class: 0.35 v / sqrt(log v) + 64 elements."""
+    n_est = 0.35 * v / math.sqrt(math.log(max(v, 3))) + 64
+    check_bytes("rho's t table", n_est * _T_BYTES, f"~{n_est:.2e} elements at v = {v}")
     t = np.zeros(len(progression))
     ps = primes_up_to(v)
     vals, terms = _t_terms(ps[ps % 4 == 1], v)

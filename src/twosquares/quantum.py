@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import rd_bruteforce, two_squares
+from .arith import SHELL_MAX_DIM, SHELL_MAX_N, Factorization, r2, trial_factorize, two_squares
 from .errors import InternalError, ResourceGuardError, ValidationError, check_bytes
 
 # ---------------------------------------------------------------------------
@@ -65,13 +65,13 @@ def _shell_points(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
-def enumerate_shell(n: int, d: int, *, max_dim: int = 6, max_n: int = 10**6) -> SphereShell:
+def enumerate_shell(n: int, d: int) -> SphereShell:
     """All xi in Z^d with |xi|^2 = n, lexicographically sorted (cached)."""
     if n < 0 or d < 1:
         raise ValidationError("enumerate_shell: need n >= 0, d >= 1")
-    if d > max_dim or n > max_n:
+    if d > SHELL_MAX_DIM or n > SHELL_MAX_N:
         raise ResourceGuardError(
-            f"enumerate_shell guard: d={d} (max {max_dim}), n={n} (max {max_n})",
+            f"enumerate_shell guard: d={d} (max {SHELL_MAX_DIM}), n={n} (max {SHELL_MAX_N})",
             cost_estimate=f"~n^(d/2) = {float(max(n, 1)) ** (d / 2):.2e} points",
         )
     return SphereShell(n, d, _shell_points(n, d))
@@ -102,14 +102,12 @@ def decompose_Mk(M: int, a_list: Sequence[int]) -> list[tuple[int, int]]:
 @dataclass(frozen=True)
 class FamilyInputs:
     """Data for one family: truncation level k, shell radius-squared M,
-    the distinct a_j (at least k of them), the ambient dimension, and
-    optionally precomputed decompositions M - a_j^2 = b_j^2 + c_j^2."""
+    the distinct a_j (at least k of them) and the ambient dimension."""
 
     k: int
     M: int
     a: tuple[int, ...]
     d: int = 3
-    bc: tuple[tuple[int, int], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -162,10 +160,6 @@ def build_family(rule: str, inputs: FamilyInputs) -> CoefficientFamily:
     d = {"main": 3, "ql_i": 4}.get(rule, inputs.d)
     if rule == "ql_ii" and d < 5:
         raise ValidationError("build_family: ql_ii needs d >= 5")
-    bc = list(inputs.bc[:k]) if inputs.bc else decompose_Mk(M, a)
-    for j, (aj, (b, c)) in enumerate(zip(a, bc), start=1):
-        if aj * aj + b * b + c * c != M:
-            raise ValidationError(f"build_family: decomposition for j={j} misses M")
 
     pref = Fraction(2**k, 2**k - 1)
     support: dict[tuple[int, ...], tuple[int, Fraction]] = {}
@@ -175,7 +169,7 @@ def build_family(rule: str, inputs: FamilyInputs) -> CoefficientFamily:
             raise InternalError(f"build_family: support collision at {xi}")
         support[xi] = (j, amp2)
 
-    for j, (aj, (b, c)) in enumerate(zip(a, bc), start=1):
+    for j, (aj, (b, c)) in enumerate(zip(a, decompose_Mk(M, a)), start=1):
         if rule == "main":
             amp2 = pref / 2 ** (j + 1)
             put((aj, b, c), j, amp2)
@@ -198,15 +192,6 @@ def build_family(rule: str, inputs: FamilyInputs) -> CoefficientFamily:
         if sum(x * x for x in xi) != M:
             raise InternalError(f"build_family: {xi} off the shell")
     return fam
-
-
-def embed(family: CoefficientFamily, extra_dims: int) -> CoefficientFamily:
-    """Zero-pad every frequency vector into d + extra_dims dimensions."""
-    if extra_dims < 0:
-        raise ValidationError("embed: extra_dims >= 0")
-    pad = (0,) * extra_dims
-    support = {xi + pad: val for xi, val in family.support.items()}
-    return CoefficientFamily(family.rule, family.k, family.d + extra_dims, family.M, support)
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +528,11 @@ def mass_lower_bound(family: CoefficientFamily, i: int, epsilon: float) -> dict[
 
 def representation_growth_report(a_list: Sequence[int]) -> dict:
     """Empirical checks on a candidate a_j sequence: r_2 strictly increasing,
-    bounded even part, and r_2(a^2) >= r_2(a) (flagged, not assumed)."""
-    # d = 2 enumeration costs only ~sqrt(n) steps, so a larger cap is safe
-    r_vals = [rd_bruteforce(a, 2, max_n=10**12) for a in a_list]
-    r_sq_vals = [rd_bruteforce(a * a, 2, max_n=10**12) for a in a_list]
+    bounded even part, and r_2(a^2) >= r_2(a) (flagged, not assumed).  Both
+    r_2 come from the factorisation of a, its exponents doubled for a^2."""
+    fs = [trial_factorize(a) for a in a_list]
+    r_vals = [r2(f) for f in fs]
+    r_sq_vals = [r2(Factorization(tuple((p, 2 * e) for p, e in f.pairs))) for f in fs]
     even_parts = []
     for a in a_list:
         b = 0

@@ -84,8 +84,6 @@ class SieveParams:
         r = math.isqrt(floor_power(self.N, self.theta2))
         if v < 2:
             raise ValidationError(f"SieveParams: derived v={v} < 2")
-        if r < 1:
-            raise ValidationError(f"SieveParams: derived R={r} < 1")
         w, w1, w3, _, phi_w3 = w_split(self.D0)
         derived = {"v": v, "R": r, "W": w, "W1": w1, "W3": w3, "phi_W3": phi_w3, "warnings": tuple(warnings)}
         for name, val in derived.items():
@@ -199,24 +197,9 @@ class TestFunctionSpec:
             out /= 1.0 + ki * tj / bi
         return out
 
-    def evaluate_grid(self, coords: list[np.ndarray]) -> np.ndarray:
-        """F on a tensor grid given per-coordinate sample arrays (broadcast)."""
-        out = 1.0
-        for j, (t, i) in enumerate(zip(coords, self.coordinate_bins())):
-            ki, bi = self.bins[i]
-            u = ki * t
-            fac = np.where((u <= bi) & (t >= 0), 1.0 / (1.0 + u / bi), 0.0)
-            out = out * fac.reshape([-1 if axis == j else 1 for axis in range(self.k)])
-        return out
-
 
 def single_bin_spec(k: int, beta: float = 1.0) -> TestFunctionSpec:
     return TestFunctionSpec(((k, beta),))
-
-
-def geometric_bin_spec(sizes: Sequence[int]) -> TestFunctionSpec:
-    """Bins of the given sizes with beta_i = 2^-i (i = 1, 2, ...)."""
-    return TestFunctionSpec(tuple((ki, 2.0 ** -(i + 1)) for i, ki in enumerate(sizes)))
 
 
 # ---------------------------------------------------------------------------
@@ -470,62 +453,6 @@ def functional_value(
     return val
 
 
-def factorized_functionals(
-    spec: TestFunctionSpec, j: int, m: int, l: int | None = None
-) -> dict[str, float]:
-    """The bin-factorised expressions: L_k = prod_i L_{|B_i|}(F_i) and the
-    L_m / L_ml forms as (prod of per-bin L) times the in-bin ratio for bin j
-    (ratios pi^2/(pi+2) sqrt(beta_j/k_j) and its square)."""
-    if not 0 <= j < len(spec.bins):
-        raise ValidationError("factorized_functionals: bad bin index")
-    per_bin = []
-    for ki, bi in spec.bins:
-        per_bin.append(base_integral_sq(bi, ki) ** ki)
-    lk = float(np.prod(per_bin))
-    kj, bj = spec.bins[j]
-    ratio = math.pi**2 / (math.pi + 2) * math.sqrt(bj / kj)
-    out = {"L": lk, "L_m": lk * ratio}
-    if l is not None:
-        cb = spec.coordinate_bins()
-        if cb[m] == cb[l]:
-            out["L_ml"] = lk * ratio**2
-        else:
-            kj2, bj2 = spec.bins[cb[l]]
-            ratio2 = math.pi**2 / (math.pi + 2) * math.sqrt(bj2 / kj2)
-            out["L_ml"] = lk * ratio * ratio2
-    return out
-
-
-def functional_tensor_quadrature(
-    spec: TestFunctionSpec,
-    kind: str,
-    m: int | None = None,
-    l: int | None = None,
-) -> float:
-    """Direct multi-dimensional assembly of the functionals on the tensor
-    grid of sqrt_rule per coordinate, treating F as a black box on the
-    grid.  Feasible for k <= 4; used to check the factorised closed forms."""
-    k = spec.k
-    if 48**k > 4e7:
-        raise ResourceGuardError(
-            f"functional_tensor_quadrature: 48^{k} grid too large",
-            cost_estimate=f"{48 ** k:.1e} nodes",
-        )
-    coords, weights = zip(*map(sqrt_rule, spec.caps()))
-    grid = spec.evaluate_grid(list(coords))
-    special = [i for i in (m, l) if i is not None] if kind != "L" else []
-    # integrate the special axes first (inner integrals), then square,
-    # then integrate the rest against the squared integrand
-    arr = grid
-    for ax in sorted(special, reverse=True):
-        arr = np.tensordot(arr, weights[ax], axes=([ax], [0]))
-    arr = arr**2
-    rem = [j for j in range(k) if j not in special]
-    for ax_pos in reversed(range(len(rem))):
-        arr = np.tensordot(arr, weights[rem[ax_pos]], axes=([ax_pos], [0]))
-    return float(arr)
-
-
 # ---------------------------------------------------------------------------
 # normalisation constant and predicted sums
 # ---------------------------------------------------------------------------
@@ -592,16 +519,18 @@ class SieveSumResult:
     rho_negative_examples: tuple[int, ...]
 
 
-def window(params: SieveParams, tup: AdmissibleTuple, end: int, cost: tuple[int, int]) -> range:
+def window(params: SieveParams, tup: AdmissibleTuple, end: int, cost: tuple[int, ...]) -> range:
     """n in [N, end) with n = v0 (mod W) and n = 1 (mod 4) (W is odd), after
     a byte guard for the scan over it, which names its own peak cost: a
-    bytes per point plus b per point and shift, for cost = (a, b).  A
-    non-empty window whose least n + h is below 1 is a ValidationError."""
+    bytes per point plus b per point and shift, for cost = (a, b), and c
+    more bytes once for cost = (a, b, c).  A non-empty window whose least
+    n + h is below 1 is a ValidationError."""
     r, mod = crt([find_v0(params, tup), 1], [params.W, 4])
     ns = range(params.N + (r - params.N) % mod, end, mod)
     if ns and ns.start + min(tup.h) < 1:
         raise ValidationError(f"window: n + h = {ns.start + min(tup.h)} < 1 at N = {params.N}, shift h = {min(tup.h)}")
-    need = len(ns) * (cost[0] + tup.k * cost[1])
+    a, b, *fixed = cost
+    need = sum(fixed) + len(ns) * (a + tup.k * b)
     check_bytes("window scan", need, f"{len(ns)} points x {tup.k} shifts")
     return ns
 

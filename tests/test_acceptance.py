@@ -26,7 +26,6 @@ from twosquares.ap_sums import (
     empirical_sum_r,
     empirical_sum_r2,
     empirical_sum_rr,
-    gamma_direct_sum,
     gamma_singular_series,
     predicted_sum_r,
     predicted_sum_r2,
@@ -62,13 +61,14 @@ from twosquares.sieve import (
     SieveParams,
     base_integral_sq,
     functional_value,
-    geometric_bin_spec,
     lambda_from_F,
     s_direct,
     s_predicted,
     single_bin_spec,
     y_from_lambda,
 )
+
+from oracles import gamma_direct_sum
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -130,9 +130,9 @@ def test_criterion_03_mobius_roundtrip():
             single_bin_spec(1, 1.0),
             single_bin_spec(2, 1.0),
             single_bin_spec(3, 1.0),
-            geometric_bin_spec([1, 1]),
-            geometric_bin_spec([2, 1]),
-            geometric_bin_spec([1, 1, 1]),
+            BinPartition((1, 1)).spec(),
+            BinPartition((2, 1)).spec(),
+            BinPartition((1, 1, 1)).spec(),
         ]
         for spec in specs:
             wt = lambda_from_F(p, spec)

@@ -12,7 +12,6 @@ from twosquares.ap_sums import (
     empirical_sum_r,
     empirical_sum_r2,
     empirical_sum_rr,
-    gamma_direct_sum,
     gamma_singular_series,
     predicted_sum_r,
     predicted_sum_r2,
@@ -25,6 +24,8 @@ from twosquares.ap_sums import (
 from twosquares.arith import primes_up_to, r2_lattice_range, r2_on, trial_factorize, g3, g5
 from twosquares.constants import a2_constant
 from twosquares.errors import ValidationError
+
+from oracles import gamma_direct_sum
 
 
 def test_empirical_r_hand_sums():

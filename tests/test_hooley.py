@@ -1,9 +1,13 @@
+import json
 import math
+import time
+import tracemalloc
 
 import pytest
 
-from twosquares.arith import build_factor_table, floor_power, is_sum_of_two_squares, r2, trial_factorize
-from twosquares.errors import ValidationError
+from twosquares import cli, hooley
+from twosquares.arith import build_factor_table, floor_power, is_sum_of_two_squares, primes_up_to, r2, trial_factorize
+from twosquares.errors import ResourceGuardError, ValidationError
 from twosquares.hooley import rho, rho_on, t_weight
 
 
@@ -107,3 +111,42 @@ def test_v_below_two_is_rejected():
     # off the sums of two squares too, where r_2 already vanishes
     with pytest.raises(ValidationError):
         rho(1, trial_factorize(3))
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("primes sieved past the t-table guard")
+
+
+def test_rho_on_guard_before_sieve(monkeypatch):
+    # about 7.7e7 t-table elements at v = 10^9: rejected from v alone
+    monkeypatch.setattr(hooley, "primes_up_to", _unreachable)
+    with pytest.raises(ResourceGuardError) as exc:
+        rho_on(10**9, range(1, 41, 4))
+    assert "v = 1000000000" in exc.value.cost_estimate
+
+
+def test_rho_guard_exit_code(capsys, monkeypatch):
+    # a 2.2e6-point window passes its own guard, and rho's t table at
+    # v = floor(10^(10 * 0.9)) = 10^9 does not
+    monkeypatch.setattr(hooley, "primes_up_to", _unreachable)
+    argv = ["sieve-run", "--N", "1e10", "--theta1", "0.9", "--theta2", "0.1", "--D0", "11", "--tuple", "0,4", "--which", "S2"]
+    t0 = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - t0
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert code == 3 and err["type"] == "resource_guard" and "t table" in err["message"]
+    assert elapsed < 1.0
+
+
+def test_rho_peak_within_charge(monkeypatch):
+    charged = []
+    monkeypatch.setattr(hooley, "check_bytes", lambda what, need, workload: charged.append(need))
+    progression = range(10**8 + 1, 10**8 + 4001, 4)
+    for v in (10**4, 10**5, 10**6):
+        tracemalloc.start()
+        rho_on(v, progression)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        ps = primes_up_to(v)
+        size = len(hooley._t_terms(ps[ps % 4 == 1], v)[0])
+        assert size <= charged[-1] / hooley._T_BYTES and 1.33 * peak <= charged[-1], v

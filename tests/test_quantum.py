@@ -19,13 +19,14 @@ from twosquares.quantum import (
     constant_M_inputs,
     ctau_limit,
     decompose_Mk,
-    embed,
     enumerate_shell,
     lp_partial_sum,
     mass_lower_bound,
     representation_growth_report,
     sigma_rho,
 )
+
+from oracles import embed
 
 # M = 5*13*17*29: every a below is a leg of a two-square representation of M,
 # so M - a^2 is a perfect square and decompose_Mk succeeds with c = 0
@@ -126,8 +127,6 @@ def test_family_validation():
         build_family("main", FamilyInputs(k=3, M=M, a=(2, 2, 19)))
     with pytest.raises(ValidationError):
         build_family("ql_ii", FamilyInputs(k=1, M=M, a=LEGS, d=4))
-    with pytest.raises(ValidationError):
-        build_family("main", FamilyInputs(k=1, M=M, a=LEGS, bc=((3, 3),)))
 
 
 def test_main_rule_support_structure():

@@ -16,6 +16,7 @@ from twosquares.arith import (
     primes_up_to,
     trial_factorize,
 )
+from twosquares.bins import BinPartition
 from twosquares.constants import landau_ramanujan_A
 from twosquares.errors import ResourceGuardError, ValidationError
 from twosquares.sieve import TestFunctionSpec as TFSpec
@@ -31,11 +32,8 @@ from twosquares.sieve import (
     c_gamma_check,
     check_admissible,
     enumerate_support,
-    factorized_functionals,
     find_v0,
-    functional_tensor_quadrature,
     functional_value,
-    geometric_bin_spec,
     lambda_from_F,
     s1_pair_expansion,
     s_direct,
@@ -46,7 +44,7 @@ from twosquares.sieve import (
     y_from_lambda,
 )
 
-from oracles import squarefree_products
+from oracles import functional_tensor_quadrature, squarefree_products
 
 
 def relaxed(N, t1, t2, D0):
@@ -215,8 +213,8 @@ def test_lambda_support_clause():
         lambda: single_bin_spec(1, 1.0),
         lambda: single_bin_spec(2, 1.0),
         lambda: single_bin_spec(3, 1.0),
-        lambda: geometric_bin_spec([1, 1]),
-        lambda: geometric_bin_spec([2, 1]),
+        lambda: BinPartition((1, 1)).spec(),
+        lambda: BinPartition((2, 1)).spec(),
     ],
 )
 def test_roundtrip_exact(D0, spec_fn):
@@ -372,26 +370,20 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("sizes", [[1, 1], [2, 1], [2, 2], [3, 1]])
 def test_factorized_vs_tensor_quadrature(sizes):
-    spec = geometric_bin_spec(sizes)
-    fac = factorized_functionals(spec, 0, 0, 1)
-    assert fac["L"] == pytest.approx(functional_tensor_quadrature(spec, "L"), rel=1e-12)
-    assert fac["L_m"] == pytest.approx(
+    spec = BinPartition(tuple(sizes)).spec()
+    assert functional_value(spec, "L") == pytest.approx(functional_tensor_quadrature(spec, "L"), rel=1e-12)
+    assert functional_value(spec, "L_m", m=0) == pytest.approx(
         functional_tensor_quadrature(spec, "L_m", m=0), rel=1e-12
     )
-    assert fac["L_ml"] == pytest.approx(
+    assert functional_value(spec, "L_ml", m=0, l=1) == pytest.approx(
         functional_tensor_quadrature(spec, "L_ml", m=0, l=1), rel=1e-12
     )
 
 
 def test_factorized_single_bin_reduces():
-    spec = single_bin_spec(2, 0.5)
-    fac = factorized_functionals(spec, 0, 0, 1)
-    assert fac["L"] == pytest.approx(functional_value(spec, "L"))
-    assert fac["L_m"] == pytest.approx(functional_value(spec, "L_m", m=0))
     # two bins of size 1: L = L1(F1) L1(F2)
-    spec2 = geometric_bin_spec([1, 1])
-    fac2 = factorized_functionals(spec2, 0, 0)
-    assert fac2["L"] == pytest.approx(
+    spec2 = BinPartition((1, 1)).spec()
+    assert functional_value(spec2, "L") == pytest.approx(
         base_integral_sq(0.5, 1) * base_integral_sq(0.25, 1)
     )
 

@@ -15,6 +15,7 @@ from twosquares.arith import FactorTable, floor_power, trial_factorize
 from twosquares.bins import (
     CERTIFICATE_BYTES,
     WITNESS_BYTES,
+    WITNESS_FIXED_BYTES,
     BinPartition,
     second_moment_lhs,
     witness_search,
@@ -309,3 +310,14 @@ def test_scans_peak_within_charged_bytes():
         (lambda: witness_search(p, tup, BinPartition(sizes=(3,)), 2 * p.N), WITNESS_BYTES, 3),
     ]:
         assert peak(fn) < n * (a + k * b)
+    # sparse witness windows (4 step^2 > n) hold their walk blocks however
+    # few points they have, which the fixed part of the charge covers
+    # (16,650 points at D0 = 13, N = 10^9 are charged 1.91x their peak or
+    # more, but take 12 s under tracemalloc)
+    five = AdmissibleTuple((0, 4, 16, 24, 40))
+    for D0, N in [(10, 10**4), (10, 10**5), (10, 700_000), (13, 10**8)]:
+        p = relaxed(N, 0.1, 1, D0)
+        for t, sizes in [(one, (1,)), (five, (5,))]:
+            n = len(window(p, t, 2 * N, (0, 0)))
+            charge = WITNESS_FIXED_BYTES + n * (WITNESS_BYTES[0] + t.k * WITNESS_BYTES[1])
+            assert 1.33 * peak(lambda: witness_search(p, t, BinPartition(sizes=sizes), 2 * N)) <= charge, (D0, N, sizes)
