@@ -49,6 +49,15 @@ def _round_floats(obj):
     return obj
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, ascending, from one sort and a comparison
+    of each value with its neighbour (np.unique hashes, which is slower)."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def _btau_json(table: quantum.BTauTable, indent: str):
     """The text json.dumps(indent=2, sort_keys=True) gives the rounded dict
     {"t1,...,td": b_tau} when its key's line starts with `indent`, as an
@@ -62,7 +71,7 @@ def _btau_json(table: quantum.BTauTable, indent: str):
     n, d = table.taus.shape
     if n == 0:
         return iter(["{}"])
-    parts = np.unique(np.concatenate([np.unique(column) for column in table.taus.T]))
+    parts = _distinct(np.concatenate([_distinct(column) for column in table.taus.T]))
     small = np.min_scalar_type(len(parts))  # small codes radix-sort
     index = np.empty((d, n), dtype=small)  # coded a column at a time
     for column, codes in zip(table.taus.T, index):
@@ -76,7 +85,8 @@ def _btau_json(table: quantum.BTauTable, indent: str):
     rank[np.argsort(names, kind="stable")] = np.arange(len(parts))
     order = np.lexsort(rank[index[::-1]])
     # each distinct value (by its bits, so -0.0 stays apart) is spelled once
-    bits, at = np.unique(table.values.view(np.int64), return_inverse=True)
+    bits = _distinct(table.values.view(np.int64))
+    at = np.searchsorted(bits, table.values.view(np.int64))
     spelled = map(repr, map(float, map("{:.12g}".format, bits.view(np.float64).tolist())))
     values = np.array([_JSON_NONFINITE.get(v, v) for v in spelled], dtype=bytes)
     # an entry's row: the lead, d slots of a name and the "," or '"' after
@@ -91,11 +101,12 @@ def _btau_json(table: quantum.BTauTable, indent: str):
         mat = np.empty((len(rows), len(template)), dtype=np.uint8)
         mat[:] = template
         keys = mat[:, len(lead) : len(lead) + slot * d].reshape(len(rows), d, slot)[:, :, :-1]
-        keys.view(names.dtype)[:, :, 0] = names[index[:, rows].T]
-        mat[:, -values.itemsize :].view(values.dtype)[:, 0] = values[at[rows]]
+        # take copies fixed-width items several times faster than [] does
+        keys.view(names.dtype)[:, :, 0] = names.take(index[:, rows].T)
+        mat[:, -values.itemsize :].view(values.dtype)[:, 0] = values.take(at[rows])
         if start == 0:
             mat[0, 0] = ord("{")
-        return str(mat[mat != 0].data, "ascii")
+        return mat.tobytes().translate(None, b"\0").decode("ascii")
 
     return chain(map(piece, range(0, n, _WRITE_ROWS)), ["\n" + indent + "}"])
 
@@ -489,10 +500,11 @@ def cmd_constants(cfg):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per subcommand.  Its (flag, type, default) list is the
-    one record of the config keys the command reads and its report echoes;
-    a default of None is worked out by the command, or means unset."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """One subparser per subcommand, or only the named command's when there
+    is one by that name.  Its (flag, type, default) list is the one record
+    of the config keys the command reads and its report echoes; a default
+    of None is worked out by the command, or means unset."""
     p = argparse.ArgumentParser(
         prog="twosquares",
         description="Empirical toolkit for sums-of-two-squares sieve experiments",
@@ -528,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         ("constants", cmd_constants, [pb]),
     ]
-    for name, fn, flags in commands:
+    for name, fn, flags in [c for c in commands if c[0] == command] or commands:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file; flags override it")
         sp.add_argument("--output", help="write the JSON report here instead of stdout")
@@ -544,7 +556,8 @@ _ERRORS = {ValidationError: (2, "validation"), ResourceGuardError: (3, "resource
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     t0 = time.perf_counter()
     try:
         _emit(report(args), args.output, (time.perf_counter() - t0) * 1000)

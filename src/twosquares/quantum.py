@@ -237,7 +237,8 @@ _WORD = 1 << 63  # packed keys are int64
 class BTauTable(Mapping):
     """Every non-zero b_tau of one family, held in columns.
 
-    taus        int64 (n_tau, d), rows in lexicographic order
+    taus        int64 (n_tau, d), rows in lexicographic order; all_btau
+                holds each column contiguous
     values      float64 b_tau, aligned with taus
     mixed       True where a cross-class pair contributes; exact is None there
     same_row, same_class, same_count
@@ -315,17 +316,41 @@ def _kernel_bytes(n: int, d: int, n_words: int) -> int:
     return 8 * (block * (2 * n_words + 2) + n * n * (3 * n_words + 2 * d + 8))
 
 
-def _distinct(keys: list[np.ndarray], counts: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Sort (keys, counts) rows by key and sum the counts of equal keys."""
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
-    keys = [k[order] for k in keys]
-    counts = counts[order]
-    new = np.zeros(len(counts), dtype=bool)
+def _new_rows(keys: list[np.ndarray]) -> np.ndarray:
+    """True at each row of sorted key columns that differs from the row
+    before it: the first row of each run of equal rows."""
+    new = np.zeros(len(keys[0]), dtype=bool)
     new[:1] = True
     for k in keys:
         new[1:] |= k[1:] != k[:-1]
-    start = np.flatnonzero(new)
-    return [k[start] for k in keys], np.add.reduceat(counts, start)
+    return new
+
+
+def _peel(x: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x // radix, x % radix) of x >= 0 by one floor division, which numpy
+    does by a multiply for a constant divisor; np.divmod is slower."""
+    q = x // radix
+    return q, x - q * radix
+
+
+def _block_distinct(keys: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """The distinct keys of a block of pairs that count 1 each, with their
+    counts: the sorted keys' runs and run lengths."""
+    if len(keys) == 1:
+        keys[0].sort()
+    else:
+        order = np.lexsort(keys[::-1])
+        keys = [k[order] for k in keys]
+    start = np.flatnonzero(_new_rows(keys))
+    return [k[start] for k in keys], np.diff(start, append=len(keys[0]))
+
+
+def _merge(keys: list[np.ndarray], counts: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Sort (keys, counts) rows by key and sum the counts of equal keys."""
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    keys = [k[order] for k in keys]
+    start = np.flatnonzero(_new_rows(keys))
+    return [k[start] for k in keys], np.add.reduceat(counts[order], start)
 
 
 def _same_floats(row, cls, count, classes, n_points: int, n_tau: int) -> np.ndarray:
@@ -353,7 +378,7 @@ def all_btau(family: CoefficientFamily) -> BTauTable:
     (a class is one (j, amp^2) value).  Each pair is one int64 key per
     word, the mixed-radix digits (tau_1..tau_d, c, c'), whose ranges are
     checked in exact integers before packing.  Rows are taken in blocks,
-    each block is reduced to distinct keys with counts and merged, so
+    each block is sorted to its distinct keys with counts and merged, so
     memory follows the distinct keys, not n^2 d.  A guard rejects the
     family up front when the kernel's peak bytes exceed errors.BYTE_BUDGET.
     """
@@ -392,33 +417,36 @@ def all_btau(family: CoefficientFamily) -> BTauTable:
     rows = max(1, _BLOCK_PAIRS // max(n, 1))
     for start in range(0, n, rows):
         block = [(u[start : start + rows, None] + v[None, :]).ravel() for u, v in halves]
-        bkeys, bcounts = _distinct(block, np.ones(len(block[0]), dtype=np.int64))
+        bkeys, bcounts = _block_distinct(block)
+        del block
         if counts.size:
-            bkeys, bcounts = _distinct(
-                [np.concatenate(pair) for pair in zip(keys, bkeys)],
-                np.concatenate((counts, bcounts)),
-            )
+            merged = [np.concatenate(pair) for pair in zip(keys, bkeys)]
+            bkeys, bcounts = _merge(merged, np.concatenate((counts, bcounts)))
         keys, counts = bkeys, bcounts
 
-    def decode(i: int) -> np.ndarray:
-        """Digit i of every distinct key, one column at a time."""
-        for word, key in zip(words, keys):
-            for digit, mult, radix in word:
-                if digit == i:
-                    return key // mult % radix
-
-    # tau rows start where any tau digit changes
-    new = np.zeros(len(counts), dtype=bool)
-    new[:1] = True
-    for c in range(d):
-        col = decode(c)
-        new[1:] |= col[1:] != col[:-1]
+    # the class digits end the last word or two: peel them off, and what is
+    # left of each word holds tau digits only
+    cxy = []
+    for w, word in enumerate(words):
+        tail = [radix for digit, _, radix in word if digit >= d]
+        if tail:
+            keys[w], low = _peel(keys[w], math.prod(tail))
+            cxy += _peel(low, tail[1]) if len(tail) == 2 else [low]
+            del low
+    cx, cy = cxy
+    # tau rows start where a remainder changes; their digits are peeled
+    # from those rows alone, into one contiguous column each
+    new = _new_rows([rem for word, rem in zip(words, keys) if word[0][0] < d])
+    n_tau = int(np.count_nonzero(new))
+    columns = np.empty((d, n_tau), dtype=np.int64)
+    for word, rem in zip(words, keys):
+        rem = rem[new]
+        for digit, _, radix in reversed(word):
+            if digit < d:
+                rem, columns[digit] = _peel(rem, radix)
+    del keys, rem
+    columns -= np.array(span, dtype=np.int64)[:, None]
     row = np.cumsum(new) - 1
-    n_tau = int(row[-1]) + 1 if n else 0
-    taus = np.empty((n_tau, d), dtype=np.int64)
-    for c in range(d):
-        taus[:, c] = decode(c)[new] - span[c]
-    cx, cy = decode(d), decode(d + 1)
 
     j_rank = {j: r for r, j in enumerate(sorted({j for j, _ in classes}))}
     j_of = np.array([j_rank[j] for j, _ in classes], dtype=np.int64)
@@ -426,13 +454,14 @@ def all_btau(family: CoefficientFamily) -> BTauTable:
     cross = ~same
     amp = np.array([float(a2) for _, a2 in classes], dtype=np.float64)
     # a_xi a_eta = sqrt(amp^2 amp'^2) once per pair, as the scalar b_tau takes it
+    cross_row = row[cross]
     cross_sum = np.bincount(
-        row[cross], weights=counts[cross] * np.sqrt(amp[cx[cross]] * amp[cy[cross]]), minlength=n_tau
+        cross_row, weights=counts[cross] * np.sqrt(amp[cx[cross]] * amp[cy[cross]]), minlength=n_tau
     )
-    mixed = np.bincount(row[cross], minlength=n_tau) > 0
+    mixed = np.bincount(cross_row, minlength=n_tau) > 0
     same_row, same_class, same_count = row[same], cx[same], counts[same]
     values = _same_floats(same_row, same_class, same_count, classes, n, n_tau) + cross_sum
-    return BTauTable(taus, values, mixed, same_row, same_class, same_count, classes)
+    return BTauTable(columns.T, values, mixed, same_row, same_class, same_count, classes)
 
 
 @dataclass(frozen=True)

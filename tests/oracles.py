@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import math
+from fractions import Fraction
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from twosquares.arith import g2, primes_up_to, trial_factorize
+from twosquares.arith import g2, multiplicative, primes_up_to, trial_factorize
 from twosquares.errors import ResourceGuardError, ValidationError
 from twosquares.quantum import CoefficientFamily
-from twosquares.sieve import TestFunctionSpec, sqrt_rule
+from twosquares.sieve import SieveParams, TestFunctionSpec, WeightTable, sqrt_rule
 
 
 def squarefree_products(primes: Sequence[int], bound: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
@@ -104,3 +106,56 @@ def embed(family: CoefficientFamily, extra_dims: int) -> CoefficientFamily:
     pad = (0,) * extra_dims
     support = {xi + pad: val for xi, val in family.support.items()}
     return CoefficientFamily(family.rule, family.k, family.d + extra_dims, family.M, support)
+
+
+def sJ_direct(
+    params: SieveParams,
+    table: WeightTable,
+    J: Sequence[int],
+    p1: int,
+    p2: int,
+    m: int,
+    f_rule: Callable[[int], Fraction],
+    g_rule: Callable[[int], Fraction] | None = None,
+) -> Fraction:
+    """Exact evaluation of the double sum over weight pairs:
+
+      sum over (d, e) with W, [d_1,e_1], ..., [d_k,e_k] pairwise coprime,
+      p1 | d_m, p2 | e_m, of lambda_d lambda_e prod_{i not in J} f([d_i,e_i])
+      prod_{j in J} g([d_j,e_j]).
+    """
+    k = table.k
+    if len(set(J)) != len(J) or any(not 0 <= j < k for j in J):
+        raise ValidationError("sJ_direct: bad J")
+    if len(J) > 2:
+        raise ValidationError("sJ_direct: |J| <= 2")
+    if k > 3:
+        raise ResourceGuardError("sJ_direct: k <= 3 only", cost_estimate=f"k={k}")
+    if g_rule is None and J:
+        raise ValidationError("sJ_direct: non-empty J needs a g rule")
+    Jset = set(J)
+    keys = list(table.entries)
+    if len(keys) ** 2 > 4e6:
+        raise ResourceGuardError(
+            "sJ_direct: too many weight pairs",
+            cost_estimate=f"{len(keys) ** 2:.1e} pairs",
+        )
+
+    total = Fraction(0)
+    for d in keys:
+        if d[m] % p1 != 0:
+            continue
+        lam_d = table.entries[d]
+        for e in keys:
+            if e[m] % p2 != 0:
+                continue
+            lcms = [di * ei // math.gcd(di, ei) for di, ei in zip(d, e)]
+            if any(math.gcd(lcms[i], lcms[j]) > 1 for i in range(k) for j in range(i + 1, k)):
+                continue
+            term = lam_d * table.entries[e]
+            for i in range(k):
+                if lcms[i] == 1:
+                    continue
+                term *= multiplicative(g_rule if i in Jset else f_rule, trial_factorize(lcms[i]).primes())
+            total += term
+    return total

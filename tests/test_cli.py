@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -459,19 +460,59 @@ TINY_ARGV = {
 UNSET_OR_WORKED_OUT = {"csv", "trend", "sum", "limit", "dim", "l", "mu", "t", "rows"}
 
 
+def subcommands(parser: argparse.ArgumentParser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 @pytest.mark.parametrize("command", list(TINY_ARGV))
 def test_subcommand_report_contract(capsys, command):
     # the report names its subcommand and echoes exactly the flags it
     # declares, each with the value that ran
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(TINY_ARGV)
-    declared = {a.dest for a in sub.choices[command]._actions} - {"help", "config", "output"}
+    choices = subcommands(cli.build_parser())
+    assert set(choices) == set(TINY_ARGV)
+    declared = {a.dest for a in choices[command]._actions} - {"help", "config", "output"}
     code, out = run(capsys, [command, *TINY_ARGV[command]])
     assert code == 0
     rep = json.loads(out)
     assert set(rep) == {"experiment", "config", "results", "diagnostics", "timestamp"}
     assert rep["experiment"] == command and set(rep["config"]) == declared
     assert {flag for flag, value in rep["config"].items() if value is None} <= UNSET_OR_WORKED_OUT
+
+
+@pytest.mark.parametrize("command", list(TINY_ARGV))
+def test_one_subparser_parses_as_the_full_parser(monkeypatch, tmp_path, command):
+    # main declares only the named command's subparser, and it gives the
+    # namespace, and so the resolved config, that the full parser gives
+    argv = [command, *TINY_ARGV[command], "--output", str(tmp_path / "report.json")]
+    built, seen = [], []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(build(*a)) or built[-1])
+    monkeypatch.setattr(cli, "report", lambda args: seen.append(args) or {"experiment": args.command})
+    assert cli.main(argv) == 0
+    assert list(subcommands(built[0])) == [command]
+    full = build().parse_args(argv)
+    assert seen[0] == full
+    assert cli._resolve(seen[0]) == cli._resolve(full)
+
+
+@pytest.mark.parametrize("command", list(TINY_ARGV))
+def test_subcommand_help_lists_its_flags(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        cli.main([command, "-h"])
+    assert stop.value.code == 0
+    listed = set(re.findall(r"--?[\w-]+", capsys.readouterr().out))
+    declared = {opt for a in subcommands(cli.build_parser())[command]._actions for opt in a.option_strings}
+    assert {"--config", "--output"} < declared <= listed
+
+
+@pytest.mark.parametrize("argv, code", [(["-h"], 0), (["no-such-command"], 2), ([], 2)])
+def test_top_level_usage_lists_every_command(capsys, argv, code):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == code
+    captured = capsys.readouterr()
+    choices = re.search(r"\{([\w,-]+)\}", captured.out + captured.err).group(1)
+    assert choices.split(",") == list(TINY_ARGV) == list(subcommands(cli.build_parser()))
 
 
 def traced_peak(fn):

@@ -235,13 +235,68 @@ def test_btau_table_wide_coordinates_and_large_denominators():
             assert table[tau].value == float(b_tau(fam, tau).exact)
 
 
+TABLE_FIELDS = ("taus", "values", "mixed", "same_row", "same_class", "same_count")
+
+
 def test_btau_table_blocks_merge_to_one_table(monkeypatch):
     fam = build_family("ql_i", FamilyInputs(k=3, M=M, a=LEGS, d=4))
     whole = all_btau(fam)
     monkeypatch.setattr(quantum, "_BLOCK_PAIRS", 5)  # one row of 12 points per block
     blocked = all_btau(fam)
-    for field in ("taus", "values", "mixed", "same_row", "same_class", "same_count"):
+    for field in TABLE_FIELDS:
         assert np.array_equal(getattr(whole, field), getattr(blocked, field)), field
+
+
+def nine_class_family() -> CoefficientFamily:
+    # 15 points of the 5 x 5 grid in 9 classes: every digit has radix 9, and
+    # j = 1 and j = 2 hold two amplitudes each, so same-j pairs of two
+    # classes and cross-j pairs both occur
+    rng = random.Random(3)
+    grid = [(x, y) for x in range(5) for y in range(5)]
+    points = [(0, 0), (4, 4)] + rng.sample(grid[1:-1], 13)
+    classes = [(1, Fraction(1, 3)), (1, Fraction(1, 5)), (2, Fraction(2, 7)), (2, Fraction(1, 7))]
+    classes += [(j, Fraction(1, j + 2)) for j in range(3, 8)]
+    return CoefficientFamily("main", 1, 2, 0, {p: classes[i % 9] for i, p in enumerate(points)})
+
+
+@pytest.mark.parametrize(
+    "word, layout",
+    [
+        (2**6, [[0], [1], [2], [3]]),  # each class digit alone in its word
+        (2**9, [[0, 1], [2, 3]]),  # the class digits alone in one word
+        (2**12, [[0, 1, 2], [3]]),  # one class digit ends a word of tau digits
+    ],
+)
+def test_btau_table_digits_peeled_across_words(monkeypatch, word, layout):
+    # the class digits are peeled off the words they end, and tau rows and
+    # digits are read from what is left, however _pack splits the digits
+    fam = nine_class_family()
+    whole = all_btau(fam)
+    monkeypatch.setattr(quantum, "_WORD", word)
+    assert [[digit for digit, _, _ in w] for w in quantum._pack([9] * 4)] == layout
+    split = all_btau(fam)
+    for field in TABLE_FIELDS:
+        assert np.array_equal(getattr(whole, field), getattr(split, field)), field
+    assert split.mixed.any() and not split.mixed.all()
+    _assert_table_matches_oracle(fam, split)
+
+
+@pytest.mark.parametrize("k, block_pairs", [(2, None), (3, None), (4, None), (3, 2**14)])
+def test_btau_kernel_peak_within_its_charge(monkeypatch, k, block_pairs):
+    # the byte guard charges the kernel at least 1.33x its tracemalloc peak,
+    # on one block and on several merged ones
+    if block_pairs:
+        monkeypatch.setattr(quantum, "_BLOCK_PAIRS", block_pairs)
+    fam = build_family("ql_ii", FamilyInputs(k=k, M=M, a=LEGS, d=5))
+    n = len(fam.support)
+    assert block_pairs is None or n * n > 4 * block_pairs
+    tracemalloc.start()
+    try:
+        all_btau(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert quantum._kernel_bytes(n, 5, 1) >= 1.33 * peak
 
 
 def test_btau_table_is_a_read_only_mapping():

@@ -38,13 +38,12 @@ from twosquares.sieve import (
     s1_pair_expansion,
     s_direct,
     s_predicted,
-    sJ_direct,
     single_bin_spec,
     tech_sum_check,
     y_from_lambda,
 )
 
-from oracles import functional_tensor_quadrature, squarefree_products
+from oracles import functional_tensor_quadrature, sJ_direct, squarefree_products
 
 
 def relaxed(N, t1, t2, D0):

@@ -104,7 +104,6 @@ KEPT_UNREAD = {
     "convolution_transform": "documented number-theory helper",
     "ramanujan_sum": "documented number-theory helper",
     "tau_k": "documented number-theory helper",
-    "sJ_direct": "the direct S_J oracle that the S_J main-term check will read",
 }
 
 
