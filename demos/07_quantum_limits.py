@@ -12,7 +12,6 @@ import math
 from twosquares import FamilyInputs, b_tau, build_family, ctau_limit, enumerate_shell
 from twosquares.quantum import (
     all_btau,
-    constant_M_inputs,
     lp_partial_sum,
     mass_lower_bound,
     representation_growth_report,
@@ -33,7 +32,7 @@ for i in (1, 2):
     coef = b_tau(fam, (2 * legs[i - 1], 0, 0))
     print(f"  b at (2 a_{i}, 0, 0): {coef.value:.6f} (exact {coef.exact})")
 
-lim = ctau_limit("main", constant_M_inputs(M, legs, 12), (2 * legs[0], 0, 0), 12)
+lim = ctau_limit(build_family("main", FamilyInputs(k=12, M=M, a=legs)), (2 * legs[0], 0, 0))
 print(f"\nlimit estimate at k = 12: {lim.value:.8f} (target 0.25, diagnostic {lim.convergence_diagnostic:.1e})")
 
 fam4 = build_family("ql_i", FamilyInputs(k=3, M=M, a=legs, d=4))

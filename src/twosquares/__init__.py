@@ -13,23 +13,19 @@ from .arith import (
     Factorization,
     build_factor_table,
     chi4,
-    euler_phi,
     g_function,
     is_sum_of_two_squares,
-    mobius,
     r2,
     r2_lattice_range,
     r2_on,
-    ramanujan_sum,
     rd_bruteforce,
     rd_square_identity,
     sigma,
-    tau_k,
 )
 from .constants import ConstantEstimate, landau_ramanujan_A, special_constants
 from .errors import InternalError, ResourceGuardError, ValidationError
 from .hooley import rho, rho_on, t_weight
-from .ap_sums import APQuery, run_experiment
+from .ap_sums import APQuery
 from .aux_sums import AuxParams
 from .report import CorrelationReport
 from .sieve import (

@@ -150,10 +150,6 @@ def empirical_trend_r(query: APQuery, Ns: Sequence[int]) -> list[int]:
     return _trend(validate_single, query, Ns, [(0, query.d)], [0], lambda r: r.sum(dtype=np.int64))
 
 
-def empirical_sum_r(query: APQuery) -> int:
-    return empirical_trend_r(query, [query.N])[0]
-
-
 def predicted_sum_r(query: APQuery) -> float:
     validate_single(query)
     gq = float(g1(trial_factorize(query.q)))
@@ -207,14 +203,10 @@ def empirical_trend_rr(query: APQuery, Ns: Sequence[int]) -> list[int]:
     return _trend(validate_pair, query, Ns, extra, [0, query.h], product)
 
 
-def empirical_sum_rr(query: APQuery) -> int:
-    return empirical_trend_rr(query, [query.N])[0]
-
-
-def predicted_sum_rr(query: APQuery, tail_prime_bound: int = 10**6) -> float:
+def predicted_sum_rr(query: APQuery) -> float:
     validate_pair(query)
     gq = float(g1(trial_factorize(query.q)))
-    gamma = gamma_singular_series(query.d1, query.d2, query.q, tail_prime_bound)
+    gamma = gamma_singular_series(query.d1, query.d2, query.q)
     return gq * gq * gamma.value / query.q * math.pi**2 * query.N
 
 
@@ -226,10 +218,6 @@ def predicted_sum_rr(query: APQuery, tail_prime_bound: int = 10**6) -> float:
 def empirical_trend_r2(query: APQuery, Ns: Sequence[int]) -> list[int]:
     square = lambda r: np.square(r, dtype=np.int64).sum()
     return _trend(validate_single, query, Ns, [(0, query.d)], [0], square)
-
-
-def empirical_sum_r2(query: APQuery) -> int:
-    return empirical_trend_r2(query, [query.N])[0]
 
 
 def predicted_sum_r2(query: APQuery) -> float:
@@ -272,7 +260,3 @@ def run_trend(name: str, query: APQuery, Ns: Sequence[int]) -> list[CorrelationR
         CorrelationReport(name, float(emp), pred_fn(replace(query, N=N)), N, params)
         for N, emp in zip(Ns, emp_fn(query, Ns))
     ]
-
-
-def run_experiment(name: str, query: APQuery) -> CorrelationReport:
-    return run_trend(name, query, [query.N])[0]

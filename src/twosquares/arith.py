@@ -2,7 +2,7 @@
 representation counts r_d(n), and the g_1..g_7 prime-rule functions.
 
 Everything here is a pure function of its inputs.  Values that must stay
-exact (g-function values, convolution transforms) are fractions.Fraction.
+exact (g-function values) are fractions.Fraction.
 Each g rule's per-prime formula is written once, in _G_RULES, and read by
 two evaluators: g_function, exact over the primes of one n, and g_rows, in
 float64 over every row of a squarefree_table prime matrix.
@@ -187,33 +187,10 @@ def primes_up_to(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def mobius(f: Factorization) -> int:
-    if any(e >= 2 for _, e in f.pairs):
-        return 0
-    return -1 if len(f.pairs) % 2 else 1
-
-
-def euler_phi(f: Factorization) -> int:
-    out = 1
-    for p, e in f.pairs:
-        out *= (p - 1) * p ** (e - 1)
-    return out
-
-
 def sigma(f: Factorization) -> int:
     out = 1
     for p, e in f.pairs:
         out *= (p ** (e + 1) - 1) // (p - 1)
-    return out
-
-
-def tau_k(f: Factorization, k: int) -> int:
-    """Number of ordered factorisations of n into k parts: prod C(e+k-1, k-1)."""
-    if k < 1:
-        raise ValidationError(f"tau_k: k={k} must be >= 1")
-    out = 1
-    for _, e in f.pairs:
-        out *= math.comb(e + k - 1, k - 1)
     return out
 
 
@@ -481,53 +458,6 @@ def g_rows(gid: int, P: np.ndarray) -> np.ndarray:
         else:
             out[live] *= c
     return out
-
-
-# ---------------------------------------------------------------------------
-# Ramanujan sums and convolution transforms
-# ---------------------------------------------------------------------------
-
-
-def ramanujan_sum(r: int, h: int) -> int:
-    """c_r(h) = sum over (a,r)=1 of e(ah/r), via mu(r/g) phi(r)/phi(r/g), g=(r,h)."""
-    if r < 1:
-        raise ValidationError(f"ramanujan_sum: r={r} must be >= 1")
-    g = math.gcd(r, h)
-    m = r // g
-    fm = trial_factorize(m)
-    mu_m = mobius(fm)
-    if mu_m == 0:
-        return 0
-    phi_r = euler_phi(trial_factorize(r))
-    phi_m = euler_phi(fm)
-    val = Fraction(mu_m * phi_r, phi_m)
-    if val.denominator != 1:
-        raise AssertionError(f"ramanujan_sum({r},{h}) not an integer: {val}")
-    return int(val)
-
-
-def convolution_transform(
-    kind: str, base: Callable[[int], Fraction], f: Factorization
-) -> Fraction:
-    """Multiplicative transforms of a prime rule, on squarefree arguments.
-
-    kind "f_star"/"g_star":    p -> (1 - base(p)) / base(p)   (mu * 1/base)
-    kind "f_dstar"/"g_dstar":  p -> 1 - p * base(p)           (iota mu base * 1)
-    """
-    if kind not in ("f_star", "g_star", "f_dstar", "g_dstar"):
-        raise ValidationError(f"convolution_transform: unknown kind {kind!r}")
-    if not f.is_squarefree():
-        raise ValidationError(f"convolution_transform: argument {f.n} is not squarefree")
-
-    def transform(p: int) -> Fraction:
-        bp = Fraction(base(p))
-        if kind in ("f_dstar", "g_dstar"):
-            return 1 - p * bp
-        if bp == 0:
-            raise ValidationError(f"convolution_transform: base({p}) = 0")
-        return (1 - bp) / bp
-
-    return multiplicative(transform, f.primes())
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,15 @@ def num(text) -> int:
     return int(value)
 
 
+def real(text) -> float:
+    """A finite float; nan, inf and 1e400 raise ValueError, so argparse and
+    --config report them as usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _numbers(text: str, flag: str, parse=num) -> tuple:
     """The entries of a comma list, each through parse; empty ones are skipped."""
     out = []
@@ -162,7 +171,7 @@ def _numbers(text: str, flag: str, parse=num) -> tuple:
         try:
             out.append(parse(x))
         except ValueError:
-            raise ValidationError(f"{flag}: entry {x!r} is not {'an integer' if parse is num else 'a number'}") from None
+            raise ValidationError(f"{flag}: entry {x!r} is not {'an integer' if parse is num else 'a finite number'}") from None
     return tuple(out)
 
 
@@ -175,7 +184,7 @@ def _bin_sizes(text: str) -> tuple[int, ...]:
         if colon and pos != str(i):
             raise ValidationError(f"--bins: entry {part!r} must have position {i}")
         try:
-            sizes.append(int(size))
+            sizes.append(num(size))
         except ValueError:
             raise ValidationError(f"--bins: entry {part!r} has no integer size") from None
     return tuple(sizes)
@@ -335,17 +344,15 @@ def cmd_sieve_run(cfg):
 
 def cmd_tech_sum(cfg):
     params = _sieve_params(cfg)
-    f_rules = {"reciprocal": lambda p: Fraction(1, p)}
-    g_rules = {"one": lambda x: 1.0, "linear": lambda x: 1.0 - x}
-    fr, gr = f_rules.get(cfg["f_rule"]), g_rules.get(cfg["G_rule"])
-    if fr is None or gr is None:
+    G = {"one": lambda x: 1.0, "linear": lambda x: 1.0 - x}.get(cfg["G_rule"])
+    if G is None:
         raise ValidationError("tech-sum: unknown rule")
-    rep = sieve.tech_sum_check(params, fr, gr, cfg["prime_bound"])
+    rep = sieve.tech_sum_check(params, G, cfg["prime_bound"])
     return [rep.as_dict()], list(params.warnings)
 
 
 def cmd_c_gamma(cfg):
-    res = sieve.c_gamma_check(_sieve_params(cfg), None, cfg["prime_bound"])
+    res = sieve.c_gamma_check(cfg["D0"], cfg["prime_bound"])
     return [
         {
             "truncated": res["truncated"].value,
@@ -367,7 +374,7 @@ def cmd_certificate(cfg):
         mu, t, warn = bins.default_mu_t(sizes, 1 / 40, 1 / 40)
         warn = [f"mu/t defaulted from exponents 1/40, 1/40: mu={mu}, t={t}"] + warn
     else:
-        mu, t = _numbers(cfg["mu"], "--mu", float), _numbers(cfg["t"], "--t", float)
+        mu, t = _numbers(cfg["mu"], "--mu", real), _numbers(cfg["t"], "--t", real)
         warn = []
     part = bins.BinPartition(sizes=sizes, mu=mu, t=t)
     table = sieve.lambda_from_F(params, part.spec())
@@ -463,9 +470,7 @@ def cmd_quantum(cfg):
             )
         elif what == "limits":
             tau = _numbers(cfg["tau"], "--tau")
-            lim = quantum.ctau_limit(
-                rule, quantum.constant_M_inputs(M, a, k, d), tau, k
-            )
+            lim = quantum.ctau_limit(fam, tau)
             results.append(
                 {
                     "tau": list(tau),
@@ -511,22 +516,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
     # flags that several subcommands share
-    N, D0, beta = ("N", num, 10**4), ("D0", int, 1), ("beta", float, 1.0)
+    N, D0, beta = ("N", num, 10**4), ("D0", num, 1), ("beta", real, 1.0)
     pb, csv = ("prime_bound", num, 10**6), ("csv", str, None)
-    window = [N, ("theta1", float, 0.1), ("theta2", float, 1.0), D0]
+    window = [N, ("theta1", real, 0.1), ("theta2", real, 1.0), D0]
     bin_flags = [("tuple", str, "0,4,16"), ("bins", str, "1:1,2:2")]
     commands = [
         ("build-table", cmd_build_table, [N]),
         (
             "ap-sums",
             cmd_ap_sums,
-            [("sum", str, None), N, ("q", int, 1), ("a", int, 1), ("d", int, 1), ("d1", int, 1), ("d2", int, 1), ("h", int, 4), ("trend", str, None), csv],
+            [("sum", str, None), N, ("q", num, 1), ("a", num, 1), ("d", num, 1), ("d1", num, 1), ("d2", num, 1), ("h", num, 4), ("trend", str, None), csv],
         ),
         ("aux-sums", cmd_aux_sums, [("v", num, 10**4), D0, ("which", str, "x"), pb]),
-        ("functionals", cmd_functionals, [("k", int, 2), beta]),
-        ("sieve-run", cmd_sieve_run, [*window, ("tuple", str, "0,4"), beta, ("which", str, "S1"), ("m", int, 0), ("l", int, None)]),
-        ("tech-sum", cmd_tech_sum, [*window, ("f_rule", str, "reciprocal"), ("G_rule", str, "one"), pb]),
-        ("c-gamma", cmd_c_gamma, [*window, pb]),
+        ("functionals", cmd_functionals, [("k", num, 2), beta]),
+        ("sieve-run", cmd_sieve_run, [*window, ("tuple", str, "0,4"), beta, ("which", str, "S1"), ("m", num, 0), ("l", num, None)]),
+        ("tech-sum", cmd_tech_sum, [*window, ("G_rule", str, "one"), pb]),
+        ("c-gamma", cmd_c_gamma, [D0, pb]),
         ("certificate", cmd_certificate, [*window, *bin_flags, ("mu", str, None), ("t", str, None)]),
         ("witness-search", cmd_witness_search, [*window, ("limit", num, None), *bin_flags, csv]),
         ("pigeonhole", cmd_pigeonhole, [("rows", str, None)]),
@@ -534,8 +539,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "quantum",
             cmd_quantum,
             [
-                ("what", str, "shell"), ("n", num, 5), ("dim", int, None), ("rule", str, "main"), ("M", num, 32045),
-                ("a_list", str, "2,19,46,67,74,86,109,122"), ("k", int, 2), ("tau", str, "0,0,0"), ("epsilon", float, 0.5), csv,
+                ("what", str, "shell"), ("n", num, 5), ("dim", num, None), ("rule", str, "main"), ("M", num, 32045),
+                ("a_list", str, "2,19,46,67,74,86,109,122"), ("k", num, 2), ("tau", str, "0,0,0"), ("epsilon", real, 0.5), csv,
             ],
         ),
         ("constants", cmd_constants, [pb]),

@@ -469,32 +469,27 @@ class LimitEstimate:
     tau: tuple[int, ...]
     value: float
     exact: Fraction | None
-    convergence_diagnostic: float  # |b_tau(k_max) - b_tau(k_max - 1)|
+    convergence_diagnostic: float  # |b_tau(k) - b_tau(k - 1)|
 
 
-def constant_M_inputs(
-    M: int, a: Sequence[int], k_max: int, d: int = 3
-) -> list[FamilyInputs]:
-    """Per-k inputs reusing one shell level M for every k <= k_max."""
-    return [FamilyInputs(k, M, tuple(a), d) for k in range(1, k_max + 1)]
+def family_below(family: CoefficientFamily) -> CoefficientFamily:
+    """The family at k - 1 on the same shell and a_j: the classes j < k,
+    each amp^2 rescaled exactly from the prefactor 2^k/(2^k-1) to
+    2^(k-1)/(2^(k-1)-1), in the order build_family puts them."""
+    k = family.k
+    scale = Fraction(2 ** (k - 1), 2 ** (k - 1) - 1) / Fraction(2**k, 2**k - 1)
+    support = {xi: (j, a2 * scale) for xi, (j, a2) in family.support.items() if j < k}
+    return CoefficientFamily(family.rule, k - 1, family.d, family.M, support)
 
 
-def ctau_limit(
-    rule: str, inputs_by_k: Sequence[FamilyInputs], tau: Sequence[int], k_max: int
-) -> LimitEstimate:
-    """b_tau(k_max) as the limit estimate, with |b(k_max) - b(k_max-1)| as
-    the convergence diagnostic (the prefactor contracts geometrically)."""
-    if k_max < 2:
-        raise ValidationError("ctau_limit: k_max >= 2 so a difference exists")
-    if len(inputs_by_k) < k_max:
-        raise ValidationError("ctau_limit: need inputs for every k <= k_max")
-    fam_prev = build_family(rule, inputs_by_k[k_max - 2])
-    fam_last = build_family(rule, inputs_by_k[k_max - 1])
-    b_prev = b_tau(fam_prev, tau)
-    b_last = b_tau(fam_last, tau)
-    return LimitEstimate(
-        tuple(tau), b_last.value, b_last.exact, abs(b_last.value - b_prev.value)
-    )
+def ctau_limit(family: CoefficientFamily, tau: Sequence[int]) -> LimitEstimate:
+    """b_tau(k) of the family as the limit estimate, with |b(k) - b(k-1)|
+    as the convergence diagnostic (the prefactor contracts geometrically);
+    the k - 1 family is family_below(family)."""
+    if family.k < 2:
+        raise ValidationError("ctau_limit: k >= 2 so a difference exists")
+    b_prev, b_last = b_tau(family_below(family), tau), b_tau(family, tau)
+    return LimitEstimate(tuple(tau), b_last.value, b_last.exact, abs(b_last.value - b_prev.value))
 
 
 # ---------------------------------------------------------------------------

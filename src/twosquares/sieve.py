@@ -23,7 +23,6 @@ from .arith import (
     crt,
     divisor_incidence,
     floor_power,
-    multiplicative,
     on_shifts,
     primes_up_to,
     progression_slice,
@@ -473,7 +472,6 @@ def s_predicted(
     spec: TestFunctionSpec,
     m: int = 0,
     l: int = 1,
-    prime_bound: int = 10**6,
 ) -> float:
     """Predicted main terms of the four sieve sums.
 
@@ -486,7 +484,7 @@ def s_predicted(
     k = tup.k
     if spec.k != k:
         raise ValidationError("s_predicted: spec arity != tuple size")
-    B = b_constant(params, prime_bound).value
+    B = b_constant(params).value
     N, W = params.N, params.W
     logR, logv = math.log(params.R), math.log(params.v)
     if which == "S1":
@@ -719,18 +717,14 @@ def s1_pair_expansion(
 
 
 def tech_sum_check(
-    params: SieveParams,
-    f_rule: Callable[[int], Fraction],
-    G: Callable[[float], float],
-    prime_bound: int = 10**6,
+    params: SieveParams, G: Callable[[float], float], prime_bound: int = 10**6
 ) -> CorrelationReport:
-    """Direct sum over the support of mu^2(d) f(d) G(log d / log R) against
+    """Direct sum over the squarefree support of G(log d / log R)/d against
     the predicted B * int_0^1 G(x) dx/sqrt(x)."""
     logR = math.log(params.R) if params.R > 1 else 1.0
     total = 0.0
-    vals, _, P = _support(params.R, params.W)
-    for dd, ps in zip(vals.tolist(), P.tolist()):
-        total += float(multiplicative(f_rule, ps)) * G(math.log(dd) / logR if dd > 1 else 0.0)
+    for dd in enumerate_support(params.R, params.W):
+        total += 1 / dd * G(math.log(dd) / logR if dd > 1 else 0.0)
     B = b_constant(params, prime_bound).value
     x, w = sqrt_rule(1.0)
     pred = B * float(w @ np.array([G(xi) for xi in x.tolist()]))
@@ -743,13 +737,9 @@ def tech_sum_check(
     )
 
 
-def c_gamma_check(
-    params: SieveParams,
-    alpha_rule: Callable[[int], float] | None = None,
-    prime_bound: int = 10**6,
-) -> dict:
-    """Singular product c_gamma for gamma(p) = 1 + alpha(p) on p coprime to
-    W with p = 3 mod 4 (0 elsewhere), against the closed form
+def c_gamma_check(D0: int, prime_bound: int = 10**6) -> dict:
+    """Singular product c_gamma for gamma(p) = 1 on the primes p = 3 mod 4
+    above D0, which W leaves out (0 elsewhere), against the closed form
     A/sqrt(L(1,chi4)) * phi(W3)/W3.
 
     The infinite product prod (1 - gamma(p)/p)^(-1) (1 - 1/p)^(1/2) only
@@ -758,16 +748,15 @@ def c_gamma_check(
     known L(1,chi4)^(-1/2) = (pi/4)^(-1/2); the regrouped factors are
     1 + O(p^-2) and the partial products converge absolutely.
     """
+    *_, phi_w3 = w_split(D0)
     ps = primes_up_to(prime_bound)
     chi = np.where(ps % 4 == 1, 1.0, -1.0)
     chi[ps == 2] = 0.0
-    on = np.flatnonzero((ps % 4 == 3) & (ps > params.D0))  # W3 holds the primes 3 mod 4 up to D0
-    gamma = np.zeros(len(ps))
-    gamma[on] = 1.0 if alpha_rule is None else [1.0 + alpha_rule(p) for p in ps[on].tolist()]
+    gamma = ((ps % 4 == 3) & (ps > D0)).astype(np.float64)  # W3 holds the primes 3 mod 4 up to D0
     terms = -np.log1p(-gamma / ps) + 0.5 * np.log1p(-1.0 / ps) - 0.5 * np.log1p(-chi / ps)
     truncated = math.exp(-0.5 * math.log(math.pi / 4.0) + float(terms.sum()))
     A = landau_ramanujan_A(prime_bound).value
-    closed = A / math.sqrt(math.pi / 4.0) * params.phi_W3
+    closed = A / math.sqrt(math.pi / 4.0) * phi_w3
     return {
         "truncated": ConstantEstimate(
             truncated,
@@ -776,5 +765,4 @@ def c_gamma_check(
         ),
         "closed_form": closed,
         "slack": abs(truncated - closed),
-        "D0": params.D0,
     }

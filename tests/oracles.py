@@ -8,7 +8,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from twosquares.arith import g2, multiplicative, primes_up_to, trial_factorize
+from twosquares.arith import Factorization, g2, multiplicative, primes_up_to, trial_factorize
 from twosquares.errors import ResourceGuardError, ValidationError
 from twosquares.quantum import CoefficientFamily
 from twosquares.sieve import SieveParams, TestFunctionSpec, WeightTable, sqrt_rule
@@ -159,3 +159,68 @@ def sJ_direct(
                 term *= multiplicative(g_rule if i in Jset else f_rule, trial_factorize(lcms[i]).primes())
             total += term
     return total
+
+
+def mobius(f: Factorization) -> int:
+    if any(e >= 2 for _, e in f.pairs):
+        return 0
+    return -1 if len(f.pairs) % 2 else 1
+
+
+def euler_phi(f: Factorization) -> int:
+    out = 1
+    for p, e in f.pairs:
+        out *= (p - 1) * p ** (e - 1)
+    return out
+
+
+def tau_k(f: Factorization, k: int) -> int:
+    """Number of ordered factorisations of n into k parts: prod C(e+k-1, k-1)."""
+    if k < 1:
+        raise ValidationError(f"tau_k: k={k} must be >= 1")
+    out = 1
+    for _, e in f.pairs:
+        out *= math.comb(e + k - 1, k - 1)
+    return out
+
+
+def ramanujan_sum(r: int, h: int) -> int:
+    """c_r(h) = sum over (a,r)=1 of e(ah/r), via mu(r/g) phi(r)/phi(r/g), g=(r,h)."""
+    if r < 1:
+        raise ValidationError(f"ramanujan_sum: r={r} must be >= 1")
+    g = math.gcd(r, h)
+    m = r // g
+    fm = trial_factorize(m)
+    mu_m = mobius(fm)
+    if mu_m == 0:
+        return 0
+    phi_r = euler_phi(trial_factorize(r))
+    phi_m = euler_phi(fm)
+    val = Fraction(mu_m * phi_r, phi_m)
+    if val.denominator != 1:
+        raise AssertionError(f"ramanujan_sum({r},{h}) not an integer: {val}")
+    return int(val)
+
+
+def convolution_transform(
+    kind: str, base: Callable[[int], Fraction], f: Factorization
+) -> Fraction:
+    """Multiplicative transforms of a prime rule, on squarefree arguments.
+
+    kind "f_star"/"g_star":    p -> (1 - base(p)) / base(p)   (mu * 1/base)
+    kind "f_dstar"/"g_dstar":  p -> 1 - p * base(p)           (iota mu base * 1)
+    """
+    if kind not in ("f_star", "g_star", "f_dstar", "g_dstar"):
+        raise ValidationError(f"convolution_transform: unknown kind {kind!r}")
+    if not f.is_squarefree():
+        raise ValidationError(f"convolution_transform: argument {f.n} is not squarefree")
+
+    def transform(p: int) -> Fraction:
+        bp = Fraction(base(p))
+        if kind in ("f_dstar", "g_dstar"):
+            return 1 - p * bp
+        if bp == 0:
+            raise ValidationError(f"convolution_transform: base({p}) = 0")
+        return (1 - bp) / bp
+
+    return multiplicative(transform, f.primes())

@@ -23,9 +23,9 @@ import pytest
 
 from twosquares.ap_sums import (
     APQuery,
-    empirical_sum_r,
-    empirical_sum_r2,
-    empirical_sum_rr,
+    empirical_trend_r,
+    empirical_trend_r2,
+    empirical_trend_rr,
     gamma_singular_series,
     predicted_sum_r,
     predicted_sum_r2,
@@ -52,7 +52,6 @@ from twosquares.quantum import (
     FamilyInputs,
     b_tau,
     build_family,
-    constant_M_inputs,
     ctau_limit,
     mass_lower_bound,
 )
@@ -186,10 +185,10 @@ def test_criterion_05_ap_r_sums():
     details = []
     for q, a, d in ((1, 0, 1), (3, 1, 1), (1, 0, 5)):
         errs = []
-        for N in (10**4, 10**5, 10**6, 10**7):
-            qq = APQuery(N=N, q=q, a=a, d=d)
-            emp = empirical_sum_r(qq)
-            errs.append(abs(emp - predicted_sum_r(qq)) / predicted_sum_r(qq))
+        Ns = (10**4, 10**5, 10**6, 10**7)
+        for N, emp in zip(Ns, empirical_trend_r(APQuery(N=Ns[-1], q=q, a=a, d=d), Ns)):
+            pred = predicted_sum_r(APQuery(N=N, q=q, a=a, d=d))
+            errs.append(abs(emp - pred) / pred)
         at6 = errs[2]
         ok = ok and at6 < 0.02 and _trend(errs) <= 1
         details.append(f"(q={q},d={d}): err@1e6={at6:.2e}, inversions={_trend(errs)}")
@@ -204,11 +203,8 @@ def test_criterion_05_ap_r_sums():
 
 def test_criterion_06_ap_rr_sums(r2_1e7):
     samples = (10**4, 10**5, 10**6, 10**7)
-    emps, preds = [], []
-    for N in samples:
-        qq = APQuery(N=N, q=1, d1=1, d2=1, h=4)
-        emps.append(empirical_sum_rr(qq))
-        preds.append(predicted_sum_rr(qq))
+    emps = empirical_trend_rr(APQuery(N=samples[-1], q=1, d1=1, d2=1, h=4), samples)
+    preds = [predicted_sum_rr(APQuery(N=N, q=1, d1=1, d2=1, h=4)) for N in samples]
     errs = [abs(e - p) / p for e, p in zip(emps, preds)]
     # The point errors oscillate (the signed error changes sign hundreds to
     # thousands of times per decade, and the N = 1e5 sum is exactly 8N), so
@@ -253,14 +249,12 @@ def test_criterion_07_ap_r2_sums(r2_1e7):
     errs, full_errs = [], []
     identity_ok = True
     for N in (10**5, 10**6, 10**7):
-        emp = empirical_sum_r2(APQuery(N=N))
+        [emp] = empirical_trend_r2(APQuery(N=N), [N])
         stated = (math.log(N) + a2) * N  # the displayed main term
         displayed = abs(emp - stated) / stated
         errs.append(abs(emp - 2 * stated) / (2 * stated))
         full = int((r2_1e7[1 : N + 1] ** 2).sum())
-        folded = sum(
-            empirical_sum_r2(APQuery(N=N >> a)) for a in range(N.bit_length())
-        )
+        folded = sum(empirical_trend_r2(APQuery(N=N), [N >> a for a in range(N.bit_length())]))
         identity_ok = identity_ok and full == folded
         classical = 4 * N * (math.log(N) + a2 - math.log(2))
         full_errs.append(abs(full - classical) / classical)
@@ -381,7 +375,7 @@ def test_criterion_11_quantum_limits():
             }
         )
     )
-    lim = ctau_limit("main", constant_M_inputs(M2, legs2, 20), (2 * legs2[0], 0, 0), 20)
+    lim = ctau_limit(build_family("main", FamilyInputs(k=20, M=M2, a=legs2)), (2 * legs2[0], 0, 0))
     limit_ok = abs(lim.value - 0.25) < 1e-6
     # displayed lower bounds as inequalities on computed instances
     bounds_ok = True

@@ -9,14 +9,13 @@ from hypothesis import given, strategies as st
 from twosquares import ap_sums
 from twosquares.ap_sums import (
     APQuery,
-    empirical_sum_r,
-    empirical_sum_r2,
-    empirical_sum_rr,
+    empirical_trend_r,
+    empirical_trend_r2,
+    empirical_trend_rr,
     gamma_singular_series,
     predicted_sum_r,
     predicted_sum_r2,
     predicted_sum_rr,
-    run_experiment,
     run_trend,
     validate_pair,
     validate_single,
@@ -30,10 +29,10 @@ from oracles import gamma_direct_sum
 
 def test_empirical_r_hand_sums():
     # n <= 20, n = 1e mod 4: r(1)+r(5)+r(9)+r(13)+r(17) = 4+8+4+8+8
-    assert empirical_sum_r(APQuery(N=20)) == 32
+    assert empirical_trend_r(APQuery(N=20), [20]) == [32]
     # only n = 1 satisfies both congruences
-    assert empirical_sum_r(APQuery(N=4, q=3, a=1)) == 4
-    assert empirical_sum_r(APQuery(N=0)) == 0
+    assert empirical_trend_r(APQuery(N=4, q=3, a=1), [4]) == [4]
+    assert empirical_trend_r(APQuery(N=0), [0]) == [0]
 
 
 def test_predicted_r_forms():
@@ -56,8 +55,8 @@ def test_single_validation():
 def test_empirical_rr_hand_sum():
     # n in {1,5,9,13,17}: r(n) r(n+4) = 4*8 + 8*4 + 4*8 + 8*8 + 8*0 = 160
     # (r(21) = 0 since 21 = 3*7; the exact lattice oracle fixes the value)
-    assert empirical_sum_rr(APQuery(N=20, h=4)) == 160
-    assert empirical_sum_rr(APQuery(N=0, h=4)) == 0
+    assert empirical_trend_rr(APQuery(N=20, h=4), [20]) == [160]
+    assert empirical_trend_rr(APQuery(N=0, h=4), [0]) == [0]
 
 
 def test_pair_validation():
@@ -99,7 +98,7 @@ def test_gamma_euler_vs_direct_sum_grid():
 
 
 def test_empirical_r2_hand_sum():
-    assert empirical_sum_r2(APQuery(N=20)) == 16 + 64 + 16 + 64 + 64
+    assert empirical_trend_r2(APQuery(N=20), [20]) == [16 + 64 + 16 + 64 + 64]
 
 
 def test_predicted_r2_bracket_terms():
@@ -115,19 +114,19 @@ def test_predicted_r2_bracket_terms():
 
 
 def test_run_experiment_reports():
-    rep = run_experiment("ap_r", APQuery(N=10**5))
+    [rep] = run_trend("ap_r", APQuery(N=10**5), [10**5])
     assert rep.rel_error < 0.01
     assert rep.params["q"] == 1 and rep.N == 10**5
-    rep2 = run_experiment("ap_rr", APQuery(N=10**5, h=4))
+    [rep2] = run_trend("ap_rr", APQuery(N=10**5, h=4), [10**5])
     assert rep2.rel_error < 0.05
     with pytest.raises(ValidationError):
-        run_experiment("nope", APQuery(N=10))
+        run_trend("nope", APQuery(N=10), [10])
 
 
 def test_rr_congruence_steering(r2_1e5):
     # d1 | n and d2 | n+h handled through the CRT class
     q = APQuery(N=10**5, q=1, d1=5, d2=13, h=4)
-    got = empirical_sum_rr(q)
+    [got] = empirical_trend_rr(q, [q.N])
     arr = r2_1e5
     brute = sum(
         int(arr[n]) * int(arr[n + 4])
@@ -179,15 +178,15 @@ def test_sums_match_masked_lattice(query):
     n = np.arange(N + 1)
     cls = (n % 4 == 1) & (n % query.q == query.a % query.q)
     single = r[: N + 1][cls & (n % query.d == 0)]
-    assert empirical_sum_r(query) == single.sum()
-    assert empirical_sum_r2(query) == (single * single).sum()
-    assert empirical_sum_rr(query) == masked_lattice_rr(query)
+    assert empirical_trend_r(query, [N]) == [single.sum()]
+    assert empirical_trend_r2(query, [N]) == [(single * single).sum()]
+    assert empirical_trend_rr(query, [N]) == [masked_lattice_rr(query)]
 
 
 @given(ap_queries().filter(lambda query: query.d1 > 1 and query.d2 > 1))
 def test_rr_with_both_divisors_matches_masked_lattice(query):
     # d1 d2 does not divide h, so the class and its shift are sieved apart
-    assert empirical_sum_rr(query) == masked_lattice_rr(query)
+    assert empirical_trend_rr(query, [query.N]) == [masked_lattice_rr(query)]
 
 
 @pytest.mark.parametrize(
@@ -207,7 +206,7 @@ def test_rr_sieves_and_charges_only_what_it_reads(monkeypatch, query, sieves):
     charged, sieved = [], []
     monkeypatch.setattr(ap_sums, "check_bytes", lambda what, need, workload: charged.append(need))
     monkeypatch.setattr(ap_sums, "r2_on", lambda terms: sieved.append(len(terms)) or r2_on(terms))
-    assert empirical_sum_rr(query) == masked_lattice_rr(query)
+    assert empirical_trend_rr(query, [query.N]) == [masked_lattice_rr(query)]
     members = int(pair_class_mask(query).sum())
     if sieves == 1:
         assert sieved == [members + query.h // (4 * query.q)]
@@ -222,7 +221,7 @@ def test_trend_sieves_once(monkeypatch, name, query):
     # one r2_on call up to the largest N (run on by h for the pair sum), and
     # every checkpoint, unsorted and repeated, equals its own run
     Ns = [54_321, 1_000, 0, 100_000, 1_000, 99_999]
-    alone = [run_experiment(name, replace(query, N=N)).as_dict() for N in Ns]
+    alone = [run_trend(name, query, [N])[0].as_dict() for N in Ns]
     sieved = []
     monkeypatch.setattr(ap_sums, "r2_on", lambda terms: sieved.append(terms) or r2_on(terms))
     trend = [rep.as_dict() for rep in run_trend(name, query, Ns)]
@@ -237,7 +236,7 @@ def test_trend_computes_gamma_once(monkeypatch):
     # Gamma does not depend on N: a three-checkpoint pair trend builds its
     # Euler product's prime table once and reports what each run does alone
     query, Ns = APQuery(N=0, q=3, a=1, h=12), [1_000, 10_000, 100_000]
-    alone = [run_experiment("ap_rr", replace(query, N=N)).as_dict() for N in Ns]
+    alone = [run_trend("ap_rr", query, [N])[0].as_dict() for N in Ns]
     tables = []
     monkeypatch.setattr(ap_sums, "primes_up_to", lambda n: tables.append(n) or primes_up_to(n))
     gamma_singular_series.cache_clear()
@@ -262,8 +261,8 @@ def test_sums_of_int32_counts_take_int64_products(monkeypatch, query):
     # 50,000^2 wraps in int32, and so do the sums over these classes.
     monkeypatch.setattr(ap_sums, "r2_on", lambda terms: np.full(len(terms), 50_000, dtype=np.int32))
     members = int(pair_class_mask(query).sum())
-    assert empirical_sum_rr(query) == 50_000**2 * members
+    assert empirical_trend_rr(query, [query.N]) == [50_000**2 * members]
     single = APQuery(N=query.N, d=query.d1)
     terms = sum(1 for n in range(1, single.N + 1) if n % 4 == 1 and n % single.d == 0)
-    assert empirical_sum_r2(single) == 50_000**2 * terms
-    assert empirical_sum_r(single) == 50_000 * terms
+    assert empirical_trend_r2(single, [single.N]) == [50_000**2 * terms]
+    assert empirical_trend_r(single, [single.N]) == [50_000 * terms]

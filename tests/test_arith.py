@@ -12,10 +12,8 @@ from twosquares.arith import (
     Factorization,
     build_factor_table,
     chi4,
-    convolution_transform,
     count_in_class,
     crt,
-    euler_phi,
     floor_power,
     g1,
     g2,
@@ -27,27 +25,24 @@ from twosquares.arith import (
     g_function,
     g_rows,
     is_sum_of_two_squares,
-    mobius,
     multiples,
     on_shifts,
     progression_slice,
     r2,
     r2_lattice_range,
     r2_on,
-    ramanujan_sum,
     rd_bruteforce,
     rd_square_identity,
     sigma,
     divisor_incidence,
     squarefree_table,
-    tau_k,
     trial_factorize,
 )
 from twosquares.bins import WITNESS_LIMIT
 from twosquares.errors import ResourceGuardError, ValidationError
 from twosquares.hooley import rho_on
 
-from oracles import squarefree_products
+from oracles import convolution_transform, euler_phi, mobius, ramanujan_sum, squarefree_products, tau_k
 
 
 # -- independent oracles used only here ------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twosquares import aux_sums, cli
-from twosquares.arith import g2, g4, g6, g7, mobius, primes_up_to, squarefree_table, trial_factorize
+from twosquares.arith import g2, g4, g6, g7, primes_up_to, squarefree_table, trial_factorize
 from twosquares.aux_sums import (
     AuxParams,
     enumerate_smooth,
@@ -22,7 +22,7 @@ from twosquares.aux_sums import (
 )
 from twosquares.errors import ResourceGuardError, ValidationError
 
-from oracles import squarefree_products
+from oracles import mobius, squarefree_products
 
 
 # brute-force pair-sum oracles straight from the displayed definitions

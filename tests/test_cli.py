@@ -78,15 +78,15 @@ def test_ap_sums_peak_within_charged_bytes(monkeypatch, name, query):
     # (0.01-0.29 of it at N = 10^5, where the fixed 1 MiB dominates)
     charged = []
     monkeypatch.setattr(ap_sums, "check_bytes", lambda what, need, workload: charged.append(need))
-    fn = getattr(ap_sums, f"empirical_sum_{name}")
-    peak = traced_peak(lambda: fn(ap_sums.APQuery(N=10**5, **query)))
+    fn = getattr(ap_sums, f"empirical_trend_{name}")
+    peak = traced_peak(lambda: fn(ap_sums.APQuery(N=10**5, **query), [10**5]))
     assert len(charged) == 1 and peak < charged[0]
 
 
 def test_ap_sums_per_term_charge():
     # at 10^6 terms the per-term figure alone covers the peak 1.33 times over
     terms = 10**6
-    peak = traced_peak(lambda: ap_sums.empirical_sum_rr(ap_sums.APQuery(N=4 * terms - 3, h=4)))
+    peak = traced_peak(lambda: ap_sums.empirical_trend_rr(ap_sums.APQuery(N=4 * terms - 3, h=4), [4 * terms - 3]))
     assert 1.33 * peak < ap_sums.AP_BYTES[1] * terms
 
 
@@ -317,6 +317,56 @@ def test_integer_flag_past_the_floats_is_a_usage_error(capsys, value):
     assert f"argument --N: invalid num value: '{value}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [("functionals", "k", 2.9), ("c-gamma", "D0", 10.7)])
+def test_config_integer_is_not_truncated(capsys, tmp_path, command, flag, value):
+    # int(2.9) is 2; an integer flag reads a file value through num, as it
+    # reads a command-line value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({flag: value}))
+    code, out = run(capsys, [command, "--config", str(path)])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err == {"type": "validation", "message": f"--config {path}: {flag}={value!r} is not valid"}
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["sieve-run", "--N", "1e4", "--beta", "nan"], "--beta", "nan"),
+        (["functionals", "--beta", "nan"], "--beta", "nan"),
+        (["sieve-run", "--N", "1e4", "--theta1", "1e400"], "--theta1", "1e400"),
+        (["quantum", "--what", "bounds", "--rule", "ql_ii", "--dim", "5", "--k", "2", "--epsilon", "inf"], "--epsilon", "inf"),
+    ],
+    ids=["sieve-run-beta", "functionals-beta", "theta1-overflow", "epsilon"],
+)
+def test_non_finite_float_flag_is_a_usage_error(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid real value: '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu, t, flag, entry", [("nan,1", "1,1", "--mu", "nan"), ("1.5,2.5", "1,-inf", "--t", "-inf")])
+def test_non_finite_mu_or_t_is_a_validation_error(capsys, mu, t, flag, entry):
+    code, out = run(capsys, ["certificate", "--N", "1e4", "--mu", mu, "--t", t])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err == {"type": "validation", "message": f"{flag}: entry {entry!r} is not a finite number"}
+
+
+def test_every_flag_reads_through_num_real_or_str():
+    # one parser per kind of value: an integer flag reads through num, a
+    # float flag through real, and a declared default reads as itself
+    for command, sp in subcommands(cli.build_parser()).items():
+        flags = sp.get_default("flags")
+        actions = {a.dest: a.type for a in sp._actions if a.dest not in ("help", "config", "output")}
+        assert actions == {flag: typ for flag, typ, _ in flags}, command
+        for flag, typ, default in flags:
+            assert typ in (cli.num, cli.real, str), (command, flag)
+            if default is not None:
+                assert type(typ(default)) is type(default) and typ(default) == default, (command, flag)
+
+
 BIG = 12345678901234567891  # float(BIG) is 12345678901234567168
 
 
@@ -428,8 +478,22 @@ def test_certificate_mu_without_t_exit_code(capsys, given):
 def test_c_gamma_and_tech_sum(capsys):
     code, out = run(capsys, ["c-gamma", "--D0", "10", "--prime-bound", "1e4"])
     assert code == 0
+    # c_gamma reads D0 and the prime bound, and no window
+    assert json.loads(out)["config"] == {"D0": 10, "prime_bound": 10**4}
     code, out = run(capsys, ["tech-sum", "--N", "1e4", "--theta1", "0.1", "--theta2", "1.2", "--D0", "10", "--G-rule", "linear"])
     assert code == 0
+
+
+def test_limits_builds_one_family(capsys, monkeypatch):
+    # the k - 1 family of the convergence diagnostic is the built family
+    # restricted, not a second build
+    built = []
+    build = quantum.build_family
+    monkeypatch.setattr(quantum, "build_family", lambda *a: built.append(a) or build(*a))
+    argv = ["quantum", "--what", "limits", "--rule", "ql_ii", "--dim", "5", "--k", "4", "--tau", "2,0,0,0,0"]
+    code, out = run(capsys, argv)
+    assert code == 0 and len(built) == 1
+    assert json.loads(out)["results"][0]["value"] > 0
 
 
 def test_build_table_dispatch(capsys):

@@ -16,7 +16,6 @@ from twosquares.quantum import (
     all_btau,
     b_tau,
     build_family,
-    constant_M_inputs,
     ctau_limit,
     decompose_Mk,
     enumerate_shell,
@@ -340,8 +339,8 @@ def test_btau_byte_guard_fires_before_the_pair_arrays():
 
 
 def test_ctau_limit_and_error_bound():
-    inputs = constant_M_inputs(M_BIG, LEGS_BIG, 20)
-    lim = ctau_limit("main", inputs, (2 * LEGS_BIG[0], 0, 0), 20)
+    fam = build_family("main", FamilyInputs(k=20, M=M_BIG, a=LEGS_BIG))
+    lim = ctau_limit(fam, (2 * LEGS_BIG[0], 0, 0))
     assert abs(lim.value - 0.25) < 1e-6
     # explicit error bound from the prefactor: 2^-k/(1 - 2^-k) * 2^-(i+1)
     for k in (5, 10):
@@ -353,7 +352,42 @@ def test_ctau_limit_and_error_bound():
 
 def test_ctau_requires_depth():
     with pytest.raises(ValidationError):
-        ctau_limit("main", constant_M_inputs(M, LEGS, 1), (0, 0, 0), 1)
+        ctau_limit(build_family("main", FamilyInputs(k=1, M=M, a=LEGS)), (0, 0, 0))
+
+
+# one family per rule: main (k = 8), ql_i (k = 5) and ql_ii (d = 5, k = 4)
+LIMIT_FAMILIES = [("main", 8, 3), ("ql_i", 5, 4), ("ql_ii", 4, 5)]
+
+
+@pytest.mark.parametrize("rule, k, d", LIMIT_FAMILIES, ids=[r for r, _, _ in LIMIT_FAMILIES])
+def test_family_below_is_the_family_at_k_minus_1(rule, k, d):
+    # the same support points, classes and exact amp^2, in build_family's
+    # order, which fixes the order of b_tau's float sum
+    below = quantum.family_below(build_family(rule, FamilyInputs(k=k, M=M, a=LEGS, d=d)))
+    want = build_family(rule, FamilyInputs(k=k - 1, M=M, a=LEGS, d=d))
+    assert list(below.support.items()) == list(want.support.items())
+    assert (below.rule, below.k, below.d, below.M) == (want.rule, want.k, want.d, want.M)
+
+
+def two_family_limit(rule, inputs, tau):
+    """The limit estimate from the families built at k and at k - 1."""
+    last = b_tau(build_family(rule, inputs), tau)
+    prev = b_tau(build_family(rule, FamilyInputs(inputs.k - 1, inputs.M, inputs.a, inputs.d)), tau)
+    return quantum.LimitEstimate(tuple(tau), last.value, last.exact, abs(last.value - prev.value))
+
+
+@pytest.mark.parametrize("rule, k, d", LIMIT_FAMILIES, ids=[r for r, _, _ in LIMIT_FAMILIES])
+def test_ctau_limit_equals_two_family_oracle(rule, k, d):
+    # bit for bit, at tau = 0, at the difference of two class-k points (a
+    # class the k - 1 family lacks) and at taus sampled from the whole table
+    inputs = FamilyInputs(k=k, M=M, a=LEGS, d=d)
+    fam = build_family(rule, inputs)
+    top = [xi for xi, (j, _) in fam.support.items() if j == k]
+    taus = sorted(all_btau(fam))
+    sample = [(0,) * d, tuple(x - y for x, y in zip(top[0], top[-1]))]
+    sample += random.Random(k).sample(taus, 40)
+    for tau in sample:
+        assert ctau_limit(fam, tau) == two_family_limit(rule, inputs, tau)
 
 
 # -- partial sums and displayed bounds ------------------------------------------

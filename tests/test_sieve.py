@@ -11,8 +11,6 @@ from twosquares.arith import (
     build_factor_table,
     count_in_class,
     crt,
-    euler_phi,
-    mobius,
     primes_up_to,
     trial_factorize,
 )
@@ -43,7 +41,7 @@ from twosquares.sieve import (
     y_from_lambda,
 )
 
-from oracles import functional_tensor_quadrature, sJ_direct, squarefree_products
+from oracles import euler_phi, functional_tensor_quadrature, mobius, sJ_direct, squarefree_products
 
 
 def relaxed(N, t1, t2, D0):
@@ -129,7 +127,7 @@ def test_support_guard_runs_before_enumeration(monkeypatch):
     p = relaxed(10**8, 0.1, 1.99, 1)
     builds = [
         lambda: lambda_from_F(p, single_bin_spec(1, 1.0)),
-        lambda: tech_sum_check(p, lambda q: Fraction(1, q), lambda x: 1.0),
+        lambda: tech_sum_check(p, lambda x: 1.0),
         lambda: enumerate_support(p.R),
     ]
     for build in builds:
@@ -614,65 +612,59 @@ def test_s_predicted_relations():
 
 def test_tech_sum_constant_G():
     p = relaxed(10**4, 0.1, 1.2, 10)
-    rep = tech_sum_check(p, lambda q: Fraction(1, q), lambda x: 1.0)
+    rep = tech_sum_check(p, lambda x: 1.0)
     B = b_constant(p).value
     assert rep.predicted_main == pytest.approx(2 * B, rel=1e-12)
     # d = 1 contributes G(0) = 1
     assert rep.empirical >= 1.0
 
 
+def test_tech_sum_total_is_the_sum_of_exact_reciprocals():
+    # 1 / d and float(Fraction(1, d)) are the same correctly rounded float,
+    # so the total equals, bit for bit, the ascending sum over the support
+    # of the exact product of 1/p over the primes of d
+    p = relaxed(10**6, 0.06, 1.334, 10)
+    G = lambda x: 1.0 - x
+    primes = [q for q in primes_up_to(p.R).tolist() if q % 4 == 3 and p.W % q]
+    want = 0.0
+    for d, _, ps in sorted(squarefree_products(primes, p.R)):
+        want += float(math.prod((Fraction(1, q) for q in ps), start=Fraction(1))) * G(math.log(d) / math.log(p.R))
+    assert tech_sum_check(p, G).empirical == want
+
+
 def test_tech_sum_trend():
     errs = []
     for t2 in (1.0, 1.334, 1.667):  # R ~ 10^3, 10^4, 10^5 at N = 10^6
         p = relaxed(10**6, 0.06, t2, 10)
-        rep = tech_sum_check(p, lambda q: Fraction(1, q), lambda x: 1.0 - x)
+        rep = tech_sum_check(p, lambda x: 1.0 - x)
         errs.append(rep.rel_error)
     assert errs[0] > errs[2]
 
 
 def test_c_gamma_closed_form_w1():
-    p = relaxed(10**4, 0.1, 1.0, 1)
-    res = c_gamma_check(p, None, 10**5)
+    res = c_gamma_check(1, 10**5)
     A = landau_ramanujan_A(10**5).value
     assert res["closed_form"] == pytest.approx(A / math.sqrt(math.pi / 4))
     assert res["slack"] < 1e-6
 
 
 def test_c_gamma_truncation_self_consistency():
-    p = relaxed(10**4, 0.1, 1.0, 10)
-    r5 = c_gamma_check(p, None, 10**5)
-    r6 = c_gamma_check(p, None, 10**6)
+    r5 = c_gamma_check(10, 10**5)
+    r6 = c_gamma_check(10, 10**6)
     assert abs(r5["truncated"].value - r6["truncated"].value) < 1e-5
 
 
-def test_c_gamma_alpha_perturbation():
-    p = relaxed(10**4, 0.1, 1.0, 10)
-    res = c_gamma_check(p, lambda q: 1.0 / q, 10**5)
-    # gamma(p) = 1 + 1/p still has closed form up to O(1/D0) slack
-    assert res["slack"] < 0.1 * res["closed_form"]
-
-
 @pytest.mark.parametrize("D0", [1, 10])
-@pytest.mark.parametrize("alpha_rule", [None, lambda q: 1.0 / q], ids=["alpha0", "alpha1/q"])
-def test_c_gamma_equals_fsum_of_prime_terms(D0, alpha_rule):
+def test_c_gamma_equals_fsum_of_prime_terms(D0):
     p = relaxed(10**4, 0.1, 1.0, D0)
-    called = []
-
-    def alpha(q):
-        called.append(q)
-        return alpha_rule(q)
-
-    res = c_gamma_check(p, alpha_rule and alpha, 10**5)
-    terms, gamma_primes = [-0.5 * math.log(math.pi / 4.0)], []
+    res = c_gamma_check(D0, 10**5)
+    terms = [-0.5 * math.log(math.pi / 4.0)]
     for q in primes_up_to(10**5).tolist():
         chi = 0 if q == 2 else (1 if q % 4 == 1 else -1)
-        gamma = 0.0
-        if q % 4 == 3 and p.W % q:
-            gamma_primes.append(q)
-            gamma = 1.0 + (alpha_rule(q) if alpha_rule else 0.0)
+        gamma = 1.0 if q % 4 == 3 and p.W % q else 0.0
         terms += [-math.log(1.0 - gamma / q), 0.5 * math.log(1.0 - 1.0 / q), -0.5 * math.log(1.0 - chi / q)]
     assert res["truncated"].value == pytest.approx(math.exp(math.fsum(terms)), rel=1e-12)
-    assert called == (gamma_primes if alpha_rule else [])
+    assert res["closed_form"] == pytest.approx(landau_ramanujan_A(10**5).value / math.sqrt(math.pi / 4) * p.phi_W3, rel=1e-15)
 
 
 # -- the general sieve sum -----------------------------------------------------------

@@ -11,8 +11,8 @@ name (one leading underscore) that a module defines at its top level by
 def, class or assignment counts as read when any module of the package
 loads it, by name or as an attribute.  A public def or class counts as
 read when a module of the package other than `__init__.py`, a demo or a
-benchmark script loads it the same way; the few that only the tests and
-the package's users read are listed, each with the reason it stays.
+benchmark script loads it the same way: what only the tests read lives in
+tests/oracles.py.
 """
 
 import ast
@@ -97,16 +97,6 @@ def test_checker_sees_unread_private_names():
     assert unread_private_names(sources) == ["a.py: _B", "a.py: _K"]
 
 
-# public defs that nothing outside the tests reads, and why each stays
-KEPT_UNREAD = {
-    "empirical_sum_r": "API twin of the one-pass trend sum",
-    "empirical_sum_rr": "API twin of the one-pass trend sum",
-    "convolution_transform": "documented number-theory helper",
-    "ramanujan_sum": "documented number-theory helper",
-    "tau_k": "documented number-theory helper",
-}
-
-
 def unread_public_defs(defining: dict[str, str], readers: list[str]) -> list[str]:
     defined, read = {}, set()
     for name, source in defining.items():
@@ -125,7 +115,7 @@ def unread_public_defs(defining: dict[str, str], readers: list[str]) -> list[str
 def test_every_public_def_is_read():
     modules = {p.name: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
     readers = [p.read_text() for d in ("demos", "perfbench") for p in (ROOT / d).glob("*.py")]
-    assert {u.split(": ")[1] for u in unread_public_defs(modules, readers)} == set(KEPT_UNREAD)
+    assert unread_public_defs(modules, readers) == []
 
 
 def test_checker_sees_unread_public_defs():
