@@ -38,6 +38,10 @@ print("\nsecond-moment LHS, two evaluators:")
 print(f"  direct   {res.lhs_direct:.6f}")
 print(f"  assembled {res.lhs_assembled:.6f}")
 print(f"  relative difference {res.rel_difference:.2e}; rho<0 encountered: {res.rho_negative_count}")
+print(f"  evaluator B's sums: S1 = {res.components['S1']:.6f}")
+for i in range(part.M):
+    bin_sums = res.components[f"bin{i}"]
+    print(f"    bin {i}: " + ", ".join(f"{name} = {bin_sums[name]:.6f}" for name in ("S2", "S3", "S4")))
 
 found = witness_search(params, tup, BinPartition(sizes=(1, 2)), 2 * 10**4)
 print(f"\nwitnesses for bins {{0}},{{4,16}} in [10^4, 2*10^4): {len(found)}")

@@ -507,15 +507,15 @@ def divisor_incidence(vals: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.n
     return np.concatenate(elem), np.concatenate(div)
 
 
-def w_split(D0: int) -> tuple[int, int, int, float, float]:
+def w_split(D0: int) -> tuple[int, int, float, float]:
     """The W-trick modulus W = prod of the odd primes <= D0, split by
-    residue class mod 4 as W = W1 * W3; returns (W, W1, W3, phi(W1)/W1,
+    residue class mod 4 as W = W1 * W3; returns (W, W1, phi(W1)/W1,
     phi(W3)/W3), each ratio the product of 1 - 1/p over its ascending primes."""
     w, ratio = [1] * 4, [1.0] * 4  # indexed by p mod 4; slot 2 takes p = 2, which W leaves out
     for p in map(int, primes_up_to(D0)):
         w[p % 4] *= p
         ratio[p % 4] *= 1 - 1 / p
-    return w[1] * w[3], w[1], w[3], ratio[1], ratio[3]
+    return w[1] * w[3], w[1], ratio[1], ratio[3]
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
@@ -529,7 +529,10 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
 
 
 def crt(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int] | None:
-    """Simultaneous congruences over possibly non-coprime moduli."""
+    """Simultaneous congruences over possibly non-coprime moduli, one
+    residue per modulus: lists of unequal length are a ValidationError."""
+    if len(residues) != len(moduli):
+        raise ValidationError(f"crt: {len(residues)} residues for {len(moduli)} moduli")
     r, m = 0, 1
     for r2_, m2_ in zip(residues, moduli):
         nxt = crt_pair(r, m, r2_ % m2_, m2_)

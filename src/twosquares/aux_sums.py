@@ -36,14 +36,13 @@ class AuxParams:
     D0: int = 1
     W: int = field(init=False)
     W1: int = field(init=False)
-    W3: int = field(init=False)
     phi_W1: float = field(init=False)  # phi(W1)/W1
 
     def __post_init__(self):
         if self.v < 2:
             raise ValidationError(f"AuxParams: v={self.v} must be >= 2")
-        w, w1, w3, phi_w1, _ = w_split(self.D0)
-        for name, val in (("W", w), ("W1", w1), ("W3", w3), ("phi_W1", phi_w1)):
+        w, w1, phi_w1, _ = w_split(self.D0)
+        for name, val in (("W", w), ("W1", w1), ("phi_W1", phi_w1)):
             object.__setattr__(self, name, val)
 
 

@@ -21,11 +21,11 @@ from .sieve import (
     SieveParams,
     TestFunctionSpec,
     WeightTable,
-    inner_weights,
+    rho_negatives,
     s_direct,  # noqa: F401  (not called here; perfbench/tracer.py wraps bins.s_direct)
     s_term,
+    scan,
     window,
-    window_rho,
 )
 
 # ---------------------------------------------------------------------------
@@ -155,8 +155,8 @@ def second_moment_lhs(
     min(mu^2/t^2) S1 - sum_i t_i^-2 [sum_{h != h'} S3 + sum_h S4
     - 2 mu_i sum_h S2 + mu_i^2 S1] from the S-sums (evaluator B).
 
-    Both read the same w and the same rho array per shift, and B reduces
-    them with s_direct's own sieve.s_term, so its components equal
+    Both read the same sieve.scan: one w and one rho array per shift, and B
+    reduces them with s_direct's own sieve.s_term, so its components equal
     s_direct's bit for bit.  Their agreement checks the expansion algebra;
     the two floats should match to ~1e-12 relative.
     """
@@ -167,9 +167,9 @@ def second_moment_lhs(
     mu, t = partition.mu, partition.t
     min_ratio = min(m * m / (tt * tt) for m, tt in zip(mu, t))
 
-    ns = window(params, tup, 2 * params.N, CERTIFICATE_BYTES)
-    w = inner_weights(tup, ns, table.float_entries(), np.float64)
-    rhos, neg_count, neg_examples = window_rho(params, ns, w, tup.h)
+    ns, w, rho_at = scan(params, tup, table, tup.h, CERTIFICATE_BYTES)
+    rhos = [rho_at[h] for h in tup.h]
+    neg_count, neg_examples = rho_negatives(ns, w, tup.h, rhos)
     ww = w * w
 
     # evaluator A: the bracket at every window point

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from decimal import Decimal
 from fractions import Fraction
@@ -251,7 +252,7 @@ def cmd_ap_sums(cfg):
     if not ns:
         raise ValidationError("ap-sums: --trend needs at least one N")
     query = {key: cfg[key] for key in ("q", "a", "d", "d1", "d2", "h")}
-    results = [r.as_dict() for r in ap_sums.run_trend(name, ap_sums.APQuery(N=ns[0], **query), ns)]
+    results = [asdict(r) for r in ap_sums.run_trend(name, ap_sums.APQuery(N=ns[0], **query), ns)]
     if cfg["csv"]:
         with open(cfg["csv"], "w") as fh:
             fh.write("N,empirical,predicted_main,rel_error\n")
@@ -348,7 +349,7 @@ def cmd_tech_sum(cfg):
     if G is None:
         raise ValidationError("tech-sum: unknown rule")
     rep = sieve.tech_sum_check(params, G, cfg["prime_bound"])
-    return [rep.as_dict()], list(params.warnings)
+    return [asdict(rep)], list(params.warnings)
 
 
 def cmd_c_gamma(cfg):

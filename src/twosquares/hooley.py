@@ -29,9 +29,10 @@ def _t_terms(primes: Sequence[int], v: int) -> tuple[np.ndarray, np.ndarray]:
     """(a, mu(a)/g2(a) * (1 - log a / log v)) for every squarefree a <= v
     built from the ascending `primes`, as arrays in ascending order of a;
     g2(a) comes from arith.g_rows, which multiplies over the primes of a
-    in ascending order at every width.  v >= 2, so that log v > 0."""
+    in ascending order at every width.  v >= 2, so that log v > 0: this is
+    the one check of the v = floor(N^theta1) that rho reads."""
     if v < 2:
-        raise ValidationError(f"t(n): v={v} < 2")
+        raise ValidationError(f"rho: t(n) divides by log v, which needs v = floor(N^theta1) >= 2, got v = {v}")
     vals, mus, P = squarefree_table(primes, v)
     log_a = np.array(list(map(math.log, vals.tolist())))  # libm's log, as the float terms always took
     return vals, mus / g_rows(2, P) * (1.0 - log_a / math.log(v))

@@ -129,7 +129,6 @@ class CoefficientFamily:
 
 @dataclass(frozen=True)
 class FourierCoefficient:
-    tau: tuple[int, ...]
     value: float
     exact: Fraction | None  # set when every contributing pair shares a j
 
@@ -223,7 +222,7 @@ def b_tau(family: CoefficientFamily, tau: Sequence[int]) -> FourierCoefficient:
             rational_ok = False
             flo += math.sqrt(float(a2) * float(b2))
     value = float(rat) + flo
-    return FourierCoefficient(tau, value, rat if rational_ok else None)
+    return FourierCoefficient(value, rat if rational_ok else None)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +270,7 @@ class BTauTable(Mapping):
             lo, hi = np.searchsorted(self.same_row, (row, row + 1))
             pairs = zip(self.same_class[lo:hi].tolist(), self.same_count[lo:hi].tolist())
             exact = sum((self.classes[c][1] * n for c, n in pairs), Fraction(0))
-        return FourierCoefficient(tau, float(self.values[row]), exact)
+        return FourierCoefficient(float(self.values[row]), exact)
 
     def _row(self, tau: tuple[int, ...]) -> int:
         """Binary search column by column through the sorted rows."""
@@ -466,7 +465,6 @@ def all_btau(family: CoefficientFamily) -> BTauTable:
 
 @dataclass(frozen=True)
 class LimitEstimate:
-    tau: tuple[int, ...]
     value: float
     exact: Fraction | None
     convergence_diagnostic: float  # |b_tau(k) - b_tau(k - 1)|
@@ -489,7 +487,7 @@ def ctau_limit(family: CoefficientFamily, tau: Sequence[int]) -> LimitEstimate:
     if family.k < 2:
         raise ValidationError("ctau_limit: k >= 2 so a difference exists")
     b_prev, b_last = b_tau(family_below(family), tau), b_tau(family, tau)
-    return LimitEstimate(tuple(tau), b_last.value, b_last.exact, abs(b_last.value - b_prev.value))
+    return LimitEstimate(b_last.value, b_last.exact, abs(b_last.value - b_prev.value))
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,3 @@ class CorrelationReport:
         else:
             err = math.inf if self.empirical != 0 else 0.0
         object.__setattr__(self, "rel_error", err)
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "empirical": self.empirical,
-            "predicted_main": self.predicted_main,
-            "rel_error": self.rel_error,
-            "N": self.N,
-            "params": self.params,
-        }

@@ -41,12 +41,14 @@ from .report import CorrelationReport
 
 @dataclass(frozen=True)
 class SieveParams:
-    """N, theta1, theta2, D0 and the derived v, R, W = W1*W3.
+    """N, theta1, theta2, D0 and the derived v = floor(N^theta1), R, W and
+    phi(W3)/W3.
 
     strict=True enforces 0 < theta1 + theta2 < 1/18 (the regime of the
     asymptotic statements).  Desk-scale runs need far larger exponents to
     make v and R non-trivial, so strict=False only requires structural
-    sanity and records the violation in `warnings`.
+    sanity and records the violation in `warnings`.  v is not judged here:
+    rho and the S2-S4 main terms, which read it, need v >= 2 and check it.
     """
 
     N: int
@@ -57,8 +59,6 @@ class SieveParams:
     v: int = field(init=False)
     R: int = field(init=False)
     W: int = field(init=False)
-    W1: int = field(init=False)
-    W3: int = field(init=False)
     phi_W3: float = field(init=False)  # phi(W3)/W3
     warnings: tuple[str, ...] = field(init=False)
 
@@ -80,38 +80,19 @@ class SieveParams:
             warnings.append(msg)
         v = floor_power(self.N, self.theta1)
         r = math.isqrt(floor_power(self.N, self.theta2))
-        if v < 2:
-            raise ValidationError(f"SieveParams: derived v={v} < 2")
-        w, w1, w3, _, phi_w3 = w_split(self.D0)
-        derived = {"v": v, "R": r, "W": w, "W1": w1, "W3": w3, "phi_W3": phi_w3, "warnings": tuple(warnings)}
+        w, _, _, phi_w3 = w_split(self.D0)
+        derived = {"v": v, "R": r, "W": w, "phi_W3": phi_w3, "warnings": tuple(warnings)}
         for name, val in derived.items():
             object.__setattr__(self, name, val)
 
 
-@dataclass(frozen=True)
-class AdmissibilityCertificate:
-    """Per-prime residue evidence: for each checked p, a residue class the
-    tuple misses, or the prime whose classes it covers."""
-
-    admissible: bool
-    uncovered: dict[int, int]
-    covering_prime: int | None = None
-
-
-def check_admissible(h: Sequence[int]) -> AdmissibilityCertificate:
-    """Scan primes p <= k: the tuple is admissible iff its residues never
-    cover all of Z/p (automatic for p > k since only k residues exist)."""
-    hs = sorted(set(h))
-    if len(hs) != len(h):
+def check_admissible(h: Sequence[int]) -> int | None:
+    """The least prime p <= k whose residue classes the k distinct shifts
+    all cover, or None when there is none and the tuple is admissible (a
+    prime p > k always has a class that k residues miss)."""
+    if len(set(h)) != len(h):
         raise ValidationError("check_admissible: elements must be distinct")
-    k = len(hs)
-    uncovered: dict[int, int] = {}
-    for p in primes_up_to(k).tolist():
-        residues = {x % p for x in hs}
-        if len(residues) == p:
-            return AdmissibilityCertificate(False, uncovered, covering_prime=p)
-        uncovered[p] = min(set(range(p)) - residues)
-    return AdmissibilityCertificate(True, uncovered)
+    return next((p for p in primes_up_to(len(h)).tolist() if len({x % p for x in h}) == p), None)
 
 
 @dataclass(frozen=True)
@@ -127,11 +108,8 @@ class AdmissibleTuple:
             raise ValidationError("AdmissibleTuple: need at least one shift")
         if any(x % 4 != 0 for x in hs):
             raise ValidationError("AdmissibleTuple: every element must be divisible by 4")
-        cert = check_admissible(hs)
-        if not cert.admissible:
-            raise ValidationError(
-                f"AdmissibleTuple: residues cover Z/{cert.covering_prime}"
-            )
+        if (p := check_admissible(hs)) is not None:
+            raise ValidationError(f"AdmissibleTuple: residues cover Z/{p}")
         object.__setattr__(self, "h", hs)
 
     @property
@@ -479,11 +457,13 @@ def s_predicted(
     S3 = 64 (logR/logv) B^k N/(pi^2 W) L_ml;
     S4 = 2 sqrt(logR/logv)(logN/logv + 1) B^k N/(pi W) L_m.
     log N is the window anchor.  Functionals are non-zero for this product
-    family by construction.
+    family by construction.  S2-S4 divide by log v, so they need v >= 2.
     """
     k = tup.k
     if spec.k != k:
         raise ValidationError("s_predicted: spec arity != tuple size")
+    if which in ("S2", "S3", "S4") and params.v < 2:
+        raise ValidationError(f"s_predicted: {which} divides by log v, which needs v = floor(N^theta1) >= 2, got v = {params.v}")
     B = b_constant(params).value
     N, W = params.N, params.W
     logR, logv = math.log(params.R), math.log(params.v)
@@ -546,20 +526,27 @@ def inner_weights(tup: AdmissibleTuple, ns: range, values: dict, dtype) -> np.nd
     return w
 
 
-def window_rho(
-    params: SieveParams, ns: range, w: np.ndarray, hs: Sequence[int]
-) -> tuple[list[np.ndarray], int, tuple[int, ...]]:
-    """rho(n + h) on the window ns for each shift h in hs, as views of one
-    rho_on call per on_shifts span, with the rho < 0 cases: their count,
-    once per (n, h) with w(n) != 0, and the first ten n + h in (n, h) order."""
-    rho_at = on_shifts(partial(rho_on, params.v), ns, hs)
-    rhos = [rho_at[h] for h in hs]
-    return rhos, *_rho_negatives(ns, w, hs, rhos)
+def scan(
+    params: SieveParams, tup: AdmissibleTuple, table: WeightTable, hs: Iterable[int], cost: tuple[int, ...]
+) -> tuple[range, np.ndarray, dict[int, np.ndarray]]:
+    """The float arrays of a scan over [N, 2N): the window, after its byte
+    guard at cost; the inner weights w of the table's float entries; and
+    {h: rho(n + h)} for each shift h in hs, as on_shifts views of one rho_on
+    call per span (none for no shift).  The table must have the tuple's
+    arity, since each of its keys sets one congruence per shift."""
+    if table.k != tup.k:
+        raise ValidationError(f"scan: table arity {table.k} != tuple size {tup.k}")
+    ns = window(params, tup, 2 * params.N, cost)
+    w = inner_weights(tup, ns, table.float_entries(), np.float64)
+    return ns, w, on_shifts(partial(rho_on, params.v), ns, hs)
 
 
-def _rho_negatives(
+def rho_negatives(
     ns: range, w: np.ndarray, hs: Sequence[int], rhos: Sequence[np.ndarray]
 ) -> tuple[int, tuple[int, ...]]:
+    """The rho < 0 cases of a scan at the shifts hs, rhos[i] at hs[i]: their
+    count, once per (n, h) with w(n) != 0, and the first ten n + h in (n, h)
+    order."""
     rows, cols = np.nonzero((np.stack(rhos, axis=1) < 0) & (w != 0)[:, None])
     examples = tuple(ns[r] + hs[c] for r, c in zip(rows[:10].tolist(), cols[:10].tolist()))
     return len(rows), examples
@@ -611,9 +598,8 @@ def s_direct_sums(
     l: int = 1,
 ) -> list[SieveSumResult]:
     """s_direct's float sums for every name in which, in that order, from
-    one window, one inner weight array and rho at each shift that the sums
-    read (h_m, and h_l for S3), one rho_on call per on_shifts span; S1
-    alone reads no rho."""
+    one scan: its window, inner weights and rho at each shift that the sums
+    read (h_m, and h_l for S3); S1 alone reads no rho."""
     for name in which:
         if name not in ("S1", "S2", "S3", "S4"):
             raise ValidationError(f"s_direct: unknown sum {name!r}")
@@ -621,21 +607,16 @@ def s_direct_sums(
             raise ValidationError(f"s_direct: {name} needs 0 <= m < k = {tup.k}, got m = {m}")
         if name == "S3" and not (0 <= l < tup.k and l != m):
             raise ValidationError(f"s_direct: S3 needs 0 <= l < k = {tup.k} and l != m, got l = {l}")
-    if table.k != tup.k:
-        raise ValidationError("s_direct: table arity != tuple size")
-
-    ns = window(params, tup, 2 * params.N, (SUM_BYTES, 0))
-    w = inner_weights(tup, ns, table.float_entries(), np.float64)
-    ww = w * w
     shifts = {name: [tup.h[m], tup.h[l]] if name == "S3" else [tup.h[m]] for name in which if name != "S1"}
-    rho_at = on_shifts(partial(rho_on, params.v), ns, [h for hs in shifts.values() for h in hs])
+    ns, w, rho_at = scan(params, tup, table, [h for hs in shifts.values() for h in hs], (SUM_BYTES, 0))
+    ww = w * w
     out = []
     for name in which:
         if name == "S1":
             out.append(SieveSumResult(float(ww.sum()), None, len(ns), 0, ()))
             continue
         rhos = [rho_at[h] for h in shifts[name]]
-        negatives = _rho_negatives(ns, w, shifts[name], rhos)
+        negatives = rho_negatives(ns, w, shifts[name], rhos)
         # S2: rho_m; S3: rho_m rho_l; S4: rho_m^2
         total = s_term(ww, rhos[0], None if name == "S2" else rhos[-1])
         out.append(SieveSumResult(total, None, len(ns), *negatives))

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -221,10 +221,10 @@ def test_trend_sieves_once(monkeypatch, name, query):
     # one r2_on call up to the largest N (run on by h for the pair sum), and
     # every checkpoint, unsorted and repeated, equals its own run
     Ns = [54_321, 1_000, 0, 100_000, 1_000, 99_999]
-    alone = [run_trend(name, query, [N])[0].as_dict() for N in Ns]
+    alone = [asdict(run_trend(name, query, [N])[0]) for N in Ns]
     sieved = []
     monkeypatch.setattr(ap_sums, "r2_on", lambda terms: sieved.append(terms) or r2_on(terms))
-    trend = [rep.as_dict() for rep in run_trend(name, query, Ns)]
+    trend = [asdict(rep) for rep in run_trend(name, query, Ns)]
     assert trend == alone
     top = 100_000 + (query.h if name == "ap_rr" else 0)
     assert len(sieved) == 1 and top - sieved[0].step < sieved[0][-1] <= top
@@ -236,11 +236,11 @@ def test_trend_computes_gamma_once(monkeypatch):
     # Gamma does not depend on N: a three-checkpoint pair trend builds its
     # Euler product's prime table once and reports what each run does alone
     query, Ns = APQuery(N=0, q=3, a=1, h=12), [1_000, 10_000, 100_000]
-    alone = [run_trend("ap_rr", query, [N])[0].as_dict() for N in Ns]
+    alone = [asdict(run_trend("ap_rr", query, [N])[0]) for N in Ns]
     tables = []
     monkeypatch.setattr(ap_sums, "primes_up_to", lambda n: tables.append(n) or primes_up_to(n))
     gamma_singular_series.cache_clear()
-    assert [rep.as_dict() for rep in run_trend("ap_rr", query, Ns)] == alone
+    assert [asdict(rep) for rep in run_trend("ap_rr", query, Ns)] == alone
     assert tables == [10**6]
 
 

@@ -623,6 +623,13 @@ def test_floor_power_is_the_integer_floor():
             assert r**q <= N**p < (r + 1) ** q, (N, theta)
 
 
+def test_crt_refuses_unequal_lists():
+    # zip would drop the congruence that has no modulus
+    for residues, moduli in [([0, 1, 2], [3, 5]), ([0], [3, 5]), ([], [4])]:
+        with pytest.raises(ValidationError, match="residues for"):
+            crt(residues, moduli)
+
+
 def test_crt_and_counting():
     assert crt([1, 2], [4, 3]) == (5, 12)
     assert crt([1, 0], [4, 2]) is None

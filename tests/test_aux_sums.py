@@ -127,7 +127,7 @@ def kernel_pair_sums(params):
 
 def test_params_split():
     p = AuxParams(v=100, D0=10)
-    assert (p.W, p.W1, p.W3) == (105, 5, 21)
+    assert (p.W, p.W1) == (105, 5)
     with pytest.raises(ValidationError):
         AuxParams(v=1)
 

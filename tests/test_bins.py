@@ -32,7 +32,7 @@ from twosquares.bins import (
     witness_search,
 )
 from twosquares.errors import ResourceGuardError, ValidationError
-from twosquares.sieve import AdmissibleTuple, SieveParams, check_admissible, find_v0, lambda_from_F
+from twosquares.sieve import AdmissibleTuple, SieveParams, check_admissible, find_v0, lambda_from_F, single_bin_spec
 
 
 def relaxed(N, t1, t2, D0):
@@ -165,6 +165,16 @@ def test_second_moment_requires_mu_t():
     wt = lambda_from_F(p, part.spec())
     with pytest.raises(ValidationError):
         second_moment_lhs(p, tup, part, wt)
+
+
+def test_second_moment_refuses_a_table_of_other_arity():
+    # a 2-ary table on three shifts would set two of the three congruences
+    # of each inner weight and report a number
+    p = relaxed(10**4, 0.1, 1.0, 1)
+    tup = AdmissibleTuple((0, 4, 16))
+    part = BinPartition(sizes=(1, 2), mu=(1.5, 2.5), t=(1.0, 2.0))
+    with pytest.raises(ValidationError, match="table arity 2 != tuple size 3"):
+        second_moment_lhs(p, tup, part, lambda_from_F(p, single_bin_spec(2)))
 
 
 # -- witness search ----------------------------------------------------------------
@@ -316,7 +326,7 @@ def witness_oracle(params, tup, partition, n_limit):
     cuts=st.sets(st.integers(1, 4)),
 )
 def test_witness_search_matches_scalar_oracle(N, width, D0, h, cuts):
-    assume(check_admissible(h).admissible)
+    assume(check_admissible(h) is None)
     p, tup = relaxed(N, 0.1, 0.5, D0), AdmissibleTuple(h)
     bounds = sorted({0, tup.k} | {c for c in cuts if c < tup.k})
     part = BinPartition(sizes=tuple(b - a for a, b in zip(bounds, bounds[1:])))

@@ -484,6 +484,30 @@ def test_c_gamma_and_tech_sum(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["tech-sum", "--N", "1000"], ["witness-search", "--N", "1000", "--limit", "1200"], ["sieve-run", "--N", "1000", "--which", "S1"]],
+    ids=["tech-sum", "witness-search", "sieve-run-S1"],
+)
+def test_commands_that_never_read_v_run_at_v_one(capsys, argv):
+    # v = floor(1000^0.1) = 1: only rho and the S2-S4 main terms read v
+    code, out = run(capsys, argv)
+    assert code == 0, out
+    assert json.loads(out)["results"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sieve-run", "--N", "1000", "--which", "S2"], ["certificate", "--N", "1000"]],
+    ids=["sieve-run-S2", "certificate"],
+)
+def test_commands_that_read_v_refuse_v_one(capsys, argv):
+    code, out = run(capsys, argv)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "validation" and "v = floor(N^theta1) >= 2, got v = 1" in err["message"]
+
+
 def test_limits_builds_one_family(capsys, monkeypatch):
     # the k - 1 family of the convergence diagnostic is the built family
     # restricted, not a second build
@@ -790,7 +814,7 @@ def test_window_guard_exit_code(capsys, monkeypatch, argv):
     def unreachable(*args, **kwargs):
         raise AssertionError("window array built past the guard")
 
-    monkeypatch.setattr(bins, "inner_weights", unreachable)
+    monkeypatch.setattr(sieve, "inner_weights", unreachable)
     monkeypatch.setattr(bins, "two_squares_on", unreachable)
     monkeypatch.setattr(hooley, "r2_on", unreachable)
     monkeypatch.setattr(cli, "build_factor_table", unreachable)

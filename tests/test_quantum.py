@@ -373,7 +373,7 @@ def two_family_limit(rule, inputs, tau):
     """The limit estimate from the families built at k and at k - 1."""
     last = b_tau(build_family(rule, inputs), tau)
     prev = b_tau(build_family(rule, FamilyInputs(inputs.k - 1, inputs.M, inputs.a, inputs.d)), tau)
-    return quantum.LimitEstimate(tuple(tau), last.value, last.exact, abs(last.value - prev.value))
+    return quantum.LimitEstimate(last.value, last.exact, abs(last.value - prev.value))
 
 
 @pytest.mark.parametrize("rule, k, d", LIMIT_FAMILIES, ids=[r for r, _, _ in LIMIT_FAMILIES])

@@ -55,7 +55,7 @@ def test_params_invariants():
     with pytest.raises(ValidationError):
         SieveParams(N=10**6, theta1=0.3, theta2=0.3)  # strict regime violated
     p = relaxed(10**4, 0.1, 1.0, 10)
-    assert p.W == p.W1 * p.W3 == 105 and p.warnings
+    assert p.W == 105 and p.warnings
     q = SieveParams(N=10**6, theta1=0.052, theta2=0.003)
     assert not q.warnings and q.v == 2
 
@@ -67,24 +67,32 @@ def test_params_floors_at_exact_powers():
     assert relaxed(2**30, 0.1, 0.6, 1).R == 512
 
 
-def test_params_need_v_at_least_two():
-    # floor(100^0.01) = 1: t(n) divides by log v
-    with pytest.raises(ValidationError, match="v=1 < 2"):
-        relaxed(100, 0.01, 1.0, 1)
+def test_v_below_two_is_refused_where_read():
+    # floor(1000^0.1) = 1: SieveParams derives it, S1 and its main term never
+    # read it, and S2-S4 divide by log v
+    p, tup, spec = relaxed(1000, 0.1, 1.0, 1), AdmissibleTuple((0, 4)), single_bin_spec(2)
+    assert p.v == 1
+    assert s_predicted("S1", p, tup, spec) > 0
+    wt = lambda_from_F(p, spec)
+    assert s_direct("S1", p, tup, wt).n_terms == 250
+    for which in ("S2", "S3", "S4"):
+        with pytest.raises(ValidationError, match=r"v = floor\(N\^theta1\) >= 2, got v = 1"):
+            s_predicted(which, p, tup, spec, m=0, l=1)
+        with pytest.raises(ValidationError, match=r"v = floor\(N\^theta1\) >= 2, got v = 1"):
+            s_direct(which, p, tup, wt, m=0, l=1)
 
 
 def test_check_admissible_examples():
-    c = check_admissible([0, 4, 8])
-    assert not c.admissible and c.covering_prime == 3
-    c = check_admissible([0, 4, 16])
-    assert c.admissible and c.uncovered[2] == 1 and c.uncovered[3] == 2
+    assert check_admissible([0, 4, 8]) == 3
+    assert check_admissible([0, 4, 16]) is None
+    assert check_admissible([0, 1]) == 2
     with pytest.raises(ValidationError):
         check_admissible([0, 0, 4])
 
 
 def test_jakobson_style_tuple_admissible():
     h = tuple(-((2 * 5**i) ** 2) for i in range(1, 5))
-    assert check_admissible(h).admissible
+    assert check_admissible(h) is None
     t = AdmissibleTuple(h)
     assert all(x % 4 == 0 for x in t.h)
 
@@ -504,10 +512,17 @@ def test_s1_pair_expansion_pairs_only_live_keys(monkeypatch, table_809):
     h=st.lists(st.integers(0, 12).map(lambda x: 4 * x), min_size=1, max_size=3, unique=True),
 )
 def test_s1_pair_expansion_matches_scalar_oracle(N, theta2, D0, h):
-    assume(check_admissible(h).admissible)
+    assume(check_admissible(h) is None)
     p, tup = relaxed(N, 0.1, theta2, D0), AdmissibleTuple(h)
     wt = lambda_from_F(p, single_bin_spec(tup.k, 1.0))
     assert s1_pair_expansion(p, tup, wt) == s1_pair_loop(p, tup, wt)
+
+
+def test_s1_pair_expansion_refuses_a_table_of_other_arity():
+    # a 2-ary table on three shifts would set two of the three congruences
+    p, tup = relaxed(10**4, 0.1, 1.0, 1), AdmissibleTuple((0, 4, 16))
+    with pytest.raises(ValidationError, match="5 residues for 4 moduli"):
+        s1_pair_expansion(p, tup, lambda_from_F(p, single_bin_spec(2)))
 
 
 def hand_table(p, tup, keys):

@@ -12,7 +12,9 @@ def, class or assignment counts as read when any module of the package
 loads it, by name or as an attribute.  A public def or class counts as
 read when a module of the package other than `__init__.py`, a demo or a
 benchmark script loads it the same way: what only the tests read lives in
-tests/oracles.py.
+tests/oracles.py.  A dataclass field counts as read when a module of the
+package, a demo or a benchmark script loads it as an attribute, or when
+its class is one that the CLI hands whole to dataclasses.asdict.
 """
 
 import ast
@@ -125,3 +127,49 @@ def test_checker_sees_unread_public_defs():
     }
     assert unread_public_defs(defining, []) == ["a.py: f", "a.py: h"]
     assert unread_public_defs(defining, ["from a import h\nh()\n"]) == ["a.py: f"]
+
+
+def unread_fields(defining: dict[str, str], readers: list[str], whole: set[str] = frozenset()) -> list[str]:
+    defined, read = {}, set()
+    for name, source in defining.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef) or node.name in whole:
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    defined[f"{node.name}.{stmt.target.id}"] = name
+    for source in [*defining.values(), *readers]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{module}: {target}" for target, module in defined.items() if target.split(".")[1] not in read)
+
+
+# the dataclasses whose every field a report echoes through dataclasses.asdict
+REPORTED_WHOLE = {"CorrelationReport"}
+
+
+def test_every_field_is_read():
+    modules = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    readers = [p.read_text() for d in ("demos", "perfbench") for p in (ROOT / d).glob("*.py")]
+    assert "asdict(" in modules["cli.py"]
+    assert unread_fields(modules, readers, REPORTED_WHOLE) == []
+
+
+def test_checker_sees_unread_fields():
+    defining = {
+        "a.py": (
+            "from dataclasses import dataclass, field\n"
+            "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int = field(init=False)\n"
+            "    def __post_init__(self):\n        object.__setattr__(self, 'y', 2 * self.x)\n"
+            "@dataclass\nclass Q:\n    z: int\n    def total(self):\n        return self.z\n"
+            "class Plain:\n    w: int\n"
+        ),
+        "b.py": "import a\nq = a.Q(1)\n",
+    }
+    assert unread_fields(defining, []) == ["a.py: P.y"]
+    assert unread_fields(defining, ["print(p.y)\n"]) == []
+    assert unread_fields(defining, [], {"P"}) == []

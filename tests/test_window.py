@@ -29,10 +29,11 @@ from twosquares.sieve import (
     find_v0,
     inner_weights,
     lambda_from_F,
+    rho_negatives,
     s_direct,
+    scan,
     single_bin_spec,
     window,
-    window_rho,
 )
 
 
@@ -105,7 +106,7 @@ def weighted_windows(draw):
     """A small window, an admissible tuple of k <= 3 shifts and a table of
     Python-int weights on k-tuples of moduli up to 60."""
     shifts = draw(st.lists(st.integers(-50, 50).map(lambda x: 4 * x), min_size=1, max_size=3, unique=True))
-    assume(sieve.check_admissible(shifts).admissible)
+    assume(sieve.check_admissible(shifts) is None)
     tup = AdmissibleTuple(shifts)
     start, step, count = draw(st.integers(1, 10**6)), draw(st.integers(1, 60)), draw(st.integers(0, 200))
     keys = st.tuples(*[st.integers(1, 60)] * tup.k)
@@ -255,7 +256,8 @@ def test_negative_rho_window_pinned():
 def test_window_sums_equal_per_sum_reductions():
     # s_direct_sums shares the window, w and the rho arrays across the sums
     # it is asked for, and gives each one the value and rho < 0 bookkeeping
-    # of a scan for that sum alone, bit for bit
+    # of a scan for that sum alone, bit for bit; that scan's window and w
+    # are the window's and inner_weights' own
     p = relaxed(10**6, 0.35, 0.4, 1)
     tup = AdmissibleTuple((0, 4, 16))
     wt = lambda_from_F(p, single_bin_spec(3, 1.0))
@@ -264,10 +266,13 @@ def test_window_sums_equal_per_sum_reductions():
     ns = window(p, tup, 2 * p.N, (SUM_BYTES, 0))
     w = inner_weights(tup, ns, wt.float_entries(), np.float64)
     for name, res in zip(which, got, strict=True):
+        hs = {"S1": [], "S3": [tup.h[1], tup.h[2]]}.get(name, [tup.h[1]])
+        ns_alone, w_alone, rho_at = scan(p, tup, wt, hs, (SUM_BYTES, 0))
+        assert ns_alone == ns and np.array_equal(w_alone, w) and sorted(rho_at) == sorted(hs)
         terms, negatives = w * w, (0, ())
         if name != "S1":
-            hs = [tup.h[1], tup.h[2]] if name == "S3" else [tup.h[1]]
-            rhos, *negatives = window_rho(p, ns, w, hs)
+            rhos = [rho_at[h] for h in hs]
+            negatives = rho_negatives(ns, w, hs, rhos)
             terms *= rhos[0] if name == "S2" else rhos[0] * rhos[-1]
         want = (float(terms.sum()), len(ns), *negatives)
         assert (res.value, res.n_terms, res.rho_negative_count, res.rho_negative_examples) == want
@@ -276,13 +281,13 @@ def test_window_sums_equal_per_sum_reductions():
 
 def test_negative_rho_needs_nonzero_weight():
     p = relaxed(10**6, 0.35, 0.4, 1)
-    ns = window(p, AdmissibleTuple((0, 4)), 2 * p.N, (SUM_BYTES, 0))
-    w = np.ones(len(ns))
-    _, count, examples = window_rho(p, ns, w, [0, 4])
+    ns, _, rho_at = scan(p, AdmissibleTuple((0, 4)), lambda_from_F(p, single_bin_spec(2)), [0, 4], (SUM_BYTES, 0))
+    rhos, w = [rho_at[0], rho_at[4]], np.ones(len(ns))
+    count, examples = rho_negatives(ns, w, [0, 4], rhos)
     assert (count, examples) == (8, tuple(x for x in NEG for _ in range(2)))
     # with w(1185665) = 0 the pair (1185665, 0) drops; (1185661, 4) stays
     w[ns.index(NEG[0])] = 0.0
-    _, count, examples = window_rho(p, ns, w, [0, 4])
+    count, examples = rho_negatives(ns, w, [0, 4], rhos)
     assert (count, examples) == (7, (NEG[0], NEG[1], NEG[1], NEG[2], NEG[2], NEG[3], NEG[3]))
 
 
